@@ -55,13 +55,9 @@ _KEYS = {
     "current.G_p": ("float", 1.0),
     "current.gate_zener": ("bool", True),
 
-    "variational.eta": ("float", 20.0),
-    "variational.panels": ("int", 80),
-    "variational.order": ("int", 8),
     "variational.theta_min": ("float", -4.0 * math.pi),
     "variational.theta_max": ("float", 4.0 * math.pi),
     "variational.theta_points": ("int", 81),
-    "variational.maxfev": ("int", 10000),
     "variational.cold_start": ("bool", False),
 
     "evolver.scheme": ("str", "df-standard"),
@@ -268,18 +264,13 @@ def _run_pendulum_kink(cfg):
 
 def _run_variational_sweep(cfg):
     o = cfg.options
-    q = variational.QuadratureSpec(
-        eta=o["variational.eta"], panels=o["variational.panels"],
-        order=o["variational.order"])
     npts = o["variational.theta_points"]
     if npts < 1:
         raise ConfigError("variational.theta_points must be >= 1")
     grid = np.linspace(o["variational.theta_min"],
                        o["variational.theta_max"], npts)
-    opts = variational.MinimizerOptions(maxfev=o["variational.maxfev"])
     result = variational.sweep_theta(
-        _model_params(o), _drive_params(o), grid, q, opts=opts,
-        cold_start=o["variational.cold_start"])
+        _model_params(o), grid, cold_start=o["variational.cold_start"])
     return result.to_table()
 
 

@@ -35,7 +35,7 @@ class FieldOverflowError(CdwError):
 
 
 class ConvergenceError(CdwError):
-    """Minimizer hit its iteration cap without meeting tolerance.
+    """Minimizer hit its iteration cap or found no minimum in range.
 
     best_coeffs / best_energy hold the best point seen so far, so callers
     can record a partial result instead of losing the whole sweep point.

@@ -12,30 +12,46 @@ energy functional is the normalized expectation of
         + sum_n [E1 (1 - cos phi_n) + E2 (phi_n - theta)^2]
         + delta_prime (1 - cos(phi1 - phi2)).
 
-Because the ansatz factorizes, every 2-D integral reduces to products
-of 1-D moments; those are evaluated by composite Gauss-Legendre
-quadrature on [-eta pi, eta pi].  The kinetic term uses the analytic
-second derivative of the comb, not a finite-difference stencil.
+Because all teeth share one width, every 1-D moment of g_m g_n has a
+closed form (Gaussian product theorem; Boys 1950, Proc. R. Soc. A 200,
+542), so the energy is 5x5 matrix algebra.  The minimizer is
+Rayleigh-Ritz: alternating generalized eigenproblems for b and c at
+fixed alpha, and a log-alpha scan (extended outward while the energy
+still falls at an end) refined by golden-section search.
 
-Minimization is Nelder-Mead over 11 raw parameters (5 + 5 coefficients
-and log alpha); coefficient vectors are renormalized at every trial
-point, so the norm constraints hold exactly along the whole search
-path.  A fixed set of deterministic starting simplices plus one polish
-restart makes every run reproducible bit for bit.
+Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
+(``energy_expectation``, ``norm_squared``, ``phase_expectation``) is
+kept as an independent oracle for the closed form.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _nm_minimize
+from scipy.linalg import eigh
 
 from .curves import CurveTable
 from .errors import ConvergenceError, DomainError, QuadratureError
 
 CENTERS = 2.0 * math.pi * np.arange(-2, 3, dtype=float)
 
-_PENALTY = 1.0e12
+_DELTA2 = (CENTERS[:, None] - CENTERS[None, :]) ** 2
+_MU = 0.5 * (CENTERS[:, None] + CENTERS[None, :])
+_PARITY = (-1.0) ** np.add.outer(np.arange(5), np.arange(5))
+
+# coarse log-alpha scan; golden-section refinement between the best
+# scan point's neighbours, down to this bracket width in log alpha
+_LOG_ALPHA_SCAN = np.linspace(math.log(0.002), math.log(5.0), 41)
+_LOG_ALPHA_STEP = float(_LOG_ALPHA_SCAN[1] - _LOG_ALPHA_SCAN[0])
+# the scan is extended outward by its own step while the energy still
+# falls at an end, but not past these limits: below alpha = 1e-4 the
+# teeth merge and the overlap matrix's condition number passes 1e10
+_LOG_ALPHA_LIMITS = (math.log(1e-4), math.log(1e6))
+_LOG_ALPHA_TOL = 1e-6
+_INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
+# alternation stops once the energy falls by no more than _ETOL * |E|
+_ETOL = 1e-13
+_MAX_ALTERNATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -89,20 +105,14 @@ class AnsatzCoeffs:
 
 
 @dataclass(frozen=True)
-class MinimizerOptions:
-    maxfev: int = 10000
-    xatol: float = 1e-9
-    fatol: float = 1e-14
-    polish: bool = True
-
-
-@dataclass(frozen=True)
 class SweepRow:
     theta: float
     e_min: float
     mean_phi: float
     converged: bool
     coeffs: AnsatzCoeffs
+    # gap above the ground state of the final reduced problem; not in CSV
+    gap: float = math.nan
 
 
 @dataclass
@@ -114,15 +124,6 @@ class SweepResult:
         if len(thetas) > 1 and not all(
                 b > a for a, b in zip(thetas, thetas[1:])):
             raise DomainError("sweep rows must be strictly increasing in theta")
-
-    def thetas(self):
-        return np.array([r.theta for r in self.rows])
-
-    def energies(self):
-        return np.array([r.e_min for r in self.rows])
-
-    def phases(self):
-        return np.array([r.mean_phi for r in self.rows])
 
     def to_table(self):
         cols = ["theta", "E_min", "mean_Phi", "converged"]
@@ -175,7 +176,7 @@ def _comb(phi, coeff, alpha):
 def _chain_moments(coeff, alpha, theta, p, nd):
     """1-D moments of one comb factor u(phi):
 
-    returns (norm, kinetic, pinning, charging, <cos>, <sin>, <phi>)
+    returns (norm, kinetic, pinning, charging, <cos>, <sin>)
     where kinetic = -hbar^2/(2 D1) * int u u'' and the rest are plain
     weighted moments of u^2."""
     x, w, cosx, sinx, d2 = nd
@@ -190,8 +191,7 @@ def _chain_moments(coeff, alpha, theta, p, nd):
     chg = p.E2 * float((u2w * dphi * dphi).sum())
     mcos = float((u2w * cosx).sum())
     msin = float((u2w * sinx).sum())
-    mphi = float((u2w * x).sum())
-    return n, kin, pin, chg, mcos, msin, mphi
+    return n, kin, pin, chg, mcos, msin
 
 
 def norm_squared(a, q):
@@ -217,8 +217,8 @@ def energy_expectation(a, p, theta, q):
     nd = _nodes(q)
     b = np.asarray(a.b)
     c = np.asarray(a.c)
-    n1, k1, p1, q1, mc1, ms1, _ = _chain_moments(b, a.alpha, theta, p, nd)
-    n2, k2, p2, q2, mc2, ms2, _ = _chain_moments(c, a.alpha, theta, p, nd)
+    n1, k1, p1, q1, mc1, ms1 = _chain_moments(b, a.alpha, theta, p, nd)
+    n2, k2, p2, q2, mc2, ms2 = _chain_moments(c, a.alpha, theta, p, nd)
     if not (math.isfinite(n1) and math.isfinite(n2) and n1 > 0 and n2 > 0):
         raise QuadratureError("ansatz norm is not positive")
     e = (k1 * n2 + n1 * k2
@@ -246,143 +246,150 @@ def phase_expectation(a, q):
     return 0.5 * (m1 / n1 + m2 / n2)
 
 
-def _pack(a):
-    return np.concatenate([a.b, a.c, [math.log(a.alpha)]])
+def _chain_matrices(p, alpha, theta):
+    """Exact 5x5 moment matrices of one comb factor, (S, H, C, X): the
+    overlap, the one-chain Hamiltonian, the cosine and the position
+    matrix <g_m|.|g_n> over the whole line.  g_m g_n is one Gaussian of
+    exponent 2 alpha centred at mu, so every moment has a closed form."""
+    s = math.sqrt(math.pi / (2.0 * alpha)) * np.exp(-0.5 * alpha * _DELTA2)
+    c = _PARITY * math.exp(-0.125 / alpha) * s
+    kin = p.hbar * p.hbar / (2.0 * p.D1) * (alpha - alpha * alpha * _DELTA2)
+    chg = p.E2 * ((_MU - theta) ** 2 + 0.25 / alpha)
+    h = (kin + p.E1 + chg) * s - p.E1 * c
+    return s, h, c, _MU * s
 
 
-def _unpack(raw):
-    b = np.asarray(raw[0:5], dtype=float)
-    c = np.asarray(raw[5:10], dtype=float)
-    nb = float(np.linalg.norm(b))
-    nc = float(np.linalg.norm(c))
-    if nb < 1e-8 or nc < 1e-8:
-        raise DomainError("degenerate coefficient vector")
-    return AnsatzCoeffs(tuple(b / nb), tuple(c / nc), math.exp(float(raw[10])))
+def _ground(a, s):
+    """Lowest generalized eigenvector of (a, s), unit length with a
+    positive sum, and the gap to the next eigenvalue."""
+    w, v = eigh(a, s, subset_by_index=(0, 1), check_finite=False)
+    g = v[:, 0] / np.linalg.norm(v[:, 0])
+    return (-g if g.sum() < 0 else g), float(w[1] - w[0])
 
 
-def _objective(p, theta, q):
-    nd = _nodes(q)
-
-    def fun(raw):
-        b = raw[0:5]
-        c = raw[5:10]
-        nb = np.linalg.norm(b)
-        nc = np.linalg.norm(c)
-        la = raw[10]
-        if nb < 1e-8 or nc < 1e-8 or abs(la) > 700.0:
-            return _PENALTY
-        alpha = math.exp(la)
-        try:
-            n1, k1, p1, q1, mc1, ms1, _ = _chain_moments(
-                b / nb, alpha, theta, p, nd)
-            n2, k2, p2, q2, mc2, ms2, _ = _chain_moments(
-                c / nc, alpha, theta, p, nd)
-        except FloatingPointError:
-            return _PENALTY
-        if not (math.isfinite(n1) and math.isfinite(n2)
-                and n1 > 0 and n2 > 0):
-            return _PENALTY
-        e = (k1 * n2 + n1 * k2 + p1 * n2 + n1 * p2 + q1 * n2 + n1 * q2
-             + p.delta_prime * (n1 * n2 - mc1 * mc2 - ms1 * ms2)) / (n1 * n2)
-        if not math.isfinite(e):
-            return _PENALTY
-        return e
-
-    return fun
+def _quotient(m, s, v):
+    return float(v @ m @ v) / float(v @ s @ v)
 
 
-def _seed_vectors(init):
-    seeds = []
-    if init is not None:
-        seeds.append(_pack(init))
-    m0 = np.zeros(11)
-    m0[2] = 1.0
-    m0[7] = 1.0
-    m0[10] = 0.0  # alpha = 1
-    seeds.append(m0)
-    uni = np.full(11, 1.0 / math.sqrt(5.0))
-    uni[10] = math.log(0.1)
-    seeds.append(uni)
-    return seeds
+def _energy(mats, dp, b, c):
+    """Closed-form normalized energy of the product comb (b, c)."""
+    s, h, cos, _ = mats
+    return (_quotient(h, s, b) + _quotient(h, s, c)
+            + dp * (1.0 - _quotient(cos, s, b) * _quotient(cos, s, c)))
 
 
-def minimize_energy(p, theta, q, init=None, opts=None):
-    """Minimize the energy over (b, c, alpha) from deterministic seeds.
+def _mean_phase(mats, b, c):
+    """Closed-form mean joint phase <(phi1 + phi2)/2>."""
+    return 0.5 * (_quotient(mats[3], mats[0], b)
+                  + _quotient(mats[3], mats[0], c))
 
-    Returns (AnsatzCoeffs, energy).  The returned energy never exceeds
-    the energy at `init` (when given) beyond round-off, since NM only
-    moves downhill from its starting vertex.
 
-    Simplex search in 11 dimensions collapses prematurely often enough
-    that every competitive seed run gets a fresh-simplex restart from
-    its endpoint; restarting only the best run can hand the final word
-    to a branch that creeps along a valley without terminating.  The
-    convergence flag belongs to whichever branch produced the global
-    best: its last restart either met tolerance or moved the value by
-    no more than a round-off-scale amount.  Otherwise a ConvergenceError
-    carrying the best point so far is raised."""
-    if opts is None:
-        opts = MinimizerOptions()
-    fun = _objective(p, theta, q)
-    nm_opts = {"maxfev": opts.maxfev, "maxiter": opts.maxfev,
-               "xatol": opts.xatol, "fatol": opts.fatol}
-    first = [_nm_minimize(fun, seed, method="Nelder-Mead", options=nm_opts)
-             for seed in _seed_vectors(init)]
-    lead = min(res.fun for res in first)
-    band = max(1e-2 * abs(lead), 1e-8)
-    finals = []
-    for res in first:
-        if opts.polish and res.fun <= lead + band and res.fun < _PENALTY:
-            ref = _nm_minimize(fun, res.x, method="Nelder-Mead",
-                               options=nm_opts)
-            moved = abs(res.fun - ref.fun)
-            use = ref if ref.fun <= res.fun else res
-            stagnant = moved <= max(1e-12, 1e-9 * abs(use.fun))
-            finals.append((use.fun, use.x, bool(ref.success) or stagnant))
+def _reduced(mats, dp, c):
+    """Ground state of the mean-field problem for one comb given the
+    other: the operator H - dp kappa_c C, kappa_c = c.Cc / c.Sc."""
+    s, h, cos, _ = mats
+    return _ground(h - dp * _quotient(cos, s, c) * cos, s)
+
+
+def _alternate(p, theta, log_alpha, c=None):
+    """Alternating exact minimization over the two combs at one alpha,
+    from c (None: the uncoupled ground state) until the energy stops
+    changing; each half step is a generalized eigenproblem, so the
+    energy never rises.  Returns (energy, converged, coeffs)."""
+    alpha = math.exp(log_alpha)
+    mats = _chain_matrices(p, alpha, theta)
+    if c is None:
+        c = _ground(mats[1], mats[0])[0]
+    e_prev = math.inf
+    for _ in range(_MAX_ALTERNATIONS):
+        b = _reduced(mats, p.delta_prime, c)[0]
+        e = _energy(mats, p.delta_prime, b, c)
+        conv = e_prev - e <= _ETOL * abs(e)
+        if conv:
+            break
+        e_prev = e
+        b, c = c, b
+    return e, conv, AnsatzCoeffs(tuple(b), tuple(c), alpha)
+
+
+def _golden(f, lo, hi):
+    """Golden-section search for the minimum of f on [lo, hi]."""
+    x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > _LOG_ALPHA_TOL:
+        if f1 < f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INVPHI * (hi - lo)
+            f1 = f(x1)
         else:
-            finals.append((res.fun, res.x, bool(res.success)))
-    fbest, xbest, converged = min(finals, key=lambda t: t[0])
-    if fbest >= _PENALTY:
-        raise ConvergenceError("minimizer never left the penalty region")
-    coeffs = _unpack(xbest)
-    energy = float(fbest)
-    if not converged:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INVPHI * (hi - lo)
+            f2 = f(x2)
+
+
+def minimize_energy(p, theta, init=None):
+    """Minimize the energy over (b, c, alpha) by Rayleigh-Ritz: the combs
+    by ``_alternate``, alpha by a log-alpha scan, extended outward while
+    the energy still falls at an end, and golden-section refinement.
+    With init, the alternation also runs at init.alpha from init.c, so
+    the energy never exceeds that of init.  Returns (AnsatzCoeffs,
+    energy); raises ConvergenceError carrying the best point if its
+    alternation hit the cap or the energy still falls at a scan limit."""
+    seen = []
+
+    def run(la, c=None):
+        seen.append(_alternate(p, theta, la, c))
+        return seen[-1][0]
+
+    las = list(_LOG_ALPHA_SCAN)
+    es = [run(la) for la in las]
+    lo, hi = _LOG_ALPHA_LIMITS
+    while es[0] == min(es) and las[0] - _LOG_ALPHA_STEP >= lo:
+        las.insert(0, las[0] - _LOG_ALPHA_STEP)
+        es.insert(0, run(las[0]))
+    while es[-1] == min(es) and las[-1] + _LOG_ALPHA_STEP <= hi:
+        las.append(las[-1] + _LOG_ALPHA_STEP)
+        es.append(run(las[-1]))
+    i = int(np.argmin(es))
+    interior = 0 < i < len(las) - 1
+    if interior:
+        _golden(run, las[i - 1], las[i + 1])
+    if init is not None:
+        run(math.log(init.alpha), init.c)
+    energy, conv, coeffs = min(seen, key=lambda r: r[0])
+    if not (interior and conv):
         raise ConvergenceError(
-            "evaluation budget exhausted before tolerance was met",
+            "alternation cap reached before the energy stopped changing"
+            if interior else "energy still falls at a limit of the alpha scan",
             best_coeffs=coeffs, best_energy=energy)
     return coeffs, energy
 
 
-def sweep_theta(p, drive, theta_grid, q, opts=None, cold_start=False):
+def sweep_theta(p, theta_grid, cold_start=False):
     """Minimize at every theta of a strictly increasing grid.
 
-    Warm mode (default) seeds each point with the previous minimizer;
-    cold mode treats every point independently, which permits parallel
-    evaluation elsewhere.  Convergence failures are recorded in-row
-    (converged=False, best point kept) and the sweep continues.  The
-    drive parameter documents the theta <-> time mapping
-    theta = a_D * t; it does not enter the minimization."""
+    Warm mode (default) passes each point the previous minimizer as
+    init; cold mode treats every point independently.  Convergence
+    failures are recorded in-row (converged=False, best point kept) and
+    the sweep continues.  Each row carries the closed-form mean phase
+    and the eigen-gap of the final reduced problem."""
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D sequence")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("theta grid must be strictly increasing")
     rows = []
-    prev = None
-    for theta in grid:
-        init = None if cold_start else prev
+    for theta in map(float, grid):
+        init = rows[-1].coeffs if rows and not cold_start else None
         try:
-            coeffs, energy = minimize_energy(p, float(theta), q,
-                                             init=init, opts=opts)
+            coeffs, energy = minimize_energy(p, theta, init=init)
             conv = True
         except ConvergenceError as err:
-            if err.best_coeffs is None:
-                raise
-            coeffs, energy = err.best_coeffs, err.best_energy
-            conv = False
-        phi = phase_expectation(coeffs, q)
-        rows.append(SweepRow(float(theta), energy, phi, conv, coeffs))
-        prev = coeffs
+            coeffs, energy, conv = err.best_coeffs, err.best_energy, False
+        mats = _chain_matrices(p, coeffs.alpha, theta)
+        gap = _reduced(mats, p.delta_prime, coeffs.c)[1]
+        phi = _mean_phase(mats, coeffs.b, coeffs.c)
+        rows.append(SweepRow(theta, energy, phi, conv, coeffs, gap))
     return SweepResult(rows)
 
 

@@ -55,15 +55,13 @@ def verdict(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def coupled_sweep():
     t0 = time.perf_counter()
-    res = sweep_theta(PhysicalParams(), FieldDriveParams(), THETA_GRID,
-                      QuadratureSpec())
+    res = sweep_theta(PhysicalParams(), THETA_GRID)
     return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def decoupled_sweep():
-    return sweep_theta(PhysicalParams(delta_prime=0.0), FieldDriveParams(),
-                       THETA_GRID, QuadratureSpec())
+    return sweep_theta(PhysicalParams(delta_prime=0.0), THETA_GRID)
 
 
 def test_criterion_01_kink_residual():

@@ -23,10 +23,12 @@ def test_parse_defaults_applied():
     assert o["model.E1"] == 1e-5
     assert o["model.E2"] == 1e-6
     assert o["model.delta_prime"] == 0.005
-    assert o["variational.eta"] == 20.0
     assert o["drive.a_D"] == 0.67
     assert o["variational.theta_min"] == pytest.approx(-4 * math.pi)
     assert o["current.gate_zener"] is True
+    # the closed-form sweep has no quadrature grid to configure
+    with pytest.raises(ConfigError):
+        parse("experiment = iv-curve\nvariational.eta = 20\n")
 
 
 def test_parse_comments_and_blanks():

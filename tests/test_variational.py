@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdwlab import variational
 from cdwlab.errors import ConvergenceError, DomainError, QuadratureError
-from cdwlab.model import FieldDriveParams, PhysicalParams
+from cdwlab.model import PhysicalParams
 from cdwlab.variational import (
     CENTERS,
     AnsatzCoeffs,
-    MinimizerOptions,
     QuadratureSpec,
     SweepResult,
     SweepRow,
@@ -263,18 +265,37 @@ def test_energy_kinetic_matches_stencil():
 
 
 def test_minimize_kinetic_only_runs_downhill():
-    # with no potential the energy is hbar^2 alpha / D1: the optimizer
-    # must end at least as low as the alpha=1 initializer
+    # with no potential the energy is hbar^2 alpha / D1, which has no
+    # minimum in alpha: the search runs down to its lower alpha limit
+    # and reports no convergence, and its best point must still end at
+    # least as low as the alpha=1 initializer
     init = AnsatzCoeffs(E2ONLY, E2ONLY, 1.0)
     e_init = energy_expectation(init, FREE, 0.0, Q)
-    coeffs, e = minimize_energy(FREE, 0.0, Q, init=init)
+    with pytest.raises(ConvergenceError) as err:
+        minimize_energy(FREE, 0.0, init=init)
+    coeffs, e = err.value.best_coeffs, err.value.best_energy
     assert e <= e_init + 1e-12
-    assert coeffs.alpha < 1.0
+    lo = variational._LOG_ALPHA_LIMITS[0]
+    assert lo <= math.log(coeffs.alpha) < lo + variational._LOG_ALPHA_STEP
+
+
+@pytest.mark.parametrize("p", [PhysicalParams(E1=1.0),
+                               PhysicalParams(hbar=1e-3)])
+def test_minimize_finds_alpha_beyond_the_scan(p):
+    # both optima lie above the coarse scan's top alpha: the scan must be
+    # extended until the energy rises, and alpha refined inside that
+    top = variational._LOG_ALPHA_SCAN[-1]
+    coeffs, e = minimize_energy(p, 0.3)
+    assert math.log(coeffs.alpha) > top + variational._LOG_ALPHA_STEP
+    assert e < variational._alternate(p, 0.3, top)[0]
+    for step in (-1e-3, 1e-3):
+        la = math.log(coeffs.alpha) + step
+        assert variational._alternate(p, 0.3, la)[0] >= e
 
 
 def test_minimize_theta_zero_symmetric_and_near_grid_scan():
     # coarse scan over (b0, b1 = b_-1, alpha) with b2 fixed by the norm
-    coeffs, e = minimize_energy(STD, 0.0, Q)
+    coeffs, e = minimize_energy(STD, 0.0)
     b = np.array(coeffs.b)
     assert np.max(np.abs(b - b[::-1])) < 0.02
     assert abs(phase_expectation(coeffs, Q)) < 0.05
@@ -298,9 +319,33 @@ def test_minimize_respects_init_upper_bound():
     init = AnsatzCoeffs((0.1, 0.4, 0.8, 0.3, 0.1),
                         (0.2, 0.3, 0.9, 0.1, 0.05), 0.35).projected()
     e_init = energy_expectation(init, STD, 0.3, Q)
-    coeffs, e = minimize_energy(STD, 0.3, Q, init=init)
+    coeffs, e = minimize_energy(STD, 0.3, init=init)
     assert e <= e_init + 1e-12
     assert coeffs.is_normalized(tol=1e-10)
+
+
+COEFF = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5).filter(
+    lambda v: np.linalg.norm(v) >= 0.1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(b=COEFF, c=COEFF, alpha=st.floats(0.02, 5.0),
+       theta=st.floats(-4 * math.pi, 4 * math.pi))
+def test_closed_form_matches_quadrature_oracle(b, c, alpha, theta):
+    # the exact comb moments against fine quadrature on [-20 pi, 20 pi];
+    # both agree to ~1e-12 relative.  The mean phase also gets an
+    # absolute 1e-9: it vanishes for mirror-symmetric combs, where a
+    # relative bound alone would ask for agreement in rounding noise
+    rtol, atol_phase = 1e-9, 1e-9
+    a = AnsatzCoeffs(b, c, alpha).projected()
+    mats = variational._chain_matrices(STD, alpha, theta)
+    vb, vc = np.array(a.b), np.array(a.c)
+    e = variational._energy(mats, STD.delta_prime, vb, vc)
+    ref = energy_expectation(a, STD, theta, QF)
+    assert abs(e - ref) <= rtol * abs(ref)
+    phi = variational._mean_phase(mats, vb, vc)
+    ref = phase_expectation(a, QF)
+    assert abs(phi - ref) <= rtol * abs(ref) + atol_phase
 
 
 def test_phase_expectation_anchors():
@@ -326,11 +371,10 @@ def test_phase_expectation_bounded_by_box():
 
 
 def test_sweep_single_point_composes():
-    drive = FieldDriveParams()
-    res = sweep_theta(STD, drive, [0.3], Q)
+    res = sweep_theta(STD, [0.3])
     assert len(res.rows) == 1
     row = res.rows[0]
-    coeffs, e = minimize_energy(STD, 0.3, Q)
+    coeffs, e = minimize_energy(STD, 0.3)
     assert row.theta == 0.3
     assert row.converged
     assert row.e_min == pytest.approx(e, rel=1e-12)
@@ -339,22 +383,40 @@ def test_sweep_single_point_composes():
 
 
 def test_sweep_grid_validation():
-    drive = FieldDriveParams()
     with pytest.raises(DomainError):
-        sweep_theta(STD, drive, [], Q)
+        sweep_theta(STD, [])
     with pytest.raises(DomainError):
-        sweep_theta(STD, drive, [0.2, 0.1], Q)
+        sweep_theta(STD, [0.2, 0.1])
 
 
 def test_sweep_warm_and_cold_agree():
-    drive = FieldDriveParams()
     grid = [-0.4, 0.0, 0.4]
-    warm = sweep_theta(STD, drive, grid, Q)
-    cold = sweep_theta(STD, drive, grid, Q, cold_start=True)
+    warm = sweep_theta(STD, grid)
+    cold = sweep_theta(STD, grid, cold_start=True)
     assert np.all([r.converged for r in warm.rows])
     assert np.all([r.converged for r in cold.rows])
     for rw, rc in zip(warm.rows, cold.rows):
         assert rw.e_min == pytest.approx(rc.e_min, abs=1e-6)
+
+
+def test_sweep_rows_record_eigen_gap():
+    for p in (STD, PhysicalParams(delta_prime=0.0)):
+        for row in sweep_theta(p, [-0.3, 0.0, 0.3]).rows:
+            assert math.isfinite(row.gap) and row.gap > 0.0
+
+
+def test_nonconverged_point_kept_in_row(monkeypatch):
+    # one alternation step can never show that the energy stopped changing
+    monkeypatch.setattr(variational, "_MAX_ALTERNATIONS", 1)
+    with pytest.raises(ConvergenceError) as err:
+        minimize_energy(STD, 0.3)
+    best = err.value.best_coeffs
+    assert isinstance(best, AnsatzCoeffs) and best.is_normalized()
+    assert math.isfinite(err.value.best_energy)
+    row = sweep_theta(STD, [0.3]).rows[0]
+    assert not row.converged
+    assert row.coeffs == best
+    assert row.e_min == err.value.best_energy
 
 
 def test_sweep_result_table_and_order():
