@@ -4,15 +4,20 @@ Usage:  cdw-lab <config-path> [--output <path>] [--seed <int>]
                 [--set key=value ...]
 
 The config is line-based ``key = value`` text with ``#`` comments.  Keys
-live in one flat dotted namespace (defaults below); unknown keys are
-hard errors.  Each run writes exactly one CSV artifact, atomically, to
-the configured output path.  Exit status: 0 success, 1 domain or
-convergence error, 2 config error.
+live in one flat dotted namespace; unknown keys are hard errors.  The
+``model.*``, ``drive.*`` and ``current.*`` keys are the fields of
+PhysicalParams, FieldDriveParams and tunneling.CurrentParams, with their
+types and defaults; every other key and default is listed in ``_KEYS``.
+``--set`` entries replace config entries before either is converted.
+Each run writes exactly one CSV artifact, atomically, to the configured
+output path.  Exit status: 0 success, 1 domain or convergence error,
+2 config error.
 """
 
 import argparse
 import math
 import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,36 +29,18 @@ from .model import FieldDriveParams, PhysicalParams
 EXPERIMENTS = ("single-chain", "pendulum-kink", "variational-sweep",
                "iv-curve", "fourier-check")
 
-# key -> (type tag, default); "auto" defaults are derived at run time
+# key prefix -> the parameter dataclass whose fields are its keys
+_PARAMS = {"model": PhysicalParams, "drive": FieldDriveParams,
+           "current": tunneling.CurrentParams}
+
+# key -> (type tag, default); experiment is required, the other None
+# defaults are derived at run time
 _KEYS = {
     "experiment": ("choice", None),
     "output": ("str", None),
     "seed": ("int", 0),
-
-    "model.D": ("float", 1.0),
-    "model.omega_p_sq": ("float", 1.0),
-    "model.mu_E": ("float", 0.0),
-    "model.theta": ("float", 0.0),
-    "model.D1": ("float", 174.091),
-    "model.E1": ("float", 1.0e-5),
-    "model.E2": ("float", 1.0e-6),
-    "model.delta_prime": ("float", 0.005),
-    "model.hbar": ("float", 1.0),
-    "model.experimental_regime": ("bool", False),
-
-    "drive.e_star": ("float", 2.0),
-    "drive.E_applied": ("float", 0.0),
-    "drive.E_threshold": ("float", 1.0),
-    "drive.c_v": ("float", 1.0),
-    "drive.a_D": ("float", 0.67),
-    "drive.G_p": ("float", 1.0),
-    "drive.delta_s": ("float", 1.0),
-
-    "current.E_T": ("float", 1.0),
-    "current.c_v": ("float", 1.0),
-    "current.C_tilde": ("float", 1.0),
-    "current.G_p": ("float", 1.0),
-    "current.gate_zener": ("bool", True),
+    **{prefix + "." + f.name: (f.type.__name__, f.default)
+       for prefix, cls in _PARAMS.items() for f in fields(cls)},
 
     "variational.theta_min": ("float", -4.0 * math.pi),
     "variational.theta_max": ("float", 4.0 * math.pi),
@@ -93,14 +80,14 @@ _KEYS = {
 }
 
 
+@dataclass
 class RunConfig:
     """Validated experiment selection plus typed option map."""
 
-    def __init__(self, experiment, options, output_path, seed):
-        self.experiment = experiment
-        self.options = options
-        self.output_path = output_path
-        self.seed = seed
+    experiment: str
+    options: dict
+    output_path: str
+    seed: int
 
 
 def _convert(key, raw, line=None):
@@ -127,13 +114,26 @@ def _convert(key, raw, line=None):
                     % (raw, ", ".join(EXPERIMENTS)), line=line)
             return raw
         return raw
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         raise ConfigError("cannot parse %r as %s for key '%s'"
                           % (raw, kind, key), line=line) from None
 
 
-def parse_config(data):
-    """Parse config bytes into a RunConfig with defaults applied."""
+def _entry(body, line):
+    key, _, value = body.partition("=")
+    key = key.strip()
+    if key not in _KEYS:
+        raise ConfigError("unknown key '%s'" % key, line=line)
+    return key, value.strip()
+
+
+def parse_config(data, sets=()):
+    """Parse config bytes into a RunConfig with defaults applied.
+
+    Each ``key=value`` string in sets (the ``--set`` entries) replaces
+    the config's raw entry for that key, later entries winning, before
+    the one conversion pass.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -145,18 +145,15 @@ def parse_config(data):
             continue
         if "=" not in body:
             raise ConfigError("expected 'key = value'", line=lineno)
-        key, _, value = body.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KEYS:
-            raise ConfigError("unknown key '%s'" % key, line=lineno)
+        key, value = _entry(body, lineno)
         if key in raw_entries:
             raise ConfigError("duplicate key '%s'" % key, line=lineno)
         raw_entries[key] = (value, lineno)
-    return _build_config(raw_entries)
-
-
-def _build_config(raw_entries):
+    for item in sets:
+        if "=" not in item:
+            raise ConfigError("--set needs key=value, got %r" % item)
+        key, value = _entry(item, None)
+        raw_entries[key] = (value, None)
     options = {}
     for key, (kind, default) in _KEYS.items():
         if key in raw_entries:
@@ -174,55 +171,9 @@ def _build_config(raw_entries):
     return RunConfig(experiment, options, output, seed)
 
 
-def apply_overrides(cfg, sets):
-    """Re-validate cfg with --set key=value entries folded in."""
-    raw = {}
-    for item in sets:
-        if "=" not in item:
-            raise ConfigError("--set needs key=value, got %r" % item)
-        key, _, value = item.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KEYS:
-            raise ConfigError("unknown key '%s'" % key)
-        raw[key] = (value, None)
-    merged = dict(experiment=(cfg.experiment, None))
-    for key, val in cfg.options.items():
-        if val is not None and key != "experiment":
-            merged[key] = (_unconvert(val), None)
-    merged["output"] = (cfg.output_path, None)
-    merged["seed"] = (str(cfg.seed), None)
-    merged.update(raw)
-    return _build_config(merged)
-
-
-def _unconvert(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def _model_params(o):
-    return PhysicalParams(
-        D=o["model.D"], omega_p_sq=o["model.omega_p_sq"],
-        mu_E=o["model.mu_E"], theta=o["model.theta"], D1=o["model.D1"],
-        E1=o["model.E1"], E2=o["model.E2"],
-        delta_prime=o["model.delta_prime"], hbar=o["model.hbar"],
-        experimental_regime=o["model.experimental_regime"])
-
-
-def _drive_params(o):
-    return FieldDriveParams(
-        e_star=o["drive.e_star"], E_applied=o["drive.E_applied"],
-        E_threshold=o["drive.E_threshold"], c_v=o["drive.c_v"],
-        a_D=o["drive.a_D"], G_p=o["drive.G_p"], delta_s=o["drive.delta_s"])
-
-
-def _current_params(o):
-    return tunneling.CurrentParams(
-        E_T=o["current.E_T"], c_v=o["current.c_v"],
-        C_tilde=o["current.C_tilde"], G_p=o["current.G_p"],
-        gate_zener=o["current.gate_zener"])
+def _params(o, prefix):
+    cls = _PARAMS[prefix]
+    return cls(**{f.name: o[prefix + "." + f.name] for f in fields(cls)})
 
 
 def _run_single_chain(cfg):
@@ -231,7 +182,7 @@ def _run_single_chain(cfg):
         o["evolver.n"], o["evolver.dx"], x0=o["evolver.x0"],
         x_c=o["evolver.x_c"], alpha0=o["evolver.alpha0"])
     traj = evolver.evolve(
-        o["evolver.scheme"], init, _model_params(o), _drive_params(o),
+        o["evolver.scheme"], init, _params(o, "model"), _params(o, "drive"),
         o["evolver.dt"], o["evolver.steps"], sweeps=o["evolver.sweeps"],
         boundary=o["evolver.boundary"])
     return evolver.trajectory_table(traj)
@@ -270,13 +221,13 @@ def _run_variational_sweep(cfg):
     grid = np.linspace(o["variational.theta_min"],
                        o["variational.theta_max"], npts)
     result = variational.sweep_theta(
-        _model_params(o), grid, cold_start=o["variational.cold_start"])
+        _params(o, "model"), grid, cold_start=o["variational.cold_start"])
     return result.to_table()
 
 
 def _run_iv_curve(cfg):
     o = cfg.options
-    cp = _current_params(o)
+    cp = _params(o, "current")
     n = o["iv.points"]
     if n < 1:
         raise ConfigError("iv.points must be >= 1")
@@ -330,9 +281,7 @@ def main(argv=None):
                 data = handle.read()
         except OSError as err:
             raise ConfigError("cannot read config: %s" % err) from None
-        cfg = parse_config(data)
-        if args.sets:
-            cfg = apply_overrides(cfg, args.sets)
+        cfg = parse_config(data, args.sets)
         if args.output is not None:
             cfg.output_path = args.output
         if args.seed is not None:

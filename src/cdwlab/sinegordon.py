@@ -108,16 +108,19 @@ def sine_gordon_residual(phi_prev, phi_curr, phi_next, dz, dtau):
     return phi_tt - phi_zz + np.sin(curr[1:-1])
 
 
+def _force(phi, omega0_sq, omega1_sq):
+    acc = np.zeros_like(phi)
+    acc[1:-1] = (omega0_sq * (phi[2:] - 2.0 * phi[1:-1] + phi[:-2])
+                 - omega1_sq * np.sin(phi[1:-1]))
+    return acc
+
+
 def chain_acceleration(s):
     """Discrete Laplacian coupling minus pendulum restoring force.
 
     End sites are clamped: their acceleration is reported as zero.
     """
-    phi = s.phi
-    acc = np.zeros_like(phi)
-    acc[1:-1] = (s.omega0_sq * (phi[2:] - 2.0 * phi[1:-1] + phi[:-2])
-                 - s.omega1_sq * np.sin(phi[1:-1]))
-    return acc
+    return _force(s.phi, s.omega0_sq, s.omega1_sq)
 
 
 def _derivative(phi, phi_dot, omega0_sq, omega1_sq):
@@ -125,10 +128,7 @@ def _derivative(phi, phi_dot, omega0_sq, omega1_sq):
     dphi = phi_dot.copy()
     dphi[0] = 0.0
     dphi[-1] = 0.0
-    ddot = np.zeros_like(phi)
-    ddot[1:-1] = (omega0_sq * (phi[2:] - 2.0 * phi[1:-1] + phi[:-2])
-                  - omega1_sq * np.sin(phi[1:-1]))
-    return dphi, ddot
+    return dphi, _force(phi, omega0_sq, omega1_sq)
 
 
 def integrate_chain_rk4(s, dt, steps, stride=1):

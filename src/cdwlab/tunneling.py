@@ -3,7 +3,7 @@
 Soliton-pair Fourier amplitudes, the erf-based wavefunctional
 normalization, momentum-space exponents, the cosh-form current, the
 phenomenological Zener comparison and the pair-separation geometry.
-All closed-form; the only numerics are an in-house erf and one windowed
+All closed-form (erf is ``math.erf``); the only numerics are one windowed
 quadrature cross-checking the sharp-wall Fourier amplitude against the
 smooth tanh profile.
 """
@@ -16,9 +16,6 @@ import numpy as np
 from .curves import CurveTable
 from .errors import CdwError, DomainError
 from .sinegordon import thin_wall_profile
-
-_SQRT_PI = math.sqrt(math.pi)
-
 
 @dataclass(frozen=True)
 class PairGeometry:
@@ -59,55 +56,11 @@ class CurrentParams:
 
 
 def erf(x):
-    """Error function, in-house: power series for |x| <= 3 and a
-    continued-fraction complement beyond; absolute accuracy ~1e-15."""
+    """Error function of a finite argument (``math.erf``)."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError("erf needs finite argument")
-    if x < 0.0:
-        return -erf(-x)
-    if x == 0.0:
-        return 0.0
-    if x <= 3.0:
-        return _erf_series(x)
-    return 1.0 - _erfc_cf(x)
-
-
-def _erf_series(x):
-    # non-alternating form: (2/sqrt(pi)) e^{-x^2} sum 2^n x^{2n+1}/(2n+1)!!
-    x2 = x * x
-    term = x
-    total = x
-    n = 0
-    while n < 300:
-        n += 1
-        term *= 2.0 * x2 / (2.0 * n + 1.0)
-        total += term
-        if term <= 1e-17 * total:
-            break
-    return (2.0 / _SQRT_PI) * math.exp(-x2) * total
-
-
-def _erfc_cf(x):
-    # Lentz evaluation of sqrt(pi) e^{x^2} erfc(x) = 1/(x + (1/2)/(x + 1/(x + ...)))
-    tiny = 1e-300
-    f = x
-    c = x
-    d = 0.0
-    for n in range(1, 301):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x * x) / (_SQRT_PI * f)
+    return math.erf(x)
 
 
 def gaussian_norm_constant(a_exp, upper):
@@ -136,7 +89,9 @@ def soliton_fourier(k, L):
     return scale * math.sin(k * L / 2.0) / k
 
 
-def _window_gl(lo, hi, panels, order):
+def _composite_gl(lo, hi, panels, order):
+    """Composite Gauss-Legendre rule on [lo, hi]: `panels` equal panels
+    of `order` nodes each; returns flat (nodes, weights)."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -160,7 +115,7 @@ def _fourier_modes(g, n_modes, box):
     # beyond w = 40/b both tanh factors are flat to ~e^{-80}, so the
     # plateau and tail integrate exactly; only the wall needs quadrature
     w = min(40.0 / g.b, g.L / 4.0)
-    u, uw = _window_gl(half_l - w, half_l + w, 40, 16)
+    u, uw = _composite_gl(half_l - w, half_l + w, 40, 16)
     f = thin_wall_profile(mid + u, g.b, g.x_a, g.x_b) / (2.0 * math.pi)
     scale = math.sqrt(2.0 / math.pi)
     floor = 1e-8 * scale * g.L / 2.0

@@ -32,6 +32,7 @@ from scipy.linalg import eigh
 
 from .curves import CurveTable
 from .errors import ConvergenceError, DomainError, QuadratureError
+from .tunneling import _composite_gl
 
 CENTERS = 2.0 * math.pi * np.arange(-2, 3, dtype=float)
 
@@ -146,13 +147,8 @@ def _nodes(q):
     hit = _NODE_CACHE.get(key)
     if hit is not None:
         return hit
-    lo, hi = -q.eta * math.pi, q.eta * math.pi
-    base_x, base_w = np.polynomial.legendre.leggauss(q.order)
-    edges = np.linspace(lo, hi, q.panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    w = (half[:, None] * base_w[None, :]).ravel()
+    x, w = _composite_gl(-q.eta * math.pi, q.eta * math.pi, q.panels,
+                         q.order)
     d = x[None, :] - CENTERS[:, None]
     hit = (x, w, np.cos(x), np.sin(x), d * d)
     _NODE_CACHE[key] = hit

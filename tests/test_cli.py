@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdwlab import cli
 from cdwlab.errors import ConfigError
@@ -97,18 +99,50 @@ def test_parse_conversions():
         parse("experiment = single-chain\ncurrent.gate_zener = maybe\n")
 
 
-def test_apply_overrides():
-    cfg = parse("experiment = iv-curve\niv.points = 50\n")
-    cfg2 = cli.apply_overrides(cfg, ["iv.points=75", "current.E_T = 2.0"])
+def test_parse_config_sets():
+    data = b"experiment = iv-curve\niv.points = 50\n"
+    cfg = cli.parse_config(data)
+    cfg2 = cli.parse_config(data, ["iv.points=75", "current.E_T = 2.0"])
     assert cfg2.options["iv.points"] == 75
     assert cfg2.options["current.E_T"] == 2.0
-    # untouched entries survive the round trip exactly
+    # untouched entries keep their config or default values exactly
     assert cfg2.options["model.D1"] == cfg.options["model.D1"]
     assert cfg2.experiment == "iv-curve"
     with pytest.raises(ConfigError):
-        cli.apply_overrides(cfg, ["nonsense=1"])
+        cli.parse_config(data, ["nonsense=1"])
     with pytest.raises(ConfigError):
-        cli.apply_overrides(cfg, ["iv.points"])
+        cli.parse_config(data, ["iv.points"])
+
+
+_TEXT = st.text(st.characters(min_codepoint=33, max_codepoint=126,
+                              blacklist_characters="#"), min_size=1)
+_VALUE = {
+    "float": st.floats(allow_nan=False).map(repr),
+    "int": st.integers(-10 ** 6, 10 ** 6).map(str),
+    "bool": st.sampled_from(["true", "false", "1", "0", "yes", "no",
+                             "TRUE", "No"]),
+    "str": _TEXT,
+    "choice": st.sampled_from(cli.EXPERIMENTS),
+}
+
+
+@st.composite
+def _entries(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(cli._KEYS)), unique=True))
+    return {k: draw(_VALUE[cli._KEYS[k][0]]) for k in keys}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(base=st.sampled_from(cli.EXPERIMENTS), entries=_entries())
+def test_config_lines_and_sets_agree(base, entries):
+    lines = {"experiment": base, **entries}
+    text = "".join("%s = %s\n" % kv for kv in lines.items())
+    from_lines = cli.parse_config(text.encode("utf-8"))
+    sets = ["%s=%s" % kv for kv in entries.items()]
+    from_sets = cli.parse_config(b"experiment = %s\n" % base.encode(), sets)
+    assert from_sets == from_lines
+    assert from_lines.output_path == entries.get(
+        "output", lines["experiment"] + ".csv")
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -167,6 +201,31 @@ def test_main_exit_two_on_bad_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "experiment = iv-curve\n")
     assert cli.main([cfg, "--set", "iv.points=zero"]) == 2
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+def test_main_exit_two_on_integer_overflow(tmp_path, capsys):
+    # float() accepts these, but an infinite value has no integer
+    cfg = write_cfg(tmp_path, "experiment = iv-curve\niv.points = inf\n")
+    assert cli.main([cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "line 2" in err
+    cfg = write_cfg(tmp_path, "experiment = iv-curve\n")
+    assert cli.main([cfg, "--set", "iv.points=1e400"]) == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_main_set_experiment_names_the_artifact(tmp_path, monkeypatch):
+    # the derived output name follows the experiment that runs
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, "experiment = iv-curve\n"
+                              "fourier.n_modes = 3\n")
+    assert cli.main([cfg, "--set", "experiment=fourier-check"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "fourier-check.csv", "run.cfg"]
+    header = (tmp_path / "fourier-check.csv").read_text().splitlines()[0]
+    assert header == "k,numeric,closed_form,rel_deviation"
 
 
 def test_main_exit_one_on_domain_error(tmp_path, capsys):
