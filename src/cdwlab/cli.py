@@ -33,6 +33,9 @@ EXPERIMENTS = ("single-chain", "pendulum-kink", "variational-sweep",
 _PARAMS = {"model": PhysicalParams, "drive": FieldDriveParams,
            "current": tunneling.CurrentParams}
 
+# integer keys size arrays, and numpy indexes no array past this
+_INT_MAX = np.iinfo(np.intp).max
+
 # key -> (type tag, default); experiment is required, the other None
 # defaults are derived at run time
 _KEYS = {
@@ -99,6 +102,9 @@ def _convert(key, raw, line=None):
             v = float(raw)
             if v != int(v):
                 raise ValueError
+            if abs(v) > _INT_MAX:
+                raise ConfigError("%r for key '%s' exceeds the largest array "
+                                  "size %d" % (raw, key, _INT_MAX), line=line)
             return int(v)
         if kind == "bool":
             low = raw.lower()

@@ -7,7 +7,6 @@ with '\\n'.  Writes go through a temp file in the target directory and an
 atomic rename, so an interrupted run never leaves a truncated artifact.
 """
 
-import math
 import os
 import tempfile
 
@@ -52,14 +51,7 @@ def format_number(x):
     None (a missing point) and NaN both render as 'nan' so failed rows
     stay visible in the artifact without breaking its shape.
     """
-    if x is None:
-        return "nan"
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "%.15g" % x
+    return "nan" if x is None else "%.15g" % float(x)
 
 
 def to_csv_text(table):

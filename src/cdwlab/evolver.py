@@ -15,6 +15,7 @@ flag.
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -76,33 +77,125 @@ class Trajectory:
         return self.times.size
 
 
-def _check_pair(prev, curr):
-    if (prev.values.size != curr.values.size or prev.dx != curr.dx
-            or prev.x0 != curr.x0):
-        raise DomainError("prev and curr live on different grids")
-
-
-def _check_step(dt):
+def _check(dt, boundary, sweeps):
+    """Validate the step arguments; True when the ends are periodic."""
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError("dt must be positive")
+    if boundary not in ("dirichlet", "periodic"):
+        raise DomainError("boundary must be 'dirichlet' or 'periodic'")
+    if sweeps < 1:
+        raise DomainError("need at least one fixed-point sweep")
+    return boundary == "periodic"
 
 
-def _laplacian(a, boundary):
+def _neighbours(a, combine=np.add):
+    """combine(a[j-1], a[j+1]) at every grid point, wrapping around at
+    the ends (kernels with held ends overwrite the end points)."""
+    a = np.concatenate((a[-1:], a, a[:1]))
+    return combine(a[:-2], a[2:])
+
+
+def _laplacian(a, periodic):
     out = np.zeros_like(a)
     out[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2]
-    if boundary == "periodic":
+    if periodic:
         out[0] = a[1] - 2.0 * a[0] + a[-1]
         out[-1] = a[0] - 2.0 * a[-1] + a[-2]
     return out
 
 
-def _check_boundary(boundary):
-    if boundary not in ("dirichlet", "periodic"):
-        raise DomainError("boundary must be 'dirichlet' or 'periodic'")
+def _band(diag, off):
+    """Tridiagonal matrix in solve_banded's (1, 1) layout: diag on the
+    main diagonal and the constant off on both neighbours."""
+    ab = np.zeros((3, diag.size), dtype=complex)
+    ab[0, 1:] = off
+    ab[1] = diag
+    ab[2, :-1] = off
+    return ab
 
 
-def _finish(new, curr):
-    if not np.all(np.isfinite(new)):
+def _cn_printed(prev, curr, V, p, dx, dt, periodic, sweeps):
+    kappa = p.hbar / (p.D * dx * dx)
+    lap_c = _laplacian(curr, periodic)
+    drift = (2.0 / p.hbar) * V * curr
+    g = prev
+    for _ in range(sweeps):
+        new = prev + 1j * dt * (kappa * (lap_c + _laplacian(g, periodic))
+                                - drift)
+        if not periodic:
+            new[0], new[-1] = curr[0], curr[-1]
+        g = new
+    return new
+
+
+def _dufort_frankel(prev, curr, V, p, dx, dt, periodic, sweeps,
+                    combine=np.add):
+    r2 = -1j * dt * p.hbar / (p.D * dx * dx)  # 2*R~
+    a = r2 / (1.0 + r2)
+    b = (1.0 - r2) / (1.0 + r2)
+    new = (a * _neighbours(curr, combine) + b * prev
+           - 1j * dt * (V / p.hbar) * curr)
+    if not periodic:
+        new[0], new[-1] = curr[0], curr[-1]
+    return new
+
+
+_df_printed = partial(_dufort_frankel, combine=np.subtract)
+
+
+def _cn_standard(prev, curr, V, p, dx, dt, periodic, sweeps):
+    koff = 1j * p.hbar / (p.D * dx * dx)
+    diag_m = -2.0 * koff - 1j * V / p.hbar
+    half = 0.5 * dt
+    rhs = curr + half * (koff * _neighbours(curr) + diag_m * curr)
+    diag = 1.0 - half * diag_m
+    if periodic:
+        return _solve_cyclic(diag, -half * koff, rhs)
+    rhs[0], rhs[-1] = curr[0], curr[-1]
+    diag[0] = diag[-1] = 1.0
+    ab = _band(diag, -half * koff)
+    ab[0, 1] = ab[2, -2] = 0.0
+    return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+
+def _solve_cyclic(diag, off, rhs):
+    """Cyclic tridiagonal solve with constant off-diagonal, by
+    Sherman-Morrison on top of solve_banded; overwrites diag."""
+    gamma = -diag[0]
+    diag[0] -= gamma
+    diag[-1] -= off * off / gamma
+    u = np.zeros(diag.size, dtype=complex)
+    u[0] = gamma
+    u[-1] = off
+    sol = solve_banded((1, 1), _band(diag, off), np.column_stack([rhs, u]),
+                       check_finite=False)
+    y, z = sol[:, 0], sol[:, 1]
+    vy = y[0] + (off / gamma) * y[-1]
+    vz = z[0] + (off / gamma) * z[-1]
+    return y - z * (vy / (1.0 + vz))
+
+
+# The scheme kernels step plain arrays and check nothing.  Each takes
+# (prev, curr, V, p, dx, dt, periodic, sweeps); only cn-printed reads
+# sweeps.  Without periodic ends they hold the end points at curr's.
+_KERNELS = {
+    SchemeKind.CRANK_NICOLSON_AS_PRINTED: _cn_printed,
+    SchemeKind.DUFORT_FRANKEL_AS_PRINTED: _df_printed,
+    SchemeKind.CRANK_NICOLSON_STANDARD: _cn_standard,
+    SchemeKind.DUFORT_FRANKEL_STANDARD: _dufort_frankel,
+}
+
+
+def _step(kernel, prev, curr, p, dt, boundary, sweeps=1):
+    if (prev.values.size != curr.values.size or prev.dx != curr.dx
+            or prev.x0 != curr.x0):
+        raise DomainError("prev and curr live on different grids")
+    periodic = _check(dt, boundary, sweeps)
+    V = washboard_potential(curr.grid(), p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = kernel(prev.values, curr.values, V, p, curr.dx, dt, periodic,
+                     sweeps)
+    if not np.isfinite(new).all():
         raise FieldOverflowError("field left the finite range")
     return ComplexField(new, curr.dx, curr.x0)
 
@@ -118,50 +211,7 @@ def step_crank_nicolson_printed(prev, curr, p, dt, sweeps=1,
     seeded from prev; one sweep reproduces the printed update.  The
     scheme is unstable for every dt (kept deliberately).
     """
-    _check_pair(prev, curr)
-    _check_step(dt)
-    _check_boundary(boundary)
-    if sweeps < 1:
-        raise DomainError("need at least one fixed-point sweep")
-    V = washboard_potential(curr.grid(), p)
-    kappa = p.hbar / (p.D * curr.dx * curr.dx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lap_c = _laplacian(curr.values, boundary)
-        drift = (2.0 / p.hbar) * V * curr.values
-        g = prev.values
-        for _ in range(sweeps):
-            new = prev.values + 1j * dt * (kappa * (lap_c + _laplacian(g, boundary))
-                                           - drift)
-            if boundary == "dirichlet":
-                new[0] = curr.values[0]
-                new[-1] = curr.values[-1]
-            g = new
-    return _finish(new, curr)
-
-
-def _dufort_frankel(prev, curr, p, dt, boundary, as_printed):
-    _check_pair(prev, curr)
-    _check_step(dt)
-    _check_boundary(boundary)
-    V = washboard_potential(curr.grid(), p)
-    r2 = -1j * dt * p.hbar / (p.D * curr.dx * curr.dx)  # 2*R~
-    a = r2 / (1.0 + r2)
-    b = (1.0 - r2) / (1.0 + r2)
-    cv = curr.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        if boundary == "periodic":
-            left = np.roll(cv, 1)
-            right = np.roll(cv, -1)
-            pair = (left - right) if as_printed else (left + right)
-            new = a * pair + b * prev.values - 1j * dt * (V / p.hbar) * cv
-        else:
-            new = np.empty_like(cv)
-            pair = (cv[:-2] - cv[2:]) if as_printed else (cv[:-2] + cv[2:])
-            new[1:-1] = (a * pair + b * prev.values[1:-1]
-                         - 1j * dt * (V[1:-1] / p.hbar) * cv[1:-1])
-            new[0] = cv[0]
-            new[-1] = cv[-1]
-    return _finish(new, curr)
+    return _step(_cn_printed, prev, curr, p, dt, boundary, sweeps)
 
 
 def step_dufort_frankel_printed(prev, curr, p, dt, boundary="dirichlet"):
@@ -172,13 +222,13 @@ def step_dufort_frankel_printed(prev, curr, p, dt, boundary="dirichlet"):
 
     The neighbor difference (instead of sum) means even a constant field
     is not preserved."""
-    return _dufort_frankel(prev, curr, p, dt, boundary, as_printed=True)
+    return _step(_df_printed, prev, curr, p, dt, boundary)
 
 
 def step_dufort_frankel_standard(prev, curr, p, dt, boundary="dirichlet"):
     """DuFort-Frankel with the neighbor sum; preserves constants exactly
     at V=0 and is marginally stable (|g| = 1) for the free equation."""
-    return _dufort_frankel(prev, curr, p, dt, boundary, as_printed=False)
+    return _step(_dufort_frankel, prev, curr, p, dt, boundary)
 
 
 def step_crank_nicolson_standard(prev, curr, p, dt, boundary="dirichlet"):
@@ -191,82 +241,29 @@ def step_crank_nicolson_standard(prev, curr, p, dt, boundary="dirichlet"):
     the periodic variant folds the cyclic corners in by the
     Sherman-Morrison correction.  prev is accepted for signature
     uniformity and ignored."""
-    _check_pair(prev, curr)
-    _check_step(dt)
-    _check_boundary(boundary)
-    n = curr.values.size
-    V = washboard_potential(curr.grid(), p)
-    koff = 1j * p.hbar / (p.D * curr.dx * curr.dx)
-    diag_m = -2.0 * koff - 1j * V / p.hbar
-    half = 0.5 * dt
-    cv = curr.values
-
-    if boundary == "dirichlet":
-        rhs = np.empty(n, dtype=complex)
-        rhs[1:-1] = (cv[1:-1] + half * (koff * (cv[2:] + cv[:-2])
-                                        + diag_m[1:-1] * cv[1:-1]))
-        rhs[0] = cv[0]
-        rhs[-1] = cv[-1]
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 2:] = -half * koff
-        ab[1, 1:-1] = 1.0 - half * diag_m[1:-1]
-        ab[2, :-2] = -half * koff
-        ab[1, 0] = 1.0
-        ab[1, -1] = 1.0
-        ab[0, 1] = 0.0
-        ab[2, -2] = 0.0
-        new = solve_banded((1, 1), ab, rhs)
-    else:
-        rhs = cv + half * (koff * (np.roll(cv, -1) + np.roll(cv, 1))
-                           + diag_m * cv)
-        new = _solve_cyclic(1.0 - half * diag_m, -half * koff, rhs)
-    return _finish(new, curr)
+    return _step(_cn_standard, prev, curr, p, dt, boundary)
 
 
-def _solve_cyclic(diag, off, rhs):
-    """Cyclic tridiagonal solve with constant off-diagonal, by
-    Sherman-Morrison on top of solve_banded."""
-    n = diag.size
-    gamma = -diag[0]
-    d = diag.copy()
-    d[0] -= gamma
-    d[-1] -= off * off / gamma
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = off
-    ab[1, :] = d
-    ab[2, :-1] = off
-    u = np.zeros(n, dtype=complex)
-    u[0] = gamma
-    u[-1] = off
-    sol = solve_banded((1, 1), ab, np.column_stack([rhs, u]))
-    y, z = sol[:, 0], sol[:, 1]
-    vy = y[0] + (off / gamma) * y[-1]
-    vz = z[0] + (off / gamma) * z[-1]
-    return y - z * (vy / (1.0 + vz))
-
-
-_STEPPERS = {
-    SchemeKind.CRANK_NICOLSON_AS_PRINTED: step_crank_nicolson_printed,
-    SchemeKind.DUFORT_FRANKEL_AS_PRINTED: step_dufort_frankel_printed,
-    SchemeKind.CRANK_NICOLSON_STANDARD: step_crank_nicolson_standard,
-    SchemeKind.DUFORT_FRANKEL_STANDARD: step_dufort_frankel_standard,
-}
+def _phase_norm(values, x, dx):
+    """Mean phase (None at zero norm) and L2 norm of a field on grid x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.abs(values) ** 2
+        total = float(w.sum())
+        phase = float((x * w).sum() / total) if total != 0.0 else None
+        return phase, math.sqrt(total * dx)
 
 
 def mean_phase(f):
     """Norm-weighted mean grid coordinate sum(x*|psi|^2)/sum(|psi|^2)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.abs(f.values) ** 2
-        total = float(w.sum())
-        if total == 0.0:
-            raise DomainError("mean phase of a zero-norm field is undefined")
-        return float((f.grid() * w).sum() / total)
+    phase = _phase_norm(f.values, f.grid(), f.dx)[0]
+    if phase is None:
+        raise DomainError("mean phase of a zero-norm field is undefined")
+    return phase
 
 
 def field_norm(f):
     """L2 norm sqrt(dx * sum|psi|^2); may overflow to inf near blow-up."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return math.sqrt(float((np.abs(f.values) ** 2).sum()) * f.dx)
+    return _phase_norm(f.values, f.grid(), f.dx)[1]
 
 
 def gaussian_packet(n, dx, x0=None, x_c=0.0, alpha0=1.0):
@@ -292,39 +289,28 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1, boundary="dirichlet"):
     and marked.  Zero-norm levels record mean phase 0."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    _check_step(dt)
     try:
-        kind = SchemeKind(kind)
+        kernel = _KERNELS[SchemeKind(kind)]
     except ValueError:
         raise DomainError("unknown scheme kind %r" % (kind,)) from None
-    stepper = _STEPPERS[kind]
-    prev = curr = init
-    times = [0.0]
-    phases = [_phase_or_zero(init)]
-    norms = [field_norm(init)]
+    periodic = _check(dt, boundary, sweeps)
+    x, dx = init.grid(), init.dx
+    prev = curr = init.values
+    levels = [_phase_norm(curr, x, dx)]
     truncated = False
     for n in range(steps):
-        pn = replace(p, theta=p.theta + drive.a_D * (n * dt))
-        kwargs = {"boundary": boundary}
-        if kind is SchemeKind.CRANK_NICOLSON_AS_PRINTED:
-            kwargs["sweeps"] = sweeps
-        try:
-            new = stepper(prev, curr, pn, dt, **kwargs)
-        except FieldOverflowError:
+        V = washboard_potential(
+            x, replace(p, theta=p.theta + drive.a_D * (n * dt)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = kernel(prev, curr, V, p, dx, dt, periodic, sweeps)
+        if not np.isfinite(new).all():
             truncated = True
             break
         prev, curr = curr, new
-        times.append((n + 1) * dt)
-        phases.append(_phase_or_zero(curr))
-        norms.append(field_norm(curr))
-    return Trajectory(times, phases, norms, truncated=truncated)
-
-
-def _phase_or_zero(f):
-    try:
-        return mean_phase(f)
-    except DomainError:
-        return 0.0
+        levels.append(_phase_norm(curr, x, dx))
+    return Trajectory(dt * np.arange(len(levels)),
+                      [0.0 if ph is None else ph for ph, _ in levels],
+                      [norm for _, norm in levels], truncated=truncated)
 
 
 def detect_blowup(t, factor):
@@ -360,7 +346,5 @@ def detect_resonance(t, window):
 
 def trajectory_table(t):
     """Trajectory as a three-column table t, mean_phase, norm."""
-    table = CurveTable(("t", "mean_phase", "norm"))
-    for row in zip(t.times, t.mean_phase, t.norm):
-        table.append(row)
-    return table
+    return CurveTable(("t", "mean_phase", "norm"),
+                      zip(t.times, t.mean_phase, t.norm))

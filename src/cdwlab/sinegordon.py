@@ -219,9 +219,7 @@ def thin_wall_profile(x, b, x_a, x_b):
 
 def chain_trajectory_table(snapshots, dt_snapshot):
     """Long-format table of chain snapshots: one row per (time, site)."""
-    table = CurveTable(("t", "site", "phi", "phi_dot"))
-    for k, s in enumerate(snapshots):
-        t = k * dt_snapshot
-        for i in range(s.phi.size):
-            table.append((t, float(i), s.phi[i], s.phi_dot[i]))
-    return table
+    return CurveTable(("t", "site", "phi", "phi_dot"),
+                      ((k * dt_snapshot, float(i), s.phi[i], s.phi_dot[i])
+                       for k, s in enumerate(snapshots)
+                       for i in range(s.phi.size)))

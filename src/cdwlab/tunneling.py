@@ -150,10 +150,8 @@ def thin_wall_fourier_check(g, n_modes, box):
 def fourier_check_table(g, n_modes, box):
     """Mode-by-mode comparison table; excluded modes carry a missing
     deviation entry."""
-    table = CurveTable(("k", "numeric", "closed_form", "rel_deviation"))
-    for row in _fourier_modes(g, n_modes, box):
-        table.append(row)
-    return table
+    return CurveTable(("k", "numeric", "closed_form", "rel_deviation"),
+                      _fourier_modes(g, n_modes, box))
 
 
 def momentum_exponent(phi_k, L, n1, which):

@@ -216,6 +216,21 @@ def test_main_exit_two_on_integer_overflow(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+def test_main_exit_two_on_huge_sizes(tmp_path, capsys):
+    # 1e300 is a whole number, but no array can have that many entries
+    cfg = write_cfg(tmp_path, "experiment = iv-curve\n")
+    out = tmp_path / "x.csv"
+    for experiment, key in [("iv-curve", "iv.points"),
+                            ("single-chain", "evolver.n"),
+                            ("pendulum-kink", "chain.sites"),
+                            ("variational-sweep", "variational.theta_points")]:
+        argv = [cfg, "--output", str(out), "--set", key + "=1e300",
+                "--set", "experiment=" + experiment]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: config:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_main_set_experiment_names_the_artifact(tmp_path, monkeypatch):
     # the derived output name follows the experiment that runs
     monkeypatch.chdir(tmp_path)

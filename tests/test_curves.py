@@ -1,7 +1,11 @@
+import csv
+import io
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdwlab.curves import CurveTable, format_number, to_csv_text, write_csv
 from cdwlab.errors import DomainError
@@ -43,6 +47,37 @@ def test_to_csv_text():
     assert text == "x,y\n1,nan\n2.5,-3\n"
     # newline endings only, no carriage returns
     assert "\r" not in text
+
+
+_NAME = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1,
+                max_size=8)
+_CELL = st.none() | st.floats()
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.lists(_NAME, min_size=1, max_size=5))
+    rows = draw(st.lists(st.lists(_CELL, min_size=len(columns),
+                                  max_size=len(columns)), max_size=20))
+    return CurveTable(columns, rows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(table=_tables())
+def test_csv_round_trip(table):
+    # every cell reads back as its 15-significant-digit rounding; a
+    # missing cell and nan both read back as nan
+    header, *rows = csv.reader(io.StringIO(to_csv_text(table)))
+    assert tuple(header) == table.columns
+    assert len(rows) == len(table)
+    for row, cells in zip(table.rows, rows):
+        assert len(cells) == len(row)
+        for v, cell in zip(row, cells):
+            got = float(cell)
+            if v is None or math.isnan(v):
+                assert math.isnan(got)
+            else:
+                assert got == float("%.15g" % v)
 
 
 def test_write_csv_atomic(tmp_path):

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdwlab.errors import DomainError
 from cdwlab.evolver import (
@@ -328,6 +331,10 @@ def test_evolve_rejects_bad_arguments():
         evolve("cn-standard", f, FREE, drive, 1e-3, 0)
     with pytest.raises(DomainError):
         evolve("cn-standard", f, FREE, drive, 0.0, 10)
+    with pytest.raises(DomainError):
+        evolve("cn-printed", f, FREE, drive, 1e-3, 10, sweeps=0)
+    with pytest.raises(DomainError):
+        evolve("cn-standard", f, FREE, drive, 1e-3, 10, boundary="open")
 
 
 def test_evolve_accepts_enum_and_string():
@@ -339,23 +346,47 @@ def test_evolve_accepts_enum_and_string():
 
 
 def test_evolve_drive_advances_theta():
-    # the recorded run must equal stepping by hand with
-    # theta_n = theta0 + a_D*(n*dt)
-    from dataclasses import replace
-
+    # the recorded run must equal, bit for bit, stepping by hand through
+    # the checked steppers with theta_n = theta0 + a_D*(n*dt)
     f = gaussian_packet(41, 0.1, x_c=0.5)
     p = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.012, theta=0.7)
     drive = FieldDriveParams(a_D=0.3)
     dt, steps = 2e-3, 6
-    t = evolve("cn-standard", f, p, drive, dt, steps)
+    cases = [("cn-printed", step_crank_nicolson_printed, {"sweeps": 1}),
+             ("cn-printed", step_crank_nicolson_printed, {"sweeps": 3}),
+             ("df-printed", step_dufort_frankel_printed, {}),
+             ("cn-standard", step_crank_nicolson_standard, {}),
+             ("df-standard", step_dufort_frankel_standard, {})]
+    for boundary in ["dirichlet", "periodic"]:
+        for kind, stepper, extra in cases:
+            t = evolve(kind, f, p, drive, dt, steps, boundary=boundary,
+                       **extra)
+            prev = curr = f
+            norms, phases = [field_norm(f)], [mean_phase(f)]
+            for n in range(steps):
+                pn = replace(p, theta=p.theta + drive.a_D * (n * dt))
+                new = stepper(prev, curr, pn, dt, boundary=boundary, **extra)
+                prev, curr = curr, new
+                norms.append(field_norm(curr))
+                phases.append(mean_phase(curr))
+            assert not t.truncated
+            np.testing.assert_array_equal(t.times,
+                                          [n * dt for n in range(steps + 1)])
+            np.testing.assert_array_equal(t.norm, norms)
+            np.testing.assert_array_equal(t.mean_phase, phases)
 
-    prev = curr = f
-    for n in range(steps):
-        pn = replace(p, theta=p.theta + drive.a_D * (n * dt))
-        new = step_crank_nicolson_standard(prev, curr, pn, dt)
-        prev, curr = curr, new
-    assert t.norm[-1] == pytest.approx(field_norm(curr), rel=1e-13)
-    assert t.mean_phase[-1] == pytest.approx(mean_phase(curr), rel=1e-12)
+
+def test_evolve_truncates_on_overflow_every_scheme():
+    # the potential itself overflows, so no step leaves a finite field
+    f = gaussian_packet(101, 0.1)
+    p = PhysicalParams(mu_E=1e308)
+    drive = FieldDriveParams(a_D=0.0)
+    for kind in SchemeKind:
+        for boundary in ["dirichlet", "periodic"]:
+            with np.errstate(over="ignore"):
+                t = evolve(kind, f, p, drive, 1e-3, 5, boundary=boundary)
+            assert t.truncated
+            assert len(t) == 1
 
 
 def test_evolve_static_theta_below_pi_is_bounded():
@@ -392,6 +423,34 @@ def test_evolve_cn_printed_blows_up():
     idx = detect_blowup(t, 10.0)
     assert idx is not None
     assert 50 <= idx <= 150
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 80),
+       dx=st.floats(0.02, 0.5), dt=st.floats(1e-4, 2e-2),
+       p=st.sampled_from([FREE, WELL]),
+       boundary=st.sampled_from(["dirichlet", "periodic"]))
+def test_cn_standard_step_conserves_norm(seed, n, dx, dt, p, boundary):
+    # the Cayley step is unitary: periodic ends, or Dirichlet ends held
+    # at zero, keep sum |psi|^2 to rounding
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if boundary == "dirichlet":
+        vals[0] = vals[-1] = 0.0
+    f = ComplexField(vals, dx, x0=-0.5 * dx * (n - 1))
+    out = step_crank_nicolson_standard(f, f, p, dt, boundary=boundary)
+    assert abs(field_norm(out) - field_norm(f)) <= 1e-12 * field_norm(f)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(c=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+       n=st.integers(3, 80), dx=st.floats(0.02, 0.5),
+       dt=st.floats(1e-4, 2e-2),
+       boundary=st.sampled_from(["dirichlet", "periodic"]))
+def test_df_standard_step_keeps_constants(c, n, dx, dt, boundary):
+    f = ComplexField(np.full(n, c), dx)
+    out = step_dufort_frankel_standard(f, f, FREE, dt, boundary=boundary)
+    np.testing.assert_allclose(out.values, f.values, rtol=1e-14)
 
 
 def test_detect_blowup_basics():
