@@ -10,8 +10,9 @@ PhysicalParams, FieldDriveParams and tunneling.CurrentParams, with their
 types and defaults; every other key and default is listed in ``_KEYS``.
 ``--set`` entries replace config entries before either is converted.
 Each run writes exactly one CSV artifact, atomically, to the configured
-output path.  Exit status: 0 success, 1 domain or convergence error,
-2 config error.
+output path; a ``single-chain`` trajectory cut short by overflow also
+prints one ``warning: overflow:`` line to stderr.  Exit status:
+0 success, 1 domain or convergence error, 2 config error.
 """
 
 import argparse
@@ -48,7 +49,6 @@ _KEYS = {
     "variational.theta_min": ("float", -4.0 * math.pi),
     "variational.theta_max": ("float", 4.0 * math.pi),
     "variational.theta_points": ("int", 81),
-    "variational.cold_start": ("bool", False),
 
     "evolver.scheme": ("str", "df-standard"),
     "evolver.n": ("int", 501),
@@ -67,7 +67,6 @@ _KEYS = {
     "chain.beta": ("float", 0.5),
     "chain.sign": ("int", 1),
     "chain.center": ("float", None),
-    "chain.spacing": ("float", 1.0),
     "chain.dt": ("float", 0.004),
     "chain.steps": ("int", 2500),
     "chain.stride": ("int", 50),
@@ -76,7 +75,6 @@ _KEYS = {
     "fourier.b_L": ("float", 1.0e4),
     "fourier.n_modes": ("int", 10),
     "fourier.box_factor": ("float", 16.0),
-    "fourier.n1": ("float", 0.5),
 
     "iv.points": ("int", 1000),
     "iv.E_max_factor": ("float", 5.0),
@@ -191,6 +189,9 @@ def _run_single_chain(cfg):
         o["evolver.scheme"], init, _params(o, "model"), _params(o, "drive"),
         o["evolver.dt"], o["evolver.steps"], sweeps=o["evolver.sweeps"],
         boundary=o["evolver.boundary"])
+    if traj.truncated:
+        print("warning: overflow: trajectory truncated after %d of %d steps"
+              % (len(traj) - 1, o["evolver.steps"]), file=sys.stderr)
     return evolver.trajectory_table(traj)
 
 
@@ -226,9 +227,7 @@ def _run_variational_sweep(cfg):
         raise ConfigError("variational.theta_points must be >= 1")
     grid = np.linspace(o["variational.theta_min"],
                        o["variational.theta_max"], npts)
-    result = variational.sweep_theta(
-        _params(o, "model"), grid, cold_start=o["variational.cold_start"])
-    return result.to_table()
+    return variational.sweep_theta(_params(o, "model"), grid).to_table()
 
 
 def _run_iv_curve(cfg):
@@ -247,9 +246,8 @@ def _run_fourier_check(cfg):
     L = o["fourier.L"]
     if L <= 0:
         raise ConfigError("fourier.L must be positive")
-    geom = tunneling.PairGeometry(
-        L=L, b=o["fourier.b_L"] / L, x_a=-0.5 * L, x_b=0.5 * L,
-        n1=o["fourier.n1"])
+    geom = tunneling.PairGeometry(L=L, b=o["fourier.b_L"] / L,
+                                  x_a=-0.5 * L, x_b=0.5 * L)
     return tunneling.fourier_check_table(
         geom, o["fourier.n_modes"], o["fourier.box_factor"] * L)
 

@@ -191,8 +191,8 @@ def _step(kernel, prev, curr, p, dt, boundary, sweeps=1):
             or prev.x0 != curr.x0):
         raise DomainError("prev and curr live on different grids")
     periodic = _check(dt, boundary, sweeps)
-    V = washboard_potential(curr.grid(), p)
     with np.errstate(over="ignore", invalid="ignore"):
+        V = washboard_potential(curr.grid(), p)
         new = kernel(prev.values, curr.values, V, p, curr.dx, dt, periodic,
                      sweeps)
     if not np.isfinite(new).all():
@@ -277,7 +277,8 @@ def gaussian_packet(n, dx, x0=None, x_c=0.0, alpha0=1.0):
     if x0 is None:
         x0 = -0.5 * dx * (n - 1)
     x = x0 + dx * np.arange(n)
-    return ComplexField(np.exp(-alpha0 * (x - x_c) ** 2).astype(complex), dx, x0)
+    with np.errstate(over="ignore"):  # a huge exponent underflows to 0
+        return ComplexField(np.exp(-alpha0 * (x - x_c) ** 2), dx, x0)
 
 
 def evolve(kind, init, p, drive, dt, steps, sweeps=1, boundary="dirichlet"):
@@ -299,9 +300,9 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1, boundary="dirichlet"):
     levels = [_phase_norm(curr, x, dx)]
     truncated = False
     for n in range(steps):
-        V = washboard_potential(
-            x, replace(p, theta=p.theta + drive.a_D * (n * dt)))
         with np.errstate(over="ignore", invalid="ignore"):
+            V = washboard_potential(
+                x, replace(p, theta=p.theta + drive.a_D * (n * dt)))
             new = kernel(prev, curr, V, p, dx, dt, periodic, sweeps)
         if not np.isfinite(new).all():
             truncated = True

@@ -56,29 +56,13 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class FieldDriveParams:
-    """Applied-field bookkeeping: charge, field scales and drive rate."""
+    """Drive rate: the driving phase advances as theta + a_D*t."""
 
-    e_star: float = 2.0
-    E_applied: float = 0.0
-    E_threshold: float = 1.0
-    c_v: float = 1.0
     a_D: float = 0.67
-    G_p: float = 1.0
-    delta_s: float = 1.0
 
     def __post_init__(self):
-        vals = (self.e_star, self.E_applied, self.E_threshold,
-                self.c_v, self.a_D, self.G_p, self.delta_s)
-        if not all(math.isfinite(v) for v in vals):
+        if not math.isfinite(self.a_D):
             raise DomainError("non-finite drive parameter")
-        if self.E_threshold <= 0:
-            raise DomainError("E_threshold must be positive")
-        if self.E_applied < 0:
-            raise DomainError("E_applied must be non-negative")
-        if self.c_v <= 0:
-            raise DomainError("c_v must be positive")
-        if self.G_p <= 0 or self.delta_s <= 0:
-            raise DomainError("G_p and delta_s must be positive")
 
 
 def washboard_potential(phi, p):

@@ -19,13 +19,12 @@ from .sinegordon import thin_wall_profile
 
 @dataclass(frozen=True)
 class PairGeometry:
-    """Soliton-antisoliton pair: wall separation, steepness and height."""
+    """Soliton-antisoliton pair: wall separation, steepness and centers."""
 
     L: float
     b: float
     x_a: float
     x_b: float
-    n1: float = 0.5
 
     def __post_init__(self):
         if not (math.isfinite(self.L) and self.L > 0):
@@ -35,8 +34,6 @@ class PairGeometry:
         if not math.isclose(self.x_b - self.x_a, self.L,
                             rel_tol=1e-12, abs_tol=1e-12):
             raise DomainError("wall centers must satisfy x_b - x_a = L")
-        if not (math.isfinite(self.n1) and 0.0 < self.n1 < 1.0):
-            raise DomainError("pair height n1 must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

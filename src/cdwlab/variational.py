@@ -17,7 +17,8 @@ closed form (Gaussian product theorem; Boys 1950, Proc. R. Soc. A 200,
 542), so the energy is 5x5 matrix algebra.  The minimizer is
 Rayleigh-Ritz: alternating generalized eigenproblems for b and c at
 fixed alpha, and a log-alpha scan (extended outward while the energy
-still falls at an end) refined by golden-section search.
+still falls at an end) refined by golden-section search.  Every theta
+of a sweep is minimized independently of the others.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
 (``energy_expectation``, ``norm_squared``, ``phase_expectation``) is
@@ -287,15 +288,14 @@ def _reduced(mats, dp, c):
     return _ground(h - dp * _quotient(cos, s, c) * cos, s)
 
 
-def _alternate(p, theta, log_alpha, c=None):
+def _alternate(p, theta, log_alpha):
     """Alternating exact minimization over the two combs at one alpha,
-    from c (None: the uncoupled ground state) until the energy stops
-    changing; each half step is a generalized eigenproblem, so the
-    energy never rises.  Returns (energy, converged, coeffs)."""
+    from the uncoupled ground state until the energy stops changing;
+    each half step is a generalized eigenproblem, so the energy never
+    rises.  Returns (energy, converged, coeffs)."""
     alpha = math.exp(log_alpha)
     mats = _chain_matrices(p, alpha, theta)
-    if c is None:
-        c = _ground(mats[1], mats[0])[0]
+    c = _ground(mats[1], mats[0])[0]
     e_prev = math.inf
     for _ in range(_MAX_ALTERNATIONS):
         b = _reduced(mats, p.delta_prime, c)[0]
@@ -323,18 +323,17 @@ def _golden(f, lo, hi):
             f2 = f(x2)
 
 
-def minimize_energy(p, theta, init=None):
+def minimize_energy(p, theta):
     """Minimize the energy over (b, c, alpha) by Rayleigh-Ritz: the combs
     by ``_alternate``, alpha by a log-alpha scan, extended outward while
     the energy still falls at an end, and golden-section refinement.
-    With init, the alternation also runs at init.alpha from init.c, so
-    the energy never exceeds that of init.  Returns (AnsatzCoeffs,
-    energy); raises ConvergenceError carrying the best point if its
-    alternation hit the cap or the energy still falls at a scan limit."""
+    Returns (AnsatzCoeffs, energy); raises ConvergenceError carrying the
+    best point if its alternation hit the cap or the energy still falls
+    at a scan limit."""
     seen = []
 
-    def run(la, c=None):
-        seen.append(_alternate(p, theta, la, c))
+    def run(la):
+        seen.append(_alternate(p, theta, la))
         return seen[-1][0]
 
     las = list(_LOG_ALPHA_SCAN)
@@ -350,8 +349,6 @@ def minimize_energy(p, theta, init=None):
     interior = 0 < i < len(las) - 1
     if interior:
         _golden(run, las[i - 1], las[i + 1])
-    if init is not None:
-        run(math.log(init.alpha), init.c)
     energy, conv, coeffs = min(seen, key=lambda r: r[0])
     if not (interior and conv):
         raise ConvergenceError(
@@ -361,14 +358,13 @@ def minimize_energy(p, theta, init=None):
     return coeffs, energy
 
 
-def sweep_theta(p, theta_grid, cold_start=False):
-    """Minimize at every theta of a strictly increasing grid.
+def sweep_theta(p, theta_grid):
+    """Minimize each theta of a strictly increasing grid on its own.
 
-    Warm mode (default) passes each point the previous minimizer as
-    init; cold mode treats every point independently.  Convergence
-    failures are recorded in-row (converged=False, best point kept) and
-    the sweep continues.  Each row carries the closed-form mean phase
-    and the eigen-gap of the final reduced problem."""
+    Convergence failures are recorded in-row (converged=False, best
+    point kept) and the sweep continues.  Each row carries the
+    closed-form mean phase and the eigen-gap of the final reduced
+    problem."""
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D sequence")
@@ -376,9 +372,8 @@ def sweep_theta(p, theta_grid, cold_start=False):
         raise DomainError("theta grid must be strictly increasing")
     rows = []
     for theta in map(float, grid):
-        init = rows[-1].coeffs if rows and not cold_start else None
         try:
-            coeffs, energy = minimize_energy(p, theta, init=init)
+            coeffs, energy = minimize_energy(p, theta)
             conv = True
         except ConvergenceError as err:
             coeffs, energy, conv = err.best_coeffs, err.best_energy, False

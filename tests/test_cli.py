@@ -231,6 +231,36 @@ def test_main_exit_two_on_huge_sizes(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
+@pytest.mark.parametrize("key", [
+    "drive.e_star", "drive.E_applied", "drive.E_threshold", "drive.c_v",
+    "drive.G_p", "drive.delta_s", "chain.spacing", "fourier.n1",
+    "variational.cold_start"])
+def test_main_rejects_removed_keys(tmp_path, capsys, key):
+    # keys that no experiment reads are unknown keys
+    cfg = write_cfg(tmp_path, "experiment = single-chain\n%s = 1\n" % key)
+    out = tmp_path / "x.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: line 2: unknown key '%s'\n" % key)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("override, warning", [
+    ("model.mu_E=1e308",
+     "warning: overflow: trajectory truncated after 0 of 2000 steps\n"),
+    ("evolver.alpha0=1e308", "")], ids=["mu_E", "alpha0"])
+def test_main_overflow_reports_no_numpy_warning(tmp_path, override, warning):
+    # a separate interpreter, so numpy's warnings reach stderr unfiltered
+    cfg = write_cfg(tmp_path, "experiment = single-chain\n")
+    out = tmp_path / "sc.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdwlab.cli", cfg, "--output", str(out),
+         "--set", override], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == warning
+    assert out.exists()
+
+
 def test_main_set_experiment_names_the_artifact(tmp_path, monkeypatch):
     # the derived output name follows the experiment that runs
     monkeypatch.chdir(tmp_path)

@@ -54,16 +54,10 @@ def test_experimental_regime_flag():
 
 
 def test_drive_params_validation():
-    with pytest.raises(DomainError):
-        FieldDriveParams(E_threshold=0.0)
-    with pytest.raises(DomainError):
-        FieldDriveParams(E_applied=-1.0)
-    with pytest.raises(DomainError):
-        FieldDriveParams(c_v=0.0)
-    with pytest.raises(DomainError):
-        FieldDriveParams(G_p=-2.0)
-    with pytest.raises(DomainError):
-        FieldDriveParams(delta_s=0.0)
+    FieldDriveParams(a_D=-0.5)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            FieldDriveParams(a_D=bad)
 
 
 def test_washboard_anchor_values():

@@ -33,17 +33,13 @@ def simpson(f, a, b, n=8001):
 
 
 def test_pair_geometry_validation():
-    PairGeometry(L=2.0, b=100.0, x_a=-1.0, x_b=1.0, n1=0.5)
+    PairGeometry(L=2.0, b=100.0, x_a=-1.0, x_b=1.0)
     with pytest.raises(DomainError):
-        PairGeometry(L=2.0, b=100.0, x_a=-1.0, x_b=0.5, n1=0.5)
+        PairGeometry(L=2.0, b=100.0, x_a=-1.0, x_b=0.5)
     with pytest.raises(DomainError):
-        PairGeometry(L=0.0, b=100.0, x_a=0.0, x_b=0.0, n1=0.5)
+        PairGeometry(L=0.0, b=100.0, x_a=0.0, x_b=0.0)
     with pytest.raises(DomainError):
-        PairGeometry(L=2.0, b=-1.0, x_a=-1.0, x_b=1.0, n1=0.5)
-    with pytest.raises(DomainError):
-        PairGeometry(L=2.0, b=100.0, x_a=-1.0, x_b=1.0, n1=1.0)
-    with pytest.raises(DomainError):
-        PairGeometry(L=2.0, b=100.0, x_a=-1.0, x_b=1.0, n1=0.0)
+        PairGeometry(L=2.0, b=-1.0, x_a=-1.0, x_b=1.0)
 
 
 def test_current_params_validation():
@@ -136,7 +132,7 @@ def test_thin_wall_fourier_deviation():
     box = 16.0 * L
     devs = []
     for b in [1e4, 1e5, 1e6]:
-        g = PairGeometry(L=L, b=b, x_a=-0.5, x_b=0.5, n1=0.5)
+        g = PairGeometry(L=L, b=b, x_a=-0.5, x_b=0.5)
         dev = thin_wall_fourier_check(g, 10, box)
         k_max = 2.0 * math.pi * 10 / box
         theory = (math.pi * k_max / (2.0 * b)) ** 2 / 6.0
@@ -147,10 +143,10 @@ def test_thin_wall_fourier_deviation():
 
 
 def test_thin_wall_fourier_preconditions():
-    g = PairGeometry(L=1.0, b=50.0, x_a=-0.5, x_b=0.5, n1=0.5)
+    g = PairGeometry(L=1.0, b=50.0, x_a=-0.5, x_b=0.5)
     with pytest.raises(DomainError):
         thin_wall_fourier_check(g, 10, 16.0)
-    g = PairGeometry(L=1.0, b=1e4, x_a=-0.5, x_b=0.5, n1=0.5)
+    g = PairGeometry(L=1.0, b=1e4, x_a=-0.5, x_b=0.5)
     with pytest.raises(DomainError):
         thin_wall_fourier_check(g, 10, 5.0)
 
@@ -158,7 +154,7 @@ def test_thin_wall_fourier_preconditions():
 def test_fourier_zero_modes_excluded():
     # box = 16*L puts the reference zeros at mode numbers 16, 32, ...;
     # a run out to 32 modes must mark them missing, not divide by zero
-    g = PairGeometry(L=1.0, b=1e4, x_a=-0.5, x_b=0.5, n1=0.5)
+    g = PairGeometry(L=1.0, b=1e4, x_a=-0.5, x_b=0.5)
     table = fourier_check_table(g, 32, 16.0)
     devs = table.column("rel_deviation")
     assert devs[15] is None

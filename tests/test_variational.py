@@ -268,11 +268,11 @@ def test_minimize_kinetic_only_runs_downhill():
     # with no potential the energy is hbar^2 alpha / D1, which has no
     # minimum in alpha: the search runs down to its lower alpha limit
     # and reports no convergence, and its best point must still end at
-    # least as low as the alpha=1 initializer
-    init = AnsatzCoeffs(E2ONLY, E2ONLY, 1.0)
-    e_init = energy_expectation(init, FREE, 0.0, Q)
+    # least as low as a single alpha=1 tooth
+    e_init = energy_expectation(AnsatzCoeffs(E2ONLY, E2ONLY, 1.0), FREE,
+                                0.0, Q)
     with pytest.raises(ConvergenceError) as err:
-        minimize_energy(FREE, 0.0, init=init)
+        minimize_energy(FREE, 0.0)
     coeffs, e = err.value.best_coeffs, err.value.best_energy
     assert e <= e_init + 1e-12
     lo = variational._LOG_ALPHA_LIMITS[0]
@@ -313,15 +313,6 @@ def test_minimize_theta_zero_symmetric_and_near_grid_scan():
                 best = min(best, energy_expectation(a, STD, 0.0, Q))
     assert e <= best + 1e-12
     assert abs(e - best) / abs(best) < 0.01
-
-
-def test_minimize_respects_init_upper_bound():
-    init = AnsatzCoeffs((0.1, 0.4, 0.8, 0.3, 0.1),
-                        (0.2, 0.3, 0.9, 0.1, 0.05), 0.35).projected()
-    e_init = energy_expectation(init, STD, 0.3, Q)
-    coeffs, e = minimize_energy(STD, 0.3, init=init)
-    assert e <= e_init + 1e-12
-    assert coeffs.is_normalized(tol=1e-10)
 
 
 COEFF = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5).filter(
@@ -371,15 +362,20 @@ def test_phase_expectation_bounded_by_box():
 
 
 def test_sweep_single_point_composes():
-    res = sweep_theta(STD, [0.3])
-    assert len(res.rows) == 1
-    row = res.rows[0]
-    coeffs, e = minimize_energy(STD, 0.3)
-    assert row.theta == 0.3
-    assert row.converged
-    assert row.e_min == pytest.approx(e, rel=1e-12)
-    assert row.mean_phi == pytest.approx(phase_expectation(coeffs, Q),
-                                         rel=1e-10, abs=1e-12)
+    # every sweep point is minimized on its own, so each row repeats a
+    # lone minimize_energy call exactly
+    grid = [-0.4, 0.0, 0.3]
+    res = sweep_theta(STD, grid)
+    assert len(res.rows) == len(grid)
+    for theta, row in zip(grid, res.rows):
+        coeffs, e = minimize_energy(STD, theta)
+        assert row.theta == theta
+        assert row.converged
+        assert row.e_min == e
+        assert row.coeffs == coeffs
+        assert coeffs.is_normalized(tol=1e-10)
+        assert row.mean_phi == pytest.approx(phase_expectation(coeffs, Q),
+                                             rel=1e-10, abs=1e-12)
 
 
 def test_sweep_grid_validation():
@@ -387,16 +383,6 @@ def test_sweep_grid_validation():
         sweep_theta(STD, [])
     with pytest.raises(DomainError):
         sweep_theta(STD, [0.2, 0.1])
-
-
-def test_sweep_warm_and_cold_agree():
-    grid = [-0.4, 0.0, 0.4]
-    warm = sweep_theta(STD, grid)
-    cold = sweep_theta(STD, grid, cold_start=True)
-    assert np.all([r.converged for r in warm.rows])
-    assert np.all([r.converged for r in cold.rows])
-    for rw, rc in zip(warm.rows, cold.rows):
-        assert rw.e_min == pytest.approx(rc.e_min, abs=1e-6)
 
 
 def test_sweep_rows_record_eigen_gap():
