@@ -27,9 +27,6 @@ from .curves import write_csv
 from .errors import CdwError, ConfigError
 from .model import FieldDriveParams, PhysicalParams
 
-EXPERIMENTS = ("single-chain", "pendulum-kink", "variational-sweep",
-               "iv-curve", "fourier-check")
-
 # key prefix -> the parameter dataclass whose fields are its keys
 _PARAMS = {"model": PhysicalParams, "drive": FieldDriveParams,
            "current": tunneling.CurrentParams}
@@ -104,13 +101,6 @@ def _convert(key, raw, line=None):
                 raise ConfigError("%r for key '%s' exceeds the largest array "
                                   "size %d" % (raw, key, _INT_MAX), line=line)
             return int(v)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError
         if kind == "choice":
             if raw not in EXPERIMENTS:
                 raise ConfigError(
@@ -259,6 +249,7 @@ _RUNNERS = {
     "iv-curve": _run_iv_curve,
     "fourier-check": _run_fourier_check,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(cfg):

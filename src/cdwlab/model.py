@@ -18,9 +18,7 @@ class PhysicalParams:
     """Coefficients of the single-chain and multi-chain potentials.
 
     D, omega_p_sq, mu_E, theta parameterize the single-chain washboard;
-    D1, E1, E2, delta_prime the multi-chain form.  Setting
-    experimental_regime=True additionally enforces the 100:1
-    pinning-to-charging window 0.01 < mu_E/(D*omega_p_sq) <= 0.015.
+    D1, E1, E2, delta_prime the multi-chain form.
     """
 
     D: float = 1.0
@@ -32,7 +30,6 @@ class PhysicalParams:
     E2: float = 1.0e-6
     delta_prime: float = 0.005
     hbar: float = 1.0
-    experimental_regime: bool = False
 
     def __post_init__(self):
         mags = (self.D, self.omega_p_sq, self.mu_E, self.theta,
@@ -44,14 +41,6 @@ class PhysicalParams:
         if (self.omega_p_sq < 0 or self.mu_E < 0 or self.E1 < 0
                 or self.E2 < 0 or self.delta_prime < 0):
             raise DomainError("magnitude coefficients must be non-negative")
-        if self.experimental_regime:
-            denom = self.D * self.omega_p_sq
-            if denom <= 0:
-                raise DomainError("experimental regime needs D*omega_p_sq > 0")
-            ratio = self.mu_E / denom
-            if not 0.01 < ratio <= 0.015:
-                raise DomainError(
-                    "mu_E/(D*omega_p_sq) = %g outside (0.01, 0.015]" % ratio)
 
 
 @dataclass(frozen=True)

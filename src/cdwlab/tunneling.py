@@ -9,7 +9,8 @@ smooth tanh profile.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -38,13 +39,12 @@ class PairGeometry:
 
 @dataclass(frozen=True)
 class CurrentParams:
-    """Threshold scale, prefactors and the Zener gate switch."""
+    """Threshold scale and current prefactors."""
 
     E_T: float = 1.0
     c_v: float = 1.0
     C_tilde: float = 1.0
     G_p: float = 1.0
-    gate_zener: bool = True
 
     def __post_init__(self):
         vals = (self.E_T, self.c_v, self.C_tilde, self.G_p)
@@ -169,37 +169,27 @@ def momentum_exponent(phi_k, L, n1, which):
     raise DomainError("which must be 'initial' or 'final'")
 
 
-def current_beckwith(E, cp, alt_bracket=False):
+def current_beckwith(E, cp):
     """Tunneling current C~1 * cosh(sqrt(2E/(E_T c_v)) - sqrt(E_T c_v/E))
-    * exp(-E_T c_v/E); strictly positive for E > 0.
-
-    alt_bracket=True evaluates the other typographic reading (difference
-    of two cosh terms) for curve-shape comparison.
-    """
+    * exp(-E_T c_v/E); strictly positive for E > 0."""
     if not (math.isfinite(E) and E > 0):
         raise DomainError("field E must be positive")
     ecv = cp.E_T * cp.c_v
     u = math.sqrt(2.0 * E / ecv)
     v = math.sqrt(ecv / E)
-    damp = math.exp(-ecv / E)
-    if alt_bracket:
-        return cp.C_tilde * (math.cosh(u) - math.cosh(v)) * damp
-    return cp.C_tilde * math.cosh(u - v) * damp
+    return cp.C_tilde * math.cosh(u - v) * math.exp(-ecv / E)
 
 
-def current_zener(E, cp):
+def current_zener(E, cp, gated=True):
     """Phenomenological Zener form G_p*(E - E_T)*exp(-E_T/E).
 
-    Gated (default): zero for E <= E_T.  Ungated: the raw formula, which
+    gated=True: zero for E <= E_T.  gated=False: the raw formula, which
     goes negative below threshold."""
     if not (math.isfinite(E) and E >= 0):
         raise DomainError("field E must be non-negative")
-    if E == 0.0:
+    if E == 0.0 or (gated and E <= cp.E_T):
         return 0.0
-    body = cp.G_p * (E - cp.E_T) * math.exp(-cp.E_T / E)
-    if cp.gate_zener and E <= cp.E_T:
-        return 0.0
-    return body
+    return cp.G_p * (E - cp.E_T) * math.exp(-cp.E_T / E)
 
 
 def pair_separation(E, delta_s, e_star):
@@ -244,16 +234,14 @@ def iv_curve(E_grid, cp):
         raise DomainError("field grid must be positive")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("field grid must be strictly increasing")
-    gated = replace(cp, gate_zener=True)
-    ungated = replace(cp, gate_zener=False)
+    columns = (current_beckwith, current_zener,
+               partial(current_zener, gated=False))
     table = CurveTable(("E", "I_beckwith", "I_zener_gated", "I_zener_ungated"))
     for E in grid:
         row = [float(E)]
-        for fn, params in ((current_beckwith, cp),
-                           (current_zener, gated),
-                           (current_zener, ungated)):
+        for fn in columns:
             try:
-                row.append(fn(float(E), params))
+                row.append(fn(float(E), cp))
             except (CdwError, OverflowError):
                 row.append(None)
         table.append(row)

@@ -161,14 +161,13 @@ def test_criterion_07_kinetic_anchor():
 
 
 def test_criterion_08_current_positivity():
-    gated = CurrentParams()
-    ungated = CurrentParams(gate_zener=False)
-    grid = 5.0 * gated.E_T * gated.c_v * np.arange(1, 1001) / 1000.0
-    beck = np.array([current_beckwith(E, gated) for E in grid])
-    below = grid[grid < gated.E_T * gated.c_v]
-    zener_neg = all(current_zener(E, ungated) < 0.0 for E in below)
-    zener_zero = all(current_zener(E, gated) == 0.0 for E in below)
-    anchor = current_beckwith(gated.E_T * gated.c_v / math.sqrt(2.0), gated)
+    cp = CurrentParams()
+    grid = 5.0 * cp.E_T * cp.c_v * np.arange(1, 1001) / 1000.0
+    beck = np.array([current_beckwith(E, cp) for E in grid])
+    below = grid[grid < cp.E_T * cp.c_v]
+    zener_neg = all(current_zener(E, cp, gated=False) < 0.0 for E in below)
+    zener_zero = all(current_zener(E, cp) == 0.0 for E in below)
+    anchor = current_beckwith(cp.E_T * cp.c_v / math.sqrt(2.0), cp)
     anchor_err = abs(anchor - math.exp(-math.sqrt(2.0)))
     ok = (np.all(beck > 0.0) and zener_neg and zener_zero
           and anchor_err < 1e-12)

@@ -39,20 +39,6 @@ def test_physical_params_validation():
         PhysicalParams(theta=math.inf)
 
 
-def test_experimental_regime_flag():
-    # ratio mu_E / (D * omega_p_sq) must sit in (0.01, 0.015] when flagged
-    PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.012, experimental_regime=True)
-    PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.015, experimental_regime=True)
-    with pytest.raises(DomainError):
-        PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.01,
-                       experimental_regime=True)
-    with pytest.raises(DomainError):
-        PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.02,
-                       experimental_regime=True)
-    # unflagged, the same ratio is fine
-    PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.02)
-
-
 def test_drive_params_validation():
     FieldDriveParams(a_D=-0.5)
     for bad in (math.inf, -math.inf, math.nan):

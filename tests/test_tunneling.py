@@ -193,9 +193,6 @@ def test_beckwith_anchor():
     assert current_beckwith(E, cp) == pytest.approx(math.exp(-math.sqrt(2.0)),
                                                     rel=1e-14)
     assert current_beckwith(E, cp) == pytest.approx(0.243117, abs=5e-7)
-    # the other typographic reading is zero at the same point
-    assert current_beckwith(E, cp, alt_bracket=True) == pytest.approx(
-        0.0, abs=1e-16)
 
 
 def test_beckwith_limits_and_scaling():
@@ -223,14 +220,13 @@ def test_beckwith_monotone_past_threshold_scale():
 
 
 def test_zener_values():
-    cp = CurrentParams(E_T=1.0, c_v=1.0, G_p=1.0, gate_zener=True)
-    raw = CurrentParams(E_T=1.0, c_v=1.0, G_p=1.0, gate_zener=False)
+    cp = CurrentParams(E_T=1.0, c_v=1.0, G_p=1.0)
     assert current_zener(0.0, cp) == 0.0
     assert current_zener(1.0, cp) == 0.0
     assert current_zener(0.5, cp) == 0.0
-    assert current_zener(0.5, raw) == pytest.approx(-0.5 * math.exp(-2.0),
-                                                    rel=1e-14)
-    assert current_zener(0.5, raw) == pytest.approx(-0.06767, abs=5e-6)
+    raw = current_zener(0.5, cp, gated=False)
+    assert raw == pytest.approx(-0.5 * math.exp(-2.0), rel=1e-14)
+    assert raw == pytest.approx(-0.06767, abs=5e-6)
     assert current_zener(2.0, cp) == pytest.approx(math.exp(-0.5), rel=1e-14)
     assert current_zener(2.0, cp) == pytest.approx(0.60653, abs=5e-6)
     with pytest.raises(DomainError):
