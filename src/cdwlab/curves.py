@@ -55,9 +55,13 @@ def format_number(x):
 
 
 def to_csv_text(table):
+    """The table as CSV text, each value as format_number renders it
+    (one format call per row)."""
+    fmt = ",".join(["%.15g"] * len(table.columns))
+    nan = float("nan")
     lines = [",".join(table.columns)]
     for row in table.rows:
-        lines.append(",".join(format_number(v) for v in row))
+        lines.append(fmt % tuple([nan if v is None else v for v in row]))
     return "\n".join(lines) + "\n"
 
 

@@ -14,15 +14,16 @@ flag.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .curves import CurveTable
 from .errors import DomainError, FieldOverflowError
-from .model import washboard_potential
+from .model import _washboard, washboard_potential
 
 
 @dataclass
@@ -104,81 +105,125 @@ def _laplacian(a, periodic):
     return out
 
 
-def _band(diag, off):
-    """Tridiagonal matrix in solve_banded's (1, 1) layout: diag on the
-    main diagonal and the constant off on both neighbours."""
-    ab = np.zeros((3, diag.size), dtype=complex)
-    ab[0, 1:] = off
-    ab[1] = diag
-    ab[2, :-1] = off
-    return ab
+def _lu(dl, d, du):
+    """LAPACK LU factors of the tridiagonal matrix (dl, d, du), by the
+    same partial-pivoting elimination as LAPACK's one-shot ?gtsv solve;
+    overwrites its arguments.  None for a non-finite matrix, whose
+    solutions are non-finite (?gtsv gives them; zgttrf may instead
+    report a zero pivot)."""
+    if not all(np.isfinite(a).all() for a in (dl, d, du)):
+        return None
+    *factors, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
+                            overwrite_du=1)
+    _check_info(info)
+    return factors
 
 
-def _cn_printed(prev, curr, V, p, dx, dt, periodic, sweeps):
+def _solve(factors, b):
+    """Solution of the factored system for b; overwrites b."""
+    if factors is None:
+        return np.full_like(b, np.nan)
+    x, info = zgttrs(*factors, b, overwrite_b=1)
+    _check_info(info)
+    return x
+
+
+def _check_info(info):
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError("illegal value in argument %d of zgttrf/zgttrs"
+                         % -info)
+
+
+# A plan builder takes (V, p, dx, dt, periodic, sweeps), computes what
+# depends only on them, and returns step(prev, curr) -> new on plain
+# arrays; only cn-printed reads sweeps.  Steps check nothing, and
+# without periodic ends they hold the end points at curr's.
+def _cn_printed(V, p, dx, dt, periodic, sweeps):
     kappa = p.hbar / (p.D * dx * dx)
-    lap_c = _laplacian(curr, periodic)
-    drift = (2.0 / p.hbar) * V * curr
-    g = prev
-    for _ in range(sweeps):
-        new = prev + 1j * dt * (kappa * (lap_c + _laplacian(g, periodic))
-                                - drift)
-        if not periodic:
-            new[0], new[-1] = curr[0], curr[-1]
-        g = new
-    return new
+    drift_v = (2.0 / p.hbar) * V
+
+    def step(prev, curr):
+        lap_c = _laplacian(curr, periodic)
+        drift = drift_v * curr
+        g = prev
+        for _ in range(sweeps):
+            new = prev + 1j * dt * (kappa * (lap_c + _laplacian(g, periodic))
+                                    - drift)
+            if not periodic:
+                new[0], new[-1] = curr[0], curr[-1]
+            g = new
+        return new
+
+    return step
 
 
-def _dufort_frankel(prev, curr, V, p, dx, dt, periodic, sweeps,
-                    combine=np.add):
+def _dufort_frankel(V, p, dx, dt, periodic, sweeps, combine=np.add):
     r2 = -1j * dt * p.hbar / (p.D * dx * dx)  # 2*R~
     a = r2 / (1.0 + r2)
     b = (1.0 - r2) / (1.0 + r2)
-    new = (a * _neighbours(curr, combine) + b * prev
-           - 1j * dt * (V / p.hbar) * curr)
-    if not periodic:
-        new[0], new[-1] = curr[0], curr[-1]
-    return new
+    pot = 1j * dt * (V / p.hbar)
+
+    def step(prev, curr):
+        new = a * _neighbours(curr, combine) + b * prev - pot * curr
+        if not periodic:
+            new[0], new[-1] = curr[0], curr[-1]
+        return new
+
+    return step
 
 
 _df_printed = partial(_dufort_frankel, combine=np.subtract)
 
 
-def _cn_standard(prev, curr, V, p, dx, dt, periodic, sweeps):
+def _cn_standard(V, p, dx, dt, periodic, sweeps):
     koff = 1j * p.hbar / (p.D * dx * dx)
     diag_m = -2.0 * koff - 1j * V / p.hbar
     half = 0.5 * dt
-    rhs = curr + half * (koff * _neighbours(curr) + diag_m * curr)
     diag = 1.0 - half * diag_m
-    if periodic:
-        return _solve_cyclic(diag, -half * koff, rhs)
-    rhs[0], rhs[-1] = curr[0], curr[-1]
-    diag[0] = diag[-1] = 1.0
-    ab = _band(diag, -half * koff)
-    ab[0, 1] = ab[2, -2] = 0.0
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
+    off = -half * koff
+    dl = np.full(V.size - 1, off)
+    du = dl.copy()
 
+    def explicit(curr):
+        return curr + half * (koff * _neighbours(curr) + diag_m * curr)
 
-def _solve_cyclic(diag, off, rhs):
-    """Cyclic tridiagonal solve with constant off-diagonal, by
-    Sherman-Morrison on top of solve_banded; overwrites diag."""
+    if not periodic:
+        diag[0] = diag[-1] = 1.0
+        du[0] = dl[-1] = 0.0
+        lu = _lu(dl, diag, du)
+
+        def step(prev, curr):
+            rhs = explicit(curr)
+            rhs[0], rhs[-1] = curr[0], curr[-1]
+            return _solve(lu, rhs)
+
+        return step
+
+    # Cyclic corners by Sherman-Morrison: the matrix is T + u v^T with
+    # T tridiagonal, u = (gamma, 0, .., off), v = (1, 0, .., off/gamma);
+    # z = T^-1 u and v.z depend on V only.
     gamma = -diag[0]
     diag[0] -= gamma
     diag[-1] -= off * off / gamma
-    u = np.zeros(diag.size, dtype=complex)
+    lu = _lu(dl, diag, du)
+    u = np.zeros(V.size, dtype=complex)
     u[0] = gamma
     u[-1] = off
-    sol = solve_banded((1, 1), _band(diag, off), np.column_stack([rhs, u]),
-                       check_finite=False)
-    y, z = sol[:, 0], sol[:, 1]
-    vy = y[0] + (off / gamma) * y[-1]
-    vz = z[0] + (off / gamma) * z[-1]
-    return y - z * (vy / (1.0 + vz))
+    z = _solve(lu, u)
+    ratio = off / gamma
+    vz = z[0] + ratio * z[-1]
+
+    def step(prev, curr):
+        y = _solve(lu, explicit(curr))
+        vy = y[0] + ratio * y[-1]
+        return y - z * (vy / (1.0 + vz))
+
+    return step
 
 
-# The scheme kernels step plain arrays and check nothing.  Each takes
-# (prev, curr, V, p, dx, dt, periodic, sweeps); only cn-printed reads
-# sweeps.  Without periodic ends they hold the end points at curr's.
-_KERNELS = {
+_PLANS = {
     SchemeKind.CRANK_NICOLSON_AS_PRINTED: _cn_printed,
     SchemeKind.DUFORT_FRANKEL_AS_PRINTED: _df_printed,
     SchemeKind.CRANK_NICOLSON_STANDARD: _cn_standard,
@@ -186,15 +231,15 @@ _KERNELS = {
 }
 
 
-def _step(kernel, prev, curr, p, dt, boundary, sweeps=1):
+def _step(build, prev, curr, p, dt, boundary, sweeps=1):
     if (prev.values.size != curr.values.size or prev.dx != curr.dx
             or prev.x0 != curr.x0):
         raise DomainError("prev and curr live on different grids")
     periodic = _check(dt, boundary, sweeps)
     with np.errstate(over="ignore", invalid="ignore"):
-        V = washboard_potential(curr.grid(), p)
-        new = kernel(prev.values, curr.values, V, p, curr.dx, dt, periodic,
-                     sweeps)
+        step = build(washboard_potential(curr.grid(), p), p, curr.dx, dt,
+                     periodic, sweeps)
+        new = step(prev.values, curr.values)
     if not np.isfinite(new).all():
         raise FieldOverflowError("field left the finite range")
     return ComplexField(new, curr.dx, curr.x0)
@@ -245,17 +290,22 @@ def step_crank_nicolson_standard(prev, curr, p, dt, boundary="dirichlet"):
 
 
 def _phase_norm(values, x, dx):
-    """Mean phase (None at zero norm) and L2 norm of a field on grid x."""
+    """Mean phase (None at zero norm) and L2 norm of a field on grid x;
+    call under np.errstate(over="ignore", invalid="ignore")."""
+    w = np.abs(values) ** 2
+    total = float(w.sum())
+    phase = float((x * w).sum() / total) if total != 0.0 else None
+    return phase, math.sqrt(total * dx)
+
+
+def _field_phase_norm(f):
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.abs(values) ** 2
-        total = float(w.sum())
-        phase = float((x * w).sum() / total) if total != 0.0 else None
-        return phase, math.sqrt(total * dx)
+        return _phase_norm(f.values, f.grid(), f.dx)
 
 
 def mean_phase(f):
     """Norm-weighted mean grid coordinate sum(x*|psi|^2)/sum(|psi|^2)."""
-    phase = _phase_norm(f.values, f.grid(), f.dx)[0]
+    phase = _field_phase_norm(f)[0]
     if phase is None:
         raise DomainError("mean phase of a zero-norm field is undefined")
     return phase
@@ -263,7 +313,7 @@ def mean_phase(f):
 
 def field_norm(f):
     """L2 norm sqrt(dx * sum|psi|^2); may overflow to inf near blow-up."""
-    return _phase_norm(f.values, f.grid(), f.dx)[1]
+    return _field_phase_norm(f)[1]
 
 
 def gaussian_packet(n, dx, x0=None, x_c=0.0, alpha0=1.0):
@@ -291,24 +341,39 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1, boundary="dirichlet"):
     if steps < 1:
         raise DomainError("steps must be >= 1")
     try:
-        kernel = _KERNELS[SchemeKind(kind)]
+        build = _PLANS[SchemeKind(kind)]
     except ValueError:
         raise DomainError("unknown scheme kind %r" % (kind,)) from None
     periodic = _check(dt, boundary, sweeps)
     x, dx = init.grid(), init.dx
+
+    def theta(n):
+        return p.theta + drive.a_D * (n * dt)
+
+    # V is the same at every step when its tilt term is +0.0 (mu_E = 0)
+    # or theta_n is theta (a_D = 0).  theta_n is monotone in n: if the
+    # last one is finite, all are; if not, the per-step path raises at
+    # the first non-finite one.
+    driven = (p.mu_E != 0.0 and drive.a_D != 0.0
+              or not math.isfinite(theta(steps - 1)))
     prev = curr = init.values
-    levels = [_phase_norm(curr, x, dx)]
     truncated = False
-    for n in range(steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            V = washboard_potential(
-                x, replace(p, theta=p.theta + drive.a_D * (n * dt)))
-            new = kernel(prev, curr, V, p, dx, dt, periodic, sweeps)
-        if not np.isfinite(new).all():
-            truncated = True
-            break
-        prev, curr = curr, new
-        levels.append(_phase_norm(curr, x, dx))
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = [_phase_norm(curr, x, dx)]
+        step = build(washboard_potential(x, p), p, dx, dt, periodic, sweeps)
+        for n in range(steps):
+            if driven and n:
+                theta_n = theta(n)
+                if not math.isfinite(theta_n):
+                    raise DomainError("non-finite physical parameter")
+                step = build(_washboard(x, p, theta_n), p, dx, dt, periodic,
+                             sweeps)
+            new = step(prev, curr)
+            if not np.isfinite(new).all():
+                truncated = True
+                break
+            prev, curr = curr, new
+            levels.append(_phase_norm(curr, x, dx))
     return Trajectory(dt * np.arange(len(levels)),
                       [0.0 if ph is None else ph for ph, _ in levels],
                       [norm for _, norm in levels], truncated=truncated)

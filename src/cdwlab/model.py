@@ -63,11 +63,17 @@ def washboard_potential(phi, p):
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise DomainError("non-finite phase")
-    d = phi - p.theta
-    out = 0.5 * p.mu_E * d * d + 0.5 * p.D * p.omega_p_sq * (1.0 - np.cos(phi))
+    out = _washboard(phi, p, p.theta)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _washboard(phi, p, theta):
+    """washboard_potential at driving phase theta in place of p.theta,
+    for a float array phi the caller has checked."""
+    d = phi - theta
+    return 0.5 * p.mu_E * d * d + 0.5 * p.D * p.omega_p_sq * (1.0 - np.cos(phi))
 
 
 def multichain_potential(phis, p):

@@ -3,6 +3,7 @@ import io
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,19 @@ def test_to_csv_text():
     assert "\r" not in text
 
 
+def test_to_csv_text_matches_format_number():
+    # one format call per row writes what format_number writes per value
+    rows = [(None, math.nan, -math.nan, math.inf),
+            (-math.inf, -0.0, 5e-324, 2.2250738585072014e-308 / 3),
+            (np.int64(7), np.float64(0.1), np.float32(0.1), np.int32(-3)),
+            (np.float64(-np.inf), 1, True, 10 ** 20),
+            (1e300, -1.5e-310, 123456789012345678.0, 0.1 + 0.2)]
+    table = CurveTable(["a", "b", "c", "d"], rows)
+    expect = "".join(",".join(format_number(v) for v in row) + "\n"
+                     for row in rows)
+    assert to_csv_text(table) == "a,b,c,d\n" + expect
+
+
 _NAME = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1,
                 max_size=8)
 _CELL = st.none() | st.floats()
@@ -65,9 +79,13 @@ def _tables(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(table=_tables())
 def test_csv_round_trip(table):
-    # every cell reads back as its 15-significant-digit rounding; a
-    # missing cell and nan both read back as nan
-    header, *rows = csv.reader(io.StringIO(to_csv_text(table)))
+    # every cell is written as format_number writes it and reads back
+    # as its 15-significant-digit rounding; a missing cell and nan both
+    # read back as nan
+    text = to_csv_text(table)
+    assert text.split("\n")[1:-1] == [
+        ",".join(format_number(v) for v in row) for row in table.rows]
+    header, *rows = csv.reader(io.StringIO(text))
     assert tuple(header) == table.columns
     assert len(rows) == len(table)
     for row, cells in zip(table.rows, rows):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
+from cdwlab import evolver, model
 from cdwlab.errors import DomainError
 from cdwlab.evolver import (
     ComplexField,
@@ -345,12 +347,10 @@ def test_evolve_accepts_enum_and_string():
     np.testing.assert_array_equal(t1.norm, t2.norm)
 
 
-def test_evolve_drive_advances_theta():
+def assert_evolve_matches_steppers(p, drive):
     # the recorded run must equal, bit for bit, stepping by hand through
     # the checked steppers with theta_n = theta0 + a_D*(n*dt)
     f = gaussian_packet(41, 0.1, x_c=0.5)
-    p = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.012, theta=0.7)
-    drive = FieldDriveParams(a_D=0.3)
     dt, steps = 2e-3, 6
     cases = [("cn-printed", step_crank_nicolson_printed, {"sweeps": 1}),
              ("cn-printed", step_crank_nicolson_printed, {"sweeps": 3}),
@@ -374,6 +374,56 @@ def test_evolve_drive_advances_theta():
                                           [n * dt for n in range(steps + 1)])
             np.testing.assert_array_equal(t.norm, norms)
             np.testing.assert_array_equal(t.mean_phase, phases)
+
+
+def test_evolve_drive_advances_theta():
+    p = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.012, theta=0.7)
+    assert_evolve_matches_steppers(p, FieldDriveParams(a_D=0.3))
+
+
+@pytest.mark.parametrize("mu_E, a_D", [(0.0, 0.3), (0.012, 0.0)])
+def test_evolve_static_potential_matches_steppers(mu_E, a_D):
+    # no tilt, or no drive: evolve builds V and the step plan once
+    p = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=mu_E, theta=0.7)
+    assert_evolve_matches_steppers(p, FieldDriveParams(a_D=a_D))
+
+
+@pytest.mark.parametrize("kind", [k.value for k in SchemeKind])
+def test_evolve_potential_evaluations(kind, monkeypatch):
+    # the washboard formula runs once for a static potential and once
+    # per step for a driven one
+    calls = []
+    washboard = model._washboard
+
+    def counted(*args):
+        calls.append(args[2])
+        return washboard(*args)
+
+    monkeypatch.setattr(model, "_washboard", counted)
+    monkeypatch.setattr(evolver, "_washboard", counted)
+    f = gaussian_packet(21, 0.1)
+    steps = 5
+    for p, a_D, expect in [(FREE, 0.3, 1), (WELL, 0.0, 1),
+                           (WELL, 0.3, steps)]:
+        calls.clear()
+        t = evolve(kind, f, p, FieldDriveParams(a_D=a_D), 1e-3, steps)
+        assert not t.truncated
+        assert len(calls) == expect
+        assert calls == [p.theta + a_D * (n * 1e-3) for n in range(expect)]
+
+
+def test_evolve_rejects_non_finite_driving_phase():
+    # theta_n = 1e308*n overflows at n = 2, which is an error even where
+    # theta cannot change V (mu_E = 0)
+    f = gaussian_packet(21, 0.1)
+    drive = FieldDriveParams(a_D=1e308)
+    with pytest.raises(DomainError):
+        evolve("df-standard", f, FREE, drive, 1.0, 5)
+    assert len(evolve("df-standard", f, FREE, drive, 1.0, 2)) == 3
+    # with a tilt V overflows at n = 1 and truncates the run first
+    t = evolve("df-standard", f, WELL, drive, 1.0, 5)
+    assert t.truncated
+    assert len(t) == 2
 
 
 def test_evolve_truncates_on_overflow_every_scheme():
@@ -451,6 +501,102 @@ def test_df_standard_step_keeps_constants(c, n, dx, dt, boundary):
     f = ComplexField(np.full(n, c), dx)
     out = step_dufort_frankel_standard(f, f, FREE, dt, boundary=boundary)
     np.testing.assert_allclose(out.values, f.values, rtol=1e-14)
+
+
+def cn_standard_banded_reference(curr, V, p, dx, dt, periodic):
+    # one Cayley step by scipy's one-shot banded solve in its (1, 1)
+    # layout; periodic corners by a two-column Sherman-Morrison solve
+    n = curr.size
+    koff = 1j * p.hbar / (p.D * dx * dx)
+    diag_m = -2.0 * koff - 1j * V / p.hbar
+    half = 0.5 * dt
+    wrapped = np.concatenate((curr[-1:], curr, curr[:1]))
+    rhs = curr + half * (koff * (wrapped[:-2] + wrapped[2:]) + diag_m * curr)
+    diag = 1.0 - half * diag_m
+    off = -half * koff
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = off
+    ab[2, :-1] = off
+    if periodic:
+        gamma = -diag[0]
+        diag[0] -= gamma
+        diag[-1] -= off * off / gamma
+        ab[1] = diag
+        u = np.zeros(n, dtype=complex)
+        u[0] = gamma
+        u[-1] = off
+        sol = solve_banded((1, 1), ab, np.column_stack([rhs, u]),
+                           check_finite=False)
+        y, z = sol[:, 0], sol[:, 1]
+        vy = y[0] + (off / gamma) * y[-1]
+        vz = z[0] + (off / gamma) * z[-1]
+        return y - z * (vy / (1.0 + vz))
+    rhs[0], rhs[-1] = curr[0], curr[-1]
+    diag[0] = diag[-1] = 1.0
+    ab[1] = diag
+    ab[0, 1] = ab[2, -2] = 0.0
+    return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+
+def cn_standard_plan_step(curr, V, p, dx, dt, periodic):
+    build = evolver._PLANS[SchemeKind.CRANK_NICOLSON_STANDARD]
+    return build(V, p, dx, dt, periodic, 1)(curr, curr)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 80),
+       dx=st.floats(0.02, 0.5), dt=st.floats(1e-4, 2e-1),
+       v_max=st.sampled_from([0.0, 1.0, 1e3]),
+       D=st.floats(0.1, 10.0), hbar=st.floats(0.1, 10.0),
+       periodic=st.booleans())
+def test_cn_standard_plan_matches_banded_solve(seed, n, dx, dt, v_max, D,
+                                               hbar, periodic):
+    # the LU factors kept by the plan give, bit for bit, the one-shot
+    # banded solve of the same step
+    rng = np.random.default_rng(seed)
+    curr = rng.normal(size=n) + 1j * rng.normal(size=n)
+    V = v_max * rng.random(n)
+    p = PhysicalParams(D=D, hbar=hbar)
+    out = cn_standard_plan_step(curr, V, p, dx, dt, periodic)
+    ref = cn_standard_banded_reference(curr, V, p, dx, dt, periodic)
+    np.testing.assert_array_equal(out, ref)
+
+
+def test_cn_standard_plan_non_finite_potential():
+    # a non-finite matrix entry gives a non-finite step, as the one-shot
+    # solve did; at held Dirichlet ends V is not in the matrix
+    rng = np.random.default_rng(37)
+    curr = rng.normal(size=9) + 1j * rng.normal(size=9)
+    p = PhysicalParams()
+    for bad in [math.inf, math.nan]:
+        for periodic in [False, True]:
+            V = rng.random(9)
+            V[4] = bad
+            with np.errstate(invalid="ignore"):
+                out = cn_standard_plan_step(curr, V, p, 0.1, 1e-2, periodic)
+                ref = cn_standard_banded_reference(curr, V, p, 0.1, 1e-2,
+                                                   periodic)
+            assert not np.isfinite(out).all()
+            assert not np.isfinite(ref).all()
+        V = rng.random(9)
+        V[0] = V[-1] = bad
+        with np.errstate(invalid="ignore"):
+            out = cn_standard_plan_step(curr, V, p, 0.1, 1e-2, False)
+            ref = cn_standard_banded_reference(curr, V, p, 0.1, 1e-2, False)
+        np.testing.assert_array_equal(out, ref)
+
+
+def test_tridiagonal_lapack_errors_raise():
+    # a zero pivot is a LinAlgError, as from solve_banded
+    d = np.array([1.0, 0.0, 1.0], dtype=complex)
+    off = np.zeros(2, dtype=complex)
+    ab = np.array([[0.0, 0.0, 0.0], d, [0.0, 0.0, 0.0]])
+    with pytest.raises(LinAlgError):
+        solve_banded((1, 1), ab, np.ones(3), check_finite=False)
+    with pytest.raises(LinAlgError):
+        evolver._lu(off.copy(), d.copy(), off.copy())
+    with pytest.raises(ValueError):
+        evolver._check_info(-2)
 
 
 def test_detect_blowup_basics():
