@@ -34,13 +34,6 @@ class CurveTable:
             )
         self.rows.append(row)
 
-    def column(self, name):
-        try:
-            j = self.columns.index(name)
-        except ValueError:
-            raise DomainError("no column named %r" % name) from None
-        return [row[j] for row in self.rows]
-
     def __len__(self):
         return len(self.rows)
 

@@ -347,15 +347,9 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1, boundary="dirichlet"):
     periodic = _check(dt, boundary, sweeps)
     x, dx = init.grid(), init.dx
 
-    def theta(n):
-        return p.theta + drive.a_D * (n * dt)
-
     # V is the same at every step when its tilt term is +0.0 (mu_E = 0)
-    # or theta_n is theta (a_D = 0).  theta_n is monotone in n: if the
-    # last one is finite, all are; if not, the per-step path raises at
-    # the first non-finite one.
-    driven = (p.mu_E != 0.0 and drive.a_D != 0.0
-              or not math.isfinite(theta(steps - 1)))
+    # or theta_n is theta (a_D = 0); only a driven V is rebuilt per step.
+    driven = p.mu_E != 0.0 and drive.a_D != 0.0
     prev = curr = init.values
     truncated = False
     with np.errstate(over="ignore", invalid="ignore"):
@@ -363,7 +357,7 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1, boundary="dirichlet"):
         step = build(washboard_potential(x, p), p, dx, dt, periodic, sweeps)
         for n in range(steps):
             if driven and n:
-                theta_n = theta(n)
+                theta_n = p.theta + drive.a_D * (n * dt)
                 if not math.isfinite(theta_n):
                     raise DomainError("non-finite physical parameter")
                 step = build(_washboard(x, p, theta_n), p, dx, dt, periodic,

@@ -15,10 +15,12 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Coefficients of the single-chain and multi-chain potentials.
+    """Coefficients of the single-chain washboard and the two-chain
+    Hamiltonian.
 
     D, omega_p_sq, mu_E, theta parameterize the single-chain washboard;
-    D1, E1, E2, delta_prime the multi-chain form.
+    D1, E1, E2, delta_prime the two-chain Hamiltonian of
+    `cdwlab.variational`.
     """
 
     D: float = 1.0
@@ -74,64 +76,3 @@ def _washboard(phi, p, theta):
     for a float array phi the caller has checked."""
     d = phi - theta
     return 0.5 * p.mu_E * d * d + 0.5 * p.D * p.omega_p_sq * (1.0 - np.cos(phi))
-
-
-def multichain_potential(phis, p):
-    """Chain-summed potential with nearest-neighbor cosine coupling.
-
-    Sum over sites of E1*(1-cos phi) + E2*(phi-theta)^2 plus
-    delta_prime*(1-cos(phi_n - phi_{n-1})) over consecutive pairs of an
-    open chain.
-    """
-    phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 1 or phis.size < 2:
-        raise DomainError("need at least 2 chain phases")
-    if not np.all(np.isfinite(phis)):
-        raise DomainError("non-finite phase")
-    d = phis - p.theta
-    onsite = p.E1 * np.sum(1.0 - np.cos(phis)) + p.E2 * np.sum(d * d)
-    coupling = p.delta_prime * np.sum(1.0 - np.cos(np.diff(phis)))
-    return float(onsite + coupling)
-
-
-def quadratic_coupling_approx(phis, p):
-    """Small-difference reduction: E1*sum(1-cos) + (delta_prime/2)*sum(dphi^2).
-
-    Agrees with multichain_potential at E2=0 to fourth order in the
-    phase differences.
-    """
-    phis = np.asarray(phis, dtype=float)
-    if phis.ndim != 1 or phis.size < 2:
-        raise DomainError("need at least 2 chain phases")
-    if not np.all(np.isfinite(phis)):
-        raise DomainError("non-finite phase")
-    steps = np.diff(phis)
-    return float(p.E1 * np.sum(1.0 - np.cos(phis))
-                 + 0.5 * p.delta_prime * np.sum(steps * steps))
-
-
-def extended_potential(phi, phi0, C1, C2):
-    """Quartic double-well extension used for the false-vacuum picture."""
-    vals = (phi, phi0, C1, C2)
-    if not all(math.isfinite(float(v)) for v in vals):
-        raise DomainError("non-finite input")
-    d = phi - phi0
-    return (C1 * d * d
-            - 4.0 * C2 * phi * phi0 * d * d
-            + C2 * (phi * phi - phi0 * phi0) ** 2)
-
-
-def driving_theta(E, field_scale):
-    """Driving phase 2*pi*E/E* for applied field E and field scale E*."""
-    if not (math.isfinite(field_scale) and field_scale > 0):
-        raise DomainError("field scale must be positive")
-    if not math.isfinite(E):
-        raise DomainError("non-finite field")
-    return 2.0 * math.pi * E / field_scale
-
-
-def threshold_field(field_scale):
-    """Depinning threshold E_T = E*/2."""
-    if not (math.isfinite(field_scale) and field_scale > 0):
-        raise DomainError("field scale must be positive")
-    return 0.5 * field_scale

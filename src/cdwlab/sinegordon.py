@@ -79,15 +79,6 @@ def kink_phase_rate(z, tau, k):
     return out
 
 
-def nondimensionalize(x, t, v, omega1):
-    """Map lab (x, t) to sine-Gordon variables (z, tau) = (omega1*x/v, omega1*t)."""
-    if not (math.isfinite(v) and v > 0):
-        raise DomainError("velocity scale must be positive")
-    if not (math.isfinite(omega1) and omega1 > 0):
-        raise DomainError("omega1 must be positive")
-    return omega1 * x / v, omega1 * t
-
-
 def sine_gordon_residual(phi_prev, phi_curr, phi_next, dz, dtau):
     """Central-difference residual of phi_tautau - phi_zz + sin(phi).
 

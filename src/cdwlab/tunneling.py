@@ -1,8 +1,8 @@
 """Closed-form tunneling-current stack.
 
 Soliton-pair Fourier amplitudes, the erf-based wavefunctional
-normalization, momentum-space exponents, the cosh-form current, the
-phenomenological Zener comparison and the pair-separation geometry.
+normalization, the cosh-form current, the phenomenological Zener
+comparison and the pair-separation geometry.
 All closed-form (erf is ``math.erf``); the only numerics are one windowed
 quadrature cross-checking the sharp-wall Fourier amplitude against the
 smooth tanh profile.
@@ -151,24 +151,6 @@ def fourier_check_table(g, n_modes, box):
                       _fourier_modes(g, n_modes, box))
 
 
-def momentum_exponent(phi_k, L, n1, which):
-    """Momentum-space exponent (2*pi/L)^2 * sum|phi(k_n)|^2, with the
-    final-state variant scaled by (1 - n1^2)."""
-    amps = np.asarray(phi_k)
-    if amps.size == 0:
-        raise DomainError("amplitude sequence is empty")
-    if not (math.isfinite(L) and L > 0):
-        raise DomainError("separation L must be positive")
-    base = (2.0 * math.pi / L) ** 2 * float(np.sum(np.abs(amps) ** 2))
-    if which == "initial":
-        return base
-    if which == "final":
-        if not (math.isfinite(n1) and 0.0 < n1 < 1.0):
-            raise DomainError("final state needs 0 < n1 < 1")
-        return base * (1.0 - n1 * n1)
-    raise DomainError("which must be 'initial' or 'final'")
-
-
 def current_beckwith(E, cp):
     """Tunneling current C~1 * cosh(sqrt(2E/(E_T c_v)) - sqrt(E_T c_v/E))
     * exp(-E_T c_v/E); strictly positive for E > 0."""
@@ -190,38 +172,6 @@ def current_zener(E, cp, gated=True):
     if E == 0.0 or (gated and E <= cp.E_T):
         return 0.0
     return cp.G_p * (E - cp.E_T) * math.exp(-cp.E_T / E)
-
-
-def pair_separation(E, delta_s, e_star):
-    """Soliton-pair separation 2*delta_s/(e_star*E)."""
-    vals = (E, delta_s, e_star)
-    if not all(math.isfinite(v) and v > 0 for v in vals):
-        raise DomainError("E, delta_s and e_star must be positive")
-    return 2.0 * delta_s / (e_star * E)
-
-
-def separation_ratio(E, cp):
-    """Dimensionless ratio c_v*E_T/E of pair separation to the harmonic
-    reference length."""
-    if not (math.isfinite(E) and E > 0):
-        raise DomainError("field E must be positive")
-    return cp.c_v * cp.E_T / E
-
-
-def harmonic_reference(E, omega, m_charge_ratio):
-    """Reference displacement E*(charge/mass)/omega^2."""
-    if not (math.isfinite(omega) and omega > 0):
-        raise DomainError("omega must be positive")
-    if not (math.isfinite(E) and math.isfinite(m_charge_ratio)):
-        raise DomainError("non-finite input")
-    return E * m_charge_ratio / (omega * omega)
-
-
-def gap_alpha(L):
-    """Gap parameter 1/L."""
-    if not (math.isfinite(L) and L > 0):
-        raise DomainError("separation L must be positive")
-    return 1.0 / L
 
 
 def iv_curve(E_grid, cp):

@@ -156,20 +156,6 @@ def _nodes(q):
     return hit
 
 
-def ansatz_value(phi1, phi2, a):
-    """Pointwise value of the product comb at (phi1, phi2)."""
-    return _comb(phi1, a.b, a.alpha) * _comb(phi2, a.c, a.alpha)
-
-
-def _comb(phi, coeff, alpha):
-    phi = np.asarray(phi, dtype=float)
-    d = phi[..., None] - CENTERS
-    out = np.exp(-alpha * d * d) @ np.asarray(coeff)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _chain_moments(coeff, alpha, theta, p, nd):
     """1-D moments of one comb factor u(phi):
 

@@ -323,6 +323,24 @@ def test_main_overflow_reports_no_numpy_warning(tmp_path, override, warning):
     assert out.exists()
 
 
+@pytest.mark.parametrize("scheme", ["df-standard", "cn-standard",
+                                    "df-printed", "cn-printed"])
+def test_main_drive_rate_without_tilt_is_default_run(tmp_path, capsys,
+                                                     scheme):
+    # at the default mu_E = 0 the driving phase cannot change V, so even a
+    # drive rate whose phase overflows must give the default run
+    cfg = write_cfg(tmp_path, "experiment = single-chain\n"
+                              "evolver.scheme = %s\n" % scheme)
+    out = tmp_path / "sc.csv"
+    runs = []
+    for sets in ([], ["--set", "drive.a_D=1e308"]):
+        code = cli.main([cfg, "--output", str(out)] + sets)
+        runs.append((code, capsys.readouterr().err,
+                     out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert runs[1] == runs[0]
+
+
 def test_main_set_experiment_names_the_artifact(tmp_path, monkeypatch):
     # the derived output name follows the experiment that runs
     monkeypatch.chdir(tmp_path)

@@ -37,7 +37,6 @@ def test_table_arity_checked():
     with pytest.raises(DomainError):
         t.append([1.0, 2.0, 3.0])
     assert len(t) == 1
-    assert t.column("b") == [2.0]
 
 
 def test_to_csv_text():

@@ -14,7 +14,6 @@ from cdwlab.sinegordon import (
     kink_phase,
     kink_phase_rate,
     kink_velocity_estimate,
-    nondimensionalize,
     sine_gordon_residual,
     thin_wall_profile,
 )
@@ -84,19 +83,6 @@ def test_kink_phase_rate_matches_difference_quotient():
     for z in [-2.0, 0.0, 1.5]:
         num = (kink_phase(z, h, k) - kink_phase(z, -h, k)) / (2 * h)
         assert kink_phase_rate(z, 0.0, k) == pytest.approx(num, rel=1e-8)
-
-
-def test_nondimensionalize():
-    assert nondimensionalize(0.0, 0.0, 1.0, 1.0) == (0.0, 0.0)
-    assert nondimensionalize(1.0, 1.0, 2.0, 2.0) == (1.0, 2.0)
-    # round trip
-    z, tau = nondimensionalize(3.7, -1.2, 5.0, 0.25)
-    assert z * 5.0 / 0.25 == pytest.approx(3.7, rel=1e-15)
-    assert tau / 0.25 == pytest.approx(-1.2, rel=1e-15)
-    with pytest.raises(DomainError):
-        nondimensionalize(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        nondimensionalize(1.0, 1.0, 1.0, -2.0)
 
 
 def test_residual_zero_for_constant_solutions():
@@ -300,7 +286,7 @@ def test_trajectory_table_layout():
     table = chain_trajectory_table(snaps, 0.5)
     assert table.columns == ("t", "site", "phi", "phi_dot")
     assert len(table) == 6
-    assert table.column("t")[:3] == [0.0, 0.0, 0.0]
-    assert table.column("t")[3:] == [0.5, 0.5, 0.5]
-    assert table.column("site")[:3] == [0.0, 1.0, 2.0]
-    assert table.column("phi")[4] == 1.0
+    t, site, phi, _ = zip(*table.rows)
+    assert t == (0.0, 0.0, 0.0, 0.5, 0.5, 0.5)
+    assert site[:3] == (0.0, 1.0, 2.0)
+    assert phi[4] == 1.0

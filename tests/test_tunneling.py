@@ -11,13 +11,8 @@ from cdwlab.tunneling import (
     current_zener,
     erf,
     fourier_check_table,
-    gap_alpha,
     gaussian_norm_constant,
-    harmonic_reference,
     iv_curve,
-    momentum_exponent,
-    pair_separation,
-    separation_ratio,
     soliton_fourier,
     thin_wall_fourier_check,
 )
@@ -156,34 +151,11 @@ def test_fourier_zero_modes_excluded():
     # a run out to 32 modes must mark them missing, not divide by zero
     g = PairGeometry(L=1.0, b=1e4, x_a=-0.5, x_b=0.5)
     table = fourier_check_table(g, 32, 16.0)
-    devs = table.column("rel_deviation")
+    devs = [r[3] for r in table.rows]
     assert devs[15] is None
     assert devs[31] is None
     assert all(d is not None for i, d in enumerate(devs)
                if i not in (15, 31))
-
-
-def test_momentum_exponent():
-    # single unit mode on L = 2*pi: prefactor is exactly 1
-    assert momentum_exponent([1.0], 2 * math.pi, 0.5, "initial") == \
-        pytest.approx(1.0, rel=1e-15)
-    rng = np.random.default_rng(44)
-    for _ in range(20):
-        amps = rng.normal(size=7) + 1j * rng.normal(size=7)
-        n1 = rng.uniform(0.05, 0.95)
-        init = momentum_exponent(amps, 3.0, n1, "initial")
-        fin = momentum_exponent(amps, 3.0, n1, "final")
-        assert fin / init == pytest.approx(1.0 - n1 * n1, rel=1e-14)
-    # height parameter approaching 1 kills the final exponent
-    small = momentum_exponent([1.0, 2.0], 1.0, 0.999999, "final")
-    full = momentum_exponent([1.0, 2.0], 1.0, 0.5, "initial")
-    assert small < 3e-6 * full
-    with pytest.raises(DomainError):
-        momentum_exponent([1.0], 1.0, 1.0, "final")
-    with pytest.raises(DomainError):
-        momentum_exponent([], 1.0, 0.5, "initial")
-    with pytest.raises(DomainError):
-        momentum_exponent([1.0], 1.0, 0.5, "else")
 
 
 def test_beckwith_anchor():
@@ -241,48 +213,6 @@ def test_zener_continuous_at_threshold():
     assert just_above == pytest.approx(3.0 * eps * math.exp(-1.0), rel=1e-6)
 
 
-def test_pair_separation():
-    assert pair_separation(1.0, 1.0, 2.0) == 1.0
-    assert pair_separation(0.5, 1.0, 2.0) == 2.0
-    assert pair_separation(2.0, 1.0, 2.0) == pytest.approx(
-        0.5 * pair_separation(1.0, 1.0, 2.0), rel=1e-15)
-    with pytest.raises(DomainError):
-        pair_separation(0.0, 1.0, 2.0)
-    with pytest.raises(DomainError):
-        pair_separation(1.0, -1.0, 2.0)
-
-
-def test_separation_ratio():
-    cp = CurrentParams(E_T=2.0, c_v=100.0)
-    assert separation_ratio(2.0, cp) == pytest.approx(100.0, rel=1e-15)
-    assert separation_ratio(100.0 * 2.0, cp) == pytest.approx(1.0, rel=1e-15)
-    assert separation_ratio(10.0 * 2.0, cp) == pytest.approx(10.0, rel=1e-15)
-    with pytest.raises(DomainError):
-        separation_ratio(0.0, cp)
-
-
-def test_harmonic_reference():
-    assert harmonic_reference(0.0, 2.0, 1.5) == 0.0
-    a = harmonic_reference(1.0, 2.0, 1.5)
-    assert harmonic_reference(2.0, 2.0, 1.5) == pytest.approx(2 * a,
-                                                              rel=1e-15)
-    assert harmonic_reference(1.0, 4.0, 1.5) == pytest.approx(a / 4,
-                                                              rel=1e-15)
-    with pytest.raises(DomainError):
-        harmonic_reference(1.0, 0.0, 1.5)
-
-
-def test_gap_alpha_composition():
-    assert gap_alpha(1.0) == 1.0
-    assert gap_alpha(2.0) == 0.5
-    delta_s, e_star = 0.7, 2.0
-    for E in [0.3, 1.0, 4.0]:
-        lhs = gap_alpha(pair_separation(E, delta_s, e_star))
-        assert lhs == pytest.approx(e_star * E / (2.0 * delta_s), rel=1e-14)
-    with pytest.raises(DomainError):
-        gap_alpha(0.0)
-
-
 def test_iv_curve_columns_and_signs():
     cp = CurrentParams(E_T=1.0, c_v=1.0)
     table = iv_curve([1.0], cp)
@@ -293,10 +223,9 @@ def test_iv_curve_columns_and_signs():
     assert row[1] > 0.0
     grid = np.linspace(0.05, 5.0, 200)
     table = iv_curve(grid, cp)
-    beck = table.column("I_beckwith")
-    ungated = table.column("I_zener_ungated")
+    Es, beck, _, ungated = zip(*table.rows)
     assert all(v > 0 for v in beck)
-    for E, v in zip(table.column("E"), ungated):
+    for E, v in zip(Es, ungated):
         if E < cp.E_T:
             assert v < 0
 
