@@ -10,6 +10,7 @@ kink is the 4*arctan(exp(.)) profile.
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -73,7 +74,8 @@ def kink_phase_rate(z, tau, k):
     """Analytic d(phi)/d(tau) of the kink, for launching chain runs."""
     gamma = math.sqrt(1.0 - k.beta * k.beta)
     u = k.sign * (np.asarray(z, dtype=float) + k.beta * tau) / gamma
-    out = 2.0 / np.cosh(u) * k.sign * k.beta / gamma
+    with np.errstate(over="ignore"):  # cosh overflows far out; 2/inf = 0
+        out = 2.0 / np.cosh(u) * k.sign * k.beta / gamma
     if out.ndim == 0:
         return float(out)
     return out
@@ -99,11 +101,17 @@ def sine_gordon_residual(phi_prev, phi_curr, phi_next, dz, dtau):
     return phi_tt - phi_zz + np.sin(curr[1:-1])
 
 
-def _force(phi, omega0_sq, omega1_sq):
-    acc = np.zeros_like(phi)
-    acc[1:-1] = (omega0_sq * (phi[2:] - 2.0 * phi[1:-1] + phi[:-2])
-                 - omega1_sq * np.sin(phi[1:-1]))
-    return acc
+def _force(phi, omega0_sq, omega1_sq, out, sin):
+    """Write omega0_sq*(phi[i+1] - 2 phi[i] + phi[i-1]) - omega1_sq*sin(phi[i])
+    at the interior sites of phi into out; sin is scratch of out's size."""
+    mid = phi[1:-1]
+    np.multiply(mid, 2.0, out=out)
+    np.subtract(phi[2:], out, out=out)
+    np.add(out, phi[:-2], out=out)
+    np.multiply(out, omega0_sq, out=out)
+    np.sin(mid, out=sin)
+    np.multiply(sin, omega1_sq, out=sin)
+    np.subtract(out, sin, out=out)
 
 
 def chain_acceleration(s):
@@ -111,22 +119,20 @@ def chain_acceleration(s):
 
     End sites are clamped: their acceleration is reported as zero.
     """
-    return _force(s.phi, s.omega0_sq, s.omega1_sq)
-
-
-def _derivative(phi, phi_dot, omega0_sq, omega1_sq):
-    # clamped ends: both the angle and its velocity are frozen there
-    dphi = phi_dot.copy()
-    dphi[0] = 0.0
-    dphi[-1] = 0.0
-    return dphi, _force(phi, omega0_sq, omega1_sq)
+    acc = np.zeros_like(s.phi)
+    _force(s.phi, s.omega0_sq, s.omega1_sq, acc[1:-1], np.empty(acc.size - 2))
+    return acc
 
 
 def integrate_chain_rk4(s, dt, steps, stride=1):
     """Classical RK4 on (phi, phi_dot); snapshots every `stride` steps.
 
-    The returned list starts with a copy of the initial state.  A
-    non-finite state aborts with the offending step index.
+    The state is one stacked (2, m) array y = [phi; phi_dot], advanced
+    in place through stage buffers allocated once per run.  Both end
+    sites are clamped: their angle and velocity never change.  The
+    returned list starts with a copy of the initial state, and every
+    snapshot holds its own copies of the arrays.  A non-finite state
+    aborts with the offending step index.
     """
     if not (dt > 0):
         raise DomainError("dt must be positive")
@@ -135,24 +141,42 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
     if stride < 1:
         raise DomainError("stride must be >= 1")
     w0, w1 = s.omega0_sq, s.omega1_sq
-    phi = s.phi.copy()
-    dot = s.phi_dot.copy()
-    snaps = [ChainState(phi, dot, w0, w1)]
+    y = np.stack((s.phi, s.phi_dot))
+    # derivative writes only the interior columns of k1..k4, so the
+    # clamped end columns stay 0
+    k1, k2, k3, k4 = (np.zeros_like(y) for _ in range(4))
+    stage = np.empty_like(y)
+    acc = np.empty_like(y)
+    sin = np.empty(y.shape[1] - 2)
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def derivative(src, dst):
+        np.copyto(dst[0, 1:-1], src[1, 1:-1])
+        _force(src[0], w0, w1, dst[1, 1:-1], sin)
+
+    snaps = [ChainState(s.phi, s.phi_dot, w0, w1)]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
-            k1p, k1d = _derivative(phi, dot, w0, w1)
-            k2p, k2d = _derivative(phi + 0.5 * dt * k1p,
-                                   dot + 0.5 * dt * k1d, w0, w1)
-            k3p, k3d = _derivative(phi + 0.5 * dt * k2p,
-                                   dot + 0.5 * dt * k2d, w0, w1)
-            k4p, k4d = _derivative(phi + dt * k3p, dot + dt * k3d, w0, w1)
-            phi = phi + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            dot = dot + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-            if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(dot))):
-                raise FieldOverflowError("chain state became non-finite",
-                                         step=n)
+            derivative(y, k1)
+            for k, k_next, h in ((k1, k2, half), (k2, k3, half),
+                                 (k3, k4, dt)):
+                np.multiply(k, h, out=stage)
+                np.add(y, stage, out=stage)
+                derivative(stage, k_next)
+            # y += (dt/6)*(((k1 + 2 k2) + 2 k3) + k4)
+            np.multiply(k2, 2.0, out=acc)
+            np.add(k1, acc, out=acc)
+            np.multiply(k3, 2.0, out=k3)
+            np.add(acc, k3, out=acc)
+            np.add(acc, k4, out=acc)
+            np.multiply(acc, sixth, out=acc)
+            np.add(y, acc, out=y)
+            if not np.isfinite(y).all():
+                raise FieldOverflowError(
+                    "chain state became non-finite at step %d of %d"
+                    % (n, steps), step=n)
             if n % stride == 0:
-                snaps.append(ChainState(phi, dot, w0, w1))
+                snaps.append(ChainState(y[0], y[1], w0, w1))
     return snaps
 
 
@@ -210,7 +234,8 @@ def thin_wall_profile(x, b, x_a, x_b):
 
 def chain_trajectory_table(snapshots, dt_snapshot):
     """Long-format table of chain snapshots: one row per (time, site)."""
-    return CurveTable(("t", "site", "phi", "phi_dot"),
-                      ((k * dt_snapshot, float(i), s.phi[i], s.phi_dot[i])
-                       for k, s in enumerate(snapshots)
-                       for i in range(s.phi.size)))
+    rows = []
+    for k, s in enumerate(snapshots):
+        rows.extend(zip(repeat(k * dt_snapshot), map(float, range(s.phi.size)),
+                        s.phi.tolist(), s.phi_dot.tolist()))
+    return CurveTable(("t", "site", "phi", "phi_dot"), rows)

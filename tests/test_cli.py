@@ -307,17 +307,24 @@ def test_every_key_changes_an_artifact(reach_run, key):
     assert any(differs)
 
 
-@pytest.mark.parametrize("override, warning", [
-    ("model.mu_E=1e308",
+@pytest.mark.parametrize("overrides, warning", [
+    (["model.mu_E=1e308"],
      "warning: overflow: trajectory truncated after 0 of 2000 steps\n"),
-    ("evolver.alpha0=1e308", "")], ids=["mu_E", "alpha0"])
-def test_main_overflow_reports_no_numpy_warning(tmp_path, override, warning):
+    (["evolver.alpha0=1e308"], ""),
+    # the kink's launch velocity is 2/cosh(z), and cosh overflows far
+    # from the core: near the speed of light, or with a 1-site-wide kink
+    (["experiment=pendulum-kink", "chain.beta=0.999999999"], ""),
+    (["experiment=pendulum-kink", "chain.sites=2000", "chain.omega0_sq=1"],
+     "")], ids=["mu_E", "alpha0", "kink-beta", "kink-width"])
+def test_main_overflow_reports_no_numpy_warning(tmp_path, overrides,
+                                                warning):
     # a separate interpreter, so numpy's warnings reach stderr unfiltered
     cfg = write_cfg(tmp_path, "experiment = single-chain\n")
     out = tmp_path / "sc.csv"
+    sets = [arg for o in overrides for arg in ("--set", o)]
     proc = subprocess.run(
-        [sys.executable, "-m", "cdwlab.cli", cfg, "--output", str(out),
-         "--set", override], capture_output=True, text=True)
+        [sys.executable, "-m", "cdwlab.cli", cfg, "--output", str(out)]
+        + sets, capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stderr == warning
     assert out.exists()
@@ -361,6 +368,16 @@ def test_main_exit_one_on_domain_error(tmp_path, capsys):
     assert cli.main([cfg, "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: domain:")
+    assert not out.exists()
+
+
+def test_main_chain_overflow_names_the_step(tmp_path, capsys):
+    # dt = 1 is far beyond the RK4 stability limit of the default chain
+    cfg = write_cfg(tmp_path, "experiment = pendulum-kink\n")
+    out = tmp_path / "pk.csv"
+    assert cli.main([cfg, "--output", str(out), "--set", "chain.dt=1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: overflow: chain state became non-finite at step 55 of 2500\n")
     assert not out.exists()
 
 

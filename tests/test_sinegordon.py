@@ -19,6 +19,45 @@ from cdwlab.sinegordon import (
 )
 
 
+def _reference_force(phi, omega0_sq, omega1_sq):
+    acc = np.zeros_like(phi)
+    acc[1:-1] = (omega0_sq * (phi[2:] - 2.0 * phi[1:-1] + phi[:-2])
+                 - omega1_sq * np.sin(phi[1:-1]))
+    return acc
+
+
+def _reference_derivative(phi, phi_dot, omega0_sq, omega1_sq):
+    dphi = phi_dot.copy()
+    dphi[0] = 0.0
+    dphi[-1] = 0.0
+    return dphi, _reference_force(phi, omega0_sq, omega1_sq)
+
+
+def reference_rk4(s, dt, steps, stride):
+    """Allocating RK4 on separate phi / phi_dot arrays: the snapshots
+    (phi, phi_dot) integrate_chain_rk4 must reproduce bit for bit, or
+    ("overflow", step) when the state leaves the finite range."""
+    w0, w1 = s.omega0_sq, s.omega1_sq
+    phi, dot = s.phi.copy(), s.phi_dot.copy()
+    snaps = [(phi, dot)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, steps + 1):
+            k1p, k1d = _reference_derivative(phi, dot, w0, w1)
+            k2p, k2d = _reference_derivative(phi + 0.5 * dt * k1p,
+                                             dot + 0.5 * dt * k1d, w0, w1)
+            k3p, k3d = _reference_derivative(phi + 0.5 * dt * k2p,
+                                             dot + 0.5 * dt * k2d, w0, w1)
+            k4p, k4d = _reference_derivative(phi + dt * k3p, dot + dt * k3d,
+                                             w0, w1)
+            phi = phi + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            dot = dot + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(dot))):
+                return "overflow", n
+            if n % stride == 0:
+                snaps.append((phi, dot))
+    return snaps
+
+
 def make_kink_chain(sites, omega0_sq, omega1_sq, center, beta, sign=1):
     """Discretized traveling kink with the matching velocity profile.
 
@@ -75,6 +114,14 @@ def test_kink_translation_invariance():
         a = kink_phase(z, tau + delta, k)
         b = kink_phase(z + k.beta * delta, tau, k)
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_kink_phase_rate_far_tail_is_zero():
+    # cosh overflows to inf far from the core; 2/inf = 0 is the exact limit
+    for k in [KinkSpec(beta=0.5), KinkSpec(beta=0.999999999, sign=-1)]:
+        assert kink_phase_rate(1000.0, 0.0, k) == 0.0
+        np.testing.assert_array_equal(
+            kink_phase_rate(np.array([-1000.0, 1000.0]), 0.0, k), 0.0)
 
 
 def test_kink_phase_rate_matches_difference_quotient():
@@ -152,6 +199,9 @@ def test_chain_acceleration_odd():
     np.testing.assert_allclose(chain_acceleration(s_minus),
                                -chain_acceleration(s_plus),
                                rtol=1e-13, atol=1e-13)
+    # the in-place force is the allocating formula, bit for bit
+    np.testing.assert_array_equal(chain_acceleration(s_plus),
+                                  _reference_force(phi, 2.0, 3.0))
 
 
 def test_rk4_equilibrium_fixed_point():
@@ -184,13 +234,46 @@ def test_rk4_single_pendulum_period():
     assert abs(measured - period) / period < 1e-3
 
 
+@pytest.mark.parametrize("s, dt, steps, stride", [
+    (make_kink_chain(400, 900.0, 1.0, 240, beta=0.5), 0.004, 2500, 50),
+    (make_kink_chain(400, 900.0, 1.0, 240, beta=0.5), 0.004, 7, 3),
+    (ChainState([0.1, -0.0, 2.0], [-0.0, 0.3, 0.5], 2.0, 3.0), 0.01, 100, 9),
+], ids=["default-kink", "stride-not-dividing", "three-sites"])
+def test_rk4_matches_reference_bitwise(s, dt, steps, stride):
+    snaps = integrate_chain_rk4(s, dt, steps, stride=stride)
+    ref = reference_rk4(s, dt, steps, stride)
+    assert len(snaps) == len(ref) == 1 + steps // stride
+    for snap, (phi, dot) in zip(snaps, ref):
+        # compared as integers, so the sign of a zero counts too
+        np.testing.assert_array_equal(snap.phi.view(np.int64),
+                                      phi.view(np.int64))
+        np.testing.assert_array_equal(snap.phi_dot.view(np.int64),
+                                      dot.view(np.int64))
+
+
+def test_rk4_snapshots_are_independent_copies():
+    s = make_kink_chain(40, 900.0, 1.0, 24, beta=0.5)
+    snaps = integrate_chain_rk4(s, 0.004, 20, stride=5)
+    ref = reference_rk4(s, 0.004, 20, 5)
+    snaps[1].phi[:] = 7.0
+    snaps[2].phi_dot[:] = 7.0
+    s.phi[:] = 7.0
+    s.phi_dot[:] = 7.0
+    for i, snap in enumerate(snaps):
+        if i != 1:
+            np.testing.assert_array_equal(snap.phi, ref[i][0])
+        if i != 2:
+            np.testing.assert_array_equal(snap.phi_dot, ref[i][1])
+
+
 def test_rk4_overflow_reports_step():
     # far beyond the RK4 stability limit for the stiffest lattice mode
     s = make_kink_chain(64, 900.0, 1.0, 32, beta=0.0)
     with pytest.raises(FieldOverflowError) as exc:
         integrate_chain_rk4(s, 0.2, 2000)
-    assert exc.value.step is not None
-    assert exc.value.step >= 1
+    assert ("overflow", exc.value.step) == reference_rk4(s, 0.2, 2000, 1)
+    assert str(exc.value) == ("chain state became non-finite at step %d "
+                              "of 2000" % exc.value.step)
 
 
 def test_rk4_argument_validation():
