@@ -11,8 +11,10 @@ types and defaults; every other key and default is listed in ``_KEYS``.
 ``--set`` entries replace config entries before either is converted.
 Each run writes exactly one CSV artifact, atomically, to the configured
 output path; a ``single-chain`` trajectory cut short by overflow also
-prints one ``warning: overflow:`` line to stderr.  Exit status:
-0 success, 1 domain or convergence error, 2 config error.
+prints one ``warning: overflow:`` line to stderr, and one with recorded
+levels whose mean phase or norm is not finite prints one
+``warning: non-finite:`` line.  Exit status: 0 success, 1 domain error
+or overflow, 2 config error.
 """
 
 import argparse
@@ -182,6 +184,12 @@ def _run_single_chain(cfg):
     if traj.truncated:
         print("warning: overflow: trajectory truncated after %d of %d steps"
               % (len(traj) - 1, o["evolver.steps"]), file=sys.stderr)
+    bad = np.count_nonzero(~(np.isfinite(traj.mean_phase)
+                             & np.isfinite(traj.norm)))
+    if bad:
+        print("warning: non-finite: %d of %d recorded levels have a "
+              "non-finite mean phase or norm" % (bad, len(traj)),
+              file=sys.stderr)
     return evolver.trajectory_table(traj)
 
 

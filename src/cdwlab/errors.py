@@ -34,21 +34,6 @@ class FieldOverflowError(CdwError):
         self.step = step
 
 
-class ConvergenceError(CdwError):
-    """Minimizer hit its iteration cap or found no minimum in range.
-
-    best_coeffs / best_energy hold the best point seen so far, so callers
-    can record a partial result instead of losing the whole sweep point.
-    """
-
-    code = "convergence"
-
-    def __init__(self, message, best_coeffs=None, best_energy=None):
-        super().__init__(message)
-        self.best_coeffs = best_coeffs
-        self.best_energy = best_energy
-
-
 class QuadratureError(CdwError):
     """Quadrature produced a non-positive or non-finite norm."""
 

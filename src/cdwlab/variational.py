@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .curves import CurveTable
-from .errors import ConvergenceError, DomainError, QuadratureError
+from .errors import DomainError, QuadratureError
 from .tunneling import _composite_gl
 
 CENTERS = 2.0 * math.pi * np.arange(-2, 3, dtype=float)
@@ -113,19 +113,13 @@ class SweepRow:
     mean_phi: float
     converged: bool
     coeffs: AnsatzCoeffs
-    # gap above the ground state of the final reduced problem; not in CSV
-    gap: float = math.nan
+    # gap above the ground state of the last reduced problem; not in CSV
+    gap: float
 
 
 @dataclass
 class SweepResult:
     rows: list
-
-    def __post_init__(self):
-        thetas = [r.theta for r in self.rows]
-        if len(thetas) > 1 and not all(
-                b > a for a, b in zip(thetas, thetas[1:])):
-            raise DomainError("sweep rows must be strictly increasing in theta")
 
     def to_table(self):
         cols = ["theta", "E_min", "mean_Phi", "converged"]
@@ -278,20 +272,21 @@ def _alternate(p, theta, log_alpha):
     """Alternating exact minimization over the two combs at one alpha,
     from the uncoupled ground state until the energy stops changing;
     each half step is a generalized eigenproblem, so the energy never
-    rises.  Returns (energy, converged, coeffs)."""
+    rises.  Returns (energy, converged, b, c, gap, alpha, mats), gap
+    being the eigen-gap of the last reduced problem solved."""
     alpha = math.exp(log_alpha)
     mats = _chain_matrices(p, alpha, theta)
     c = _ground(mats[1], mats[0])[0]
     e_prev = math.inf
     for _ in range(_MAX_ALTERNATIONS):
-        b = _reduced(mats, p.delta_prime, c)[0]
+        b, gap = _reduced(mats, p.delta_prime, c)
         e = _energy(mats, p.delta_prime, b, c)
         conv = e_prev - e <= _ETOL * abs(e)
         if conv:
             break
         e_prev = e
         b, c = c, b
-    return e, conv, AnsatzCoeffs(tuple(b), tuple(c), alpha)
+    return e, conv, b, c, gap, alpha, mats
 
 
 def _golden(f, lo, hi):
@@ -313,9 +308,9 @@ def minimize_energy(p, theta):
     """Minimize the energy over (b, c, alpha) by Rayleigh-Ritz: the combs
     by ``_alternate``, alpha by a log-alpha scan, extended outward while
     the energy still falls at an end, and golden-section refinement.
-    Returns (AnsatzCoeffs, energy); raises ConvergenceError carrying the
-    best point if its alternation hit the cap or the energy still falls
-    at a scan limit."""
+    Returns the point's SweepRow, with its closed-form mean phase; the
+    row keeps the best point seen and reads converged=False if its
+    alternation hit the cap or the energy still falls at a scan limit."""
     seen = []
 
     def run(la):
@@ -335,39 +330,20 @@ def minimize_energy(p, theta):
     interior = 0 < i < len(las) - 1
     if interior:
         _golden(run, las[i - 1], las[i + 1])
-    energy, conv, coeffs = min(seen, key=lambda r: r[0])
-    if not (interior and conv):
-        raise ConvergenceError(
-            "alternation cap reached before the energy stopped changing"
-            if interior else "energy still falls at a limit of the alpha scan",
-            best_coeffs=coeffs, best_energy=energy)
-    return coeffs, energy
+    e, conv, b, c, gap, alpha, mats = min(seen, key=lambda r: r[0])
+    return SweepRow(theta, e, _mean_phase(mats, b, c), interior and conv,
+                    AnsatzCoeffs(tuple(b), tuple(c), alpha), gap)
 
 
 def sweep_theta(p, theta_grid):
-    """Minimize each theta of a strictly increasing grid on its own.
-
-    Convergence failures are recorded in-row (converged=False, best
-    point kept) and the sweep continues.  Each row carries the
-    closed-form mean phase and the eigen-gap of the final reduced
-    problem."""
+    """Minimize each theta of a strictly increasing grid on its own; a
+    point that does not converge keeps its best point in its row."""
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D sequence")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("theta grid must be strictly increasing")
-    rows = []
-    for theta in map(float, grid):
-        try:
-            coeffs, energy = minimize_energy(p, theta)
-            conv = True
-        except ConvergenceError as err:
-            coeffs, energy, conv = err.best_coeffs, err.best_energy, False
-        mats = _chain_matrices(p, coeffs.alpha, theta)
-        gap = _reduced(mats, p.delta_prime, coeffs.c)[1]
-        phi = _mean_phase(mats, coeffs.b, coeffs.c)
-        rows.append(SweepRow(theta, energy, phi, conv, coeffs, gap))
-    return SweepResult(rows)
+    return SweepResult([minimize_energy(p, t) for t in map(float, grid)])
 
 
 def count_local_minima(values):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdwlab import cli
+from cdwlab import cli, variational
 from cdwlab.errors import ConfigError
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def parse(text):
@@ -30,6 +32,35 @@ def test_parse_defaults_applied():
     # the closed-form sweep has no quadrature grid to configure
     with pytest.raises(ConfigError):
         parse("experiment = iv-curve\nvariational.eta = 20\n")
+
+
+def _readme_defaults():
+    """(key, value) pairs of README's "Selected defaults" table; a row
+    such as "evolver.n / dx / dt | 501 / 0.05 / 0.005" names three keys
+    under one prefix."""
+    with open(README) as handle:
+        text = handle.read()
+    table = text.split("Selected defaults", 1)[1].split("\n\n")[1]
+    pairs = []
+    for line in table.splitlines()[2:]:
+        keys, values = [cell.strip() for cell in line.strip("|").split("|")]
+        keys, values = keys.split(" / "), values.split(" / ")
+        assert len(keys) == len(values), line
+        prefix = keys[0].rsplit(".", 1)[0] + "."
+        pairs += [(k if "." in k else prefix + k, v)
+                  for k, v in zip(keys, values)]
+    return pairs
+
+
+def test_readme_defaults_match_code():
+    # the README's defaults, read back as config entries, must change
+    # nothing: the code stays the one source of truth for defaults
+    pairs = _readme_defaults()
+    assert len(pairs) == 11
+    base = parse("experiment = iv-curve\n").options
+    for key, value in pairs:
+        entry = parse("experiment = iv-curve\n%s = %s\n" % (key, value))
+        assert entry.options == base, (key, value, base[key])
 
 
 def test_parse_comments_and_blanks():
@@ -174,6 +205,40 @@ def test_main_single_chain_artifact(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,mean_phase,norm"
     assert len(lines) == 12
+
+
+@pytest.mark.parametrize("scheme, bad, levels", [
+    ("df-printed", 444, 932), ("cn-printed", 169, 357)])
+def test_main_warns_of_non_finite_levels(tmp_path, capsys, scheme, bad,
+                                         levels):
+    # the printed schemes' fields stay finite for a while after their
+    # weighted sums overflow; those rows are written and counted
+    cfg = write_cfg(tmp_path, "experiment = single-chain\n"
+                              "evolver.scheme = %s\n" % scheme)
+    out = tmp_path / "sc.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == levels
+    assert sum(not all(math.isfinite(float(v)) for v in row[1:])
+               for row in rows) == bad
+    assert capsys.readouterr().err == (
+        "warning: overflow: trajectory truncated after %d of 2000 steps\n"
+        "warning: non-finite: %d of %d recorded levels have a non-finite "
+        "mean phase or norm\n" % (levels - 1, bad, levels))
+
+
+def test_main_sweep_not_converged_exits_zero(tmp_path, capsys, monkeypatch):
+    # one alternation step can never show that the energy stopped
+    # changing: every row is written, marked not converged
+    monkeypatch.setattr(variational, "_MAX_ALTERNATIONS", 1)
+    cfg = write_cfg(tmp_path, "experiment = variational-sweep\n"
+                              "variational.theta_points = 2\n")
+    out = tmp_path / "vs.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",")[3] == "converged"
+    assert [line.split(",")[3] for line in lines[1:]] == ["0", "0"]
 
 
 def test_main_exit_two_on_config_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from cdwlab import evolver, model
 from cdwlab.errors import DomainError
 from cdwlab.evolver import (
     ComplexField,
-    SchemeKind,
     Trajectory,
     detect_blowup,
     detect_resonance,
@@ -339,14 +338,6 @@ def test_evolve_rejects_bad_arguments():
         evolve("cn-standard", f, FREE, drive, 1e-3, 10, boundary="open")
 
 
-def test_evolve_accepts_enum_and_string():
-    f = gaussian_packet(11, 0.1)
-    drive = FieldDriveParams(a_D=0.0)
-    t1 = evolve(SchemeKind.DUFORT_FRANKEL_STANDARD, f, FREE, drive, 1e-3, 5)
-    t2 = evolve("df-standard", f, FREE, drive, 1e-3, 5)
-    np.testing.assert_array_equal(t1.norm, t2.norm)
-
-
 def assert_evolve_matches_steppers(p, drive):
     # the recorded run must equal, bit for bit, stepping by hand through
     # the checked steppers with theta_n = theta0 + a_D*(n*dt)
@@ -388,7 +379,7 @@ def test_evolve_static_potential_matches_steppers(mu_E, a_D):
     assert_evolve_matches_steppers(p, FieldDriveParams(a_D=a_D))
 
 
-@pytest.mark.parametrize("kind", [k.value for k in SchemeKind])
+@pytest.mark.parametrize("kind", list(evolver._PLANS))
 def test_evolve_potential_evaluations(kind, monkeypatch):
     # the washboard formula runs once for a static potential and once
     # per step for a driven one
@@ -438,7 +429,7 @@ def test_evolve_truncates_on_overflow_every_scheme():
     f = gaussian_packet(101, 0.1)
     p = PhysicalParams(mu_E=1e308)
     drive = FieldDriveParams(a_D=0.0)
-    for kind in SchemeKind:
+    for kind in evolver._PLANS:
         for boundary in ["dirichlet", "periodic"]:
             with np.errstate(over="ignore"):
                 t = evolve(kind, f, p, drive, 1e-3, 5, boundary=boundary)
@@ -546,7 +537,7 @@ def cn_standard_banded_reference(curr, V, p, dx, dt, periodic):
 
 
 def cn_standard_plan_step(curr, V, p, dx, dt, periodic):
-    build = evolver._PLANS[SchemeKind.CRANK_NICOLSON_STANDARD]
+    build = evolver._PLANS["cn-standard"]
     return build(V, p, dx, dt, periodic, 1)(curr, curr)
 
 

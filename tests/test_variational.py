@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdwlab import variational
-from cdwlab.errors import ConvergenceError, DomainError, QuadratureError
+from cdwlab.errors import DomainError, QuadratureError
 from cdwlab.model import PhysicalParams
 from cdwlab.variational import (
     CENTERS,
@@ -248,9 +248,10 @@ def test_minimize_kinetic_only_runs_downhill():
     # least as low as a single alpha=1 tooth
     e_init = energy_expectation(AnsatzCoeffs(E2ONLY, E2ONLY, 1.0), FREE,
                                 0.0, Q)
-    with pytest.raises(ConvergenceError) as err:
-        minimize_energy(FREE, 0.0)
-    coeffs, e = err.value.best_coeffs, err.value.best_energy
+    row = minimize_energy(FREE, 0.0)
+    assert not row.converged
+    coeffs, e = row.coeffs, row.e_min
+    assert coeffs.is_normalized(tol=1e-10)
     assert e <= e_init + 1e-12
     lo = variational._LOG_ALPHA_LIMITS[0]
     assert lo <= math.log(coeffs.alpha) < lo + variational._LOG_ALPHA_STEP
@@ -262,7 +263,9 @@ def test_minimize_finds_alpha_beyond_the_scan(p):
     # both optima lie above the coarse scan's top alpha: the scan must be
     # extended until the energy rises, and alpha refined inside that
     top = variational._LOG_ALPHA_SCAN[-1]
-    coeffs, e = minimize_energy(p, 0.3)
+    row = minimize_energy(p, 0.3)
+    assert row.converged
+    coeffs, e = row.coeffs, row.e_min
     assert math.log(coeffs.alpha) > top + variational._LOG_ALPHA_STEP
     assert e < variational._alternate(p, 0.3, top)[0]
     for step in (-1e-3, 1e-3):
@@ -272,7 +275,8 @@ def test_minimize_finds_alpha_beyond_the_scan(p):
 
 def test_minimize_theta_zero_symmetric_and_near_grid_scan():
     # coarse scan over (b0, b1 = b_-1, alpha) with b2 fixed by the norm
-    coeffs, e = minimize_energy(STD, 0.0)
+    row = minimize_energy(STD, 0.0)
+    coeffs, e = row.coeffs, row.e_min
     b = np.array(coeffs.b)
     assert np.max(np.abs(b - b[::-1])) < 0.02
     assert abs(phase_expectation(coeffs, Q)) < 0.05
@@ -345,14 +349,12 @@ def test_sweep_single_point_composes():
     res = sweep_theta(STD, grid)
     assert len(res.rows) == len(grid)
     for theta, row in zip(grid, res.rows):
-        coeffs, e = minimize_energy(STD, theta)
+        assert row == minimize_energy(STD, theta)
         assert row.theta == theta
         assert row.converged
-        assert row.e_min == e
-        assert row.coeffs == coeffs
-        assert coeffs.is_normalized(tol=1e-10)
-        assert row.mean_phi == pytest.approx(phase_expectation(coeffs, Q),
-                                             rel=1e-10, abs=1e-12)
+        assert row.coeffs.is_normalized(tol=1e-10)
+        assert row.mean_phi == pytest.approx(
+            phase_expectation(row.coeffs, Q), rel=1e-10, abs=1e-12)
 
 
 def test_sweep_grid_validation():
@@ -363,29 +365,44 @@ def test_sweep_grid_validation():
 
 
 def test_sweep_rows_record_eigen_gap():
+    # each row's mean phase and gap are those of its own (b, c, alpha,
+    # theta), bit for bit: the gap of the reduced problem for b given c
+    grid = np.linspace(-math.pi, math.pi, 5)
     for p in (STD, PhysicalParams(delta_prime=0.0)):
-        for row in sweep_theta(p, [-0.3, 0.0, 0.3]).rows:
+        for row in sweep_theta(p, grid).rows:
+            a = row.coeffs
+            mats = variational._chain_matrices(p, a.alpha, row.theta)
+            b, c = np.array(a.b), np.array(a.c)
+            assert row.converged
+            assert row.mean_phi == variational._mean_phase(mats, b, c)
+            assert row.gap == variational._reduced(mats, p.delta_prime,
+                                                   c)[1]
             assert math.isfinite(row.gap) and row.gap > 0.0
 
 
 def test_nonconverged_point_kept_in_row(monkeypatch):
     # one alternation step can never show that the energy stopped changing
     monkeypatch.setattr(variational, "_MAX_ALTERNATIONS", 1)
-    with pytest.raises(ConvergenceError) as err:
-        minimize_energy(STD, 0.3)
-    best = err.value.best_coeffs
-    assert isinstance(best, AnsatzCoeffs) and best.is_normalized()
-    assert math.isfinite(err.value.best_energy)
-    row = sweep_theta(STD, [0.3]).rows[0]
+    row = minimize_energy(STD, 0.3)
     assert not row.converged
-    assert row.coeffs == best
-    assert row.e_min == err.value.best_energy
+    best = row.coeffs
+    assert isinstance(best, AnsatzCoeffs) and best.is_normalized()
+    # the kept point is the lowest of the alpha scan, and its energy is
+    # that of its own coefficients
+    scan = [variational._alternate(STD, 0.3, la)[0]
+            for la in variational._LOG_ALPHA_SCAN]
+    assert math.isfinite(row.e_min) and row.e_min <= min(scan)
+    mats = variational._chain_matrices(STD, best.alpha, 0.3)
+    assert row.e_min == pytest.approx(variational._energy(
+        mats, STD.delta_prime, np.array(best.b), np.array(best.c)),
+        rel=1e-13)
+    assert sweep_theta(STD, [0.3]).rows[0] == row
 
 
 def test_sweep_result_table_and_order():
     a = AnsatzCoeffs(E2ONLY, E2ONLY, 1.0)
-    rows = [SweepRow(0.0, 1.0, 0.0, True, a),
-            SweepRow(0.5, 1.1, 0.1, False, a)]
+    rows = [SweepRow(0.0, 1.0, 0.0, True, a, 0.2),
+            SweepRow(0.5, 1.1, 0.1, False, a, 0.3)]
     res = SweepResult(rows)
     table = res.to_table()
     assert table.columns == ("theta", "E_min", "mean_Phi", "converged",
@@ -393,8 +410,6 @@ def test_sweep_result_table_and_order():
                              "c_-2", "c_-1", "c_0", "c_1", "c_2", "alpha")
     assert [r[3] for r in table.rows] == [1.0, 0.0]
     assert [r[-1] for r in table.rows] == [1.0, 1.0]
-    with pytest.raises(DomainError):
-        SweepResult([rows[1], rows[0]])
 
 
 def test_count_local_minima():
