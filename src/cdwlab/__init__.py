@@ -1,6 +1,7 @@
 """cdwlab: charge-density-wave soliton transport laboratory.
 
-Submodules:
+Submodules (each loads on its first import, not with the package, so a
+run pays only for the libraries its experiment reaches):
     model       physical parameters and potential-energy expressions
     evolver     finite-difference Schrodinger evolution on the phase grid
     sinegordon  pendulum chain, kinks and the thin-wall pair profile
@@ -11,5 +12,3 @@ Submodules:
 """
 
 __version__ = "0.1.0"
-
-from . import curves, errors, evolver, model, sinegordon, tunneling, variational  # noqa: F401

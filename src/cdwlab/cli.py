@@ -13,8 +13,10 @@ Each run writes exactly one CSV artifact, atomically, to the configured
 output path; a ``single-chain`` trajectory cut short by overflow also
 prints one ``warning: overflow:`` line to stderr, and one with recorded
 levels whose mean phase or norm is not finite prints one
-``warning: non-finite:`` line.  Exit status: 0 success, 1 domain error
-or overflow, 2 config error.
+``warning: non-finite:`` line; a ``variational-sweep`` with points whose
+minimization did not converge prints one ``warning: not converged:``
+line.  Exit status: 0 success, 1 domain error or overflow, 2 config
+error.
 """
 
 import argparse
@@ -24,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import evolver, sinegordon, tunneling, variational
+from . import evolver, sinegordon, tunneling
 from .curves import write_csv
 from .errors import CdwError, ConfigError
 from .model import FieldDriveParams, PhysicalParams
@@ -223,9 +225,15 @@ def _run_variational_sweep(cfg):
     npts = o["variational.theta_points"]
     if npts < 1:
         raise ConfigError("variational.theta_points must be >= 1")
+    from . import variational  # loads scipy, which no other experiment needs
     grid = np.linspace(o["variational.theta_min"],
                        o["variational.theta_max"], npts)
-    return variational.sweep_theta(_params(o, "model"), grid).to_table()
+    result = variational.sweep_theta(_params(o, "model"), grid)
+    missed = sum(not r.converged for r in result.rows)
+    if missed:
+        print("warning: not converged: %d of %d sweep points"
+              % (missed, npts), file=sys.stderr)
+    return result.to_table()
 
 
 def _run_iv_curve(cfg):

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .curves import CurveTable
 from .errors import DomainError, FieldOverflowError
@@ -98,31 +96,34 @@ def _laplacian(a, periodic):
 
 
 def _lu(dl, d, du):
-    """LAPACK LU factors of the tridiagonal matrix (dl, d, du), by the
-    same partial-pivoting elimination as LAPACK's one-shot ?gtsv solve;
-    overwrites its arguments.  None for a non-finite matrix, whose
-    solutions are non-finite (?gtsv gives them; zgttrf may instead
-    report a zero pivot)."""
+    """Solver b -> (x, info) by the LAPACK LU factors of the tridiagonal
+    matrix (dl, d, du), from the same partial-pivoting elimination as
+    LAPACK's one-shot ?gtsv solve; overwrites its arguments.  None for a
+    non-finite matrix, whose solutions are non-finite (?gtsv gives them;
+    zgttrf may instead report a zero pivot)."""
     if not all(np.isfinite(a).all() for a in (dl, d, du)):
         return None
+    # scipy loads at the first factorization, not with the module: only
+    # cn-standard runs reach LAPACK
+    from scipy.linalg.lapack import zgttrf, zgttrs
     *factors, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
                             overwrite_du=1)
     _check_info(info)
-    return factors
+    return partial(zgttrs, *factors)
 
 
-def _solve(factors, b):
+def _solve(solver, b):
     """Solution of the factored system for b; overwrites b."""
-    if factors is None:
+    if solver is None:
         return np.full_like(b, np.nan)
-    x, info = zgttrs(*factors, b, overwrite_b=1)
+    x, info = solver(b, overwrite_b=1)
     _check_info(info)
     return x
 
 
 def _check_info(info):
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError("illegal value in argument %d of zgttrf/zgttrs"
                          % -info)
@@ -184,12 +185,12 @@ def _cn_standard(V, p, dx, dt, periodic, sweeps):
     if not periodic:
         diag[0] = diag[-1] = 1.0
         du[0] = dl[-1] = 0.0
-        lu = _lu(dl, diag, du)
+        solver = _lu(dl, diag, du)
 
         def step(prev, curr):
             rhs = explicit(curr)
             rhs[0], rhs[-1] = curr[0], curr[-1]
-            return _solve(lu, rhs)
+            return _solve(solver, rhs)
 
         return step
 
@@ -199,16 +200,16 @@ def _cn_standard(V, p, dx, dt, periodic, sweeps):
     gamma = -diag[0]
     diag[0] -= gamma
     diag[-1] -= off * off / gamma
-    lu = _lu(dl, diag, du)
+    solver = _lu(dl, diag, du)
     u = np.zeros(V.size, dtype=complex)
     u[0] = gamma
     u[-1] = off
-    z = _solve(lu, u)
+    z = _solve(solver, u)
     ratio = off / gamma
     vz = z[0] + ratio * z[-1]
 
     def step(prev, curr):
-        y = _solve(lu, explicit(curr))
+        y = _solve(solver, explicit(curr))
         vy = y[0] + ratio * y[-1]
         return y - z * (vy / (1.0 + vz))
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -235,7 +236,8 @@ def test_main_sweep_not_converged_exits_zero(tmp_path, capsys, monkeypatch):
                               "variational.theta_points = 2\n")
     out = tmp_path / "vs.csv"
     assert cli.main([cfg, "--output", str(out)]) == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == (
+        "warning: not converged: 2 of 2 sweep points\n")
     lines = out.read_text().splitlines()
     assert lines[0].split(",")[3] == "converged"
     assert [line.split(",")[3] for line in lines[1:]] == ["0", "0"]
@@ -470,6 +472,54 @@ def test_main_no_stray_files(tmp_path):
     assert cli.main([cfg, "--output", str(out)]) == 0
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == ["only.csv", "run.cfg"]
+
+
+# Prints whether numpy and scipy are loaded after ``import cdwlab``, then
+# runs cli.main on each argv of the JSON list in argv[1] and prints its
+# exit code and whether scipy is loaded after it.
+_IMPORT_PROBE = """
+import json, sys
+def loaded(top):
+    return any(m == top or m.startswith(top + ".") for m in sys.modules)
+import cdwlab
+print(json.dumps([loaded("numpy"), loaded("scipy")]))
+from cdwlab import cli
+for argv in json.loads(sys.argv[1]):
+    print(json.dumps([cli.main(argv), loaded("scipy")]))
+"""
+
+
+def test_main_loads_scipy_only_for_lapack(tmp_path):
+    # scipy loads where a run first reaches LAPACK: the cn-standard
+    # tridiagonal solve and the variational sweep's eigh
+    cfg = write_cfg(tmp_path, "evolver.n = 31\nevolver.steps = 10\n"
+                              "chain.sites = 40\nchain.steps = 20\n"
+                              "chain.stride = 10\niv.points = 5\n"
+                              "fourier.n_modes = 3\n"
+                              "variational.theta_points = 1\n")
+    out = str(tmp_path / "out.csv")
+
+    def argv(experiment, *sets):
+        sets = ("experiment=" + experiment,) + sets
+        return [cfg, "--output", out] + [a for s in sets
+                                         for a in ("--set", s)]
+
+    free = [argv(e) for e in ("pendulum-kink", "iv-curve", "fourier-check")]
+    free += [argv("single-chain", "evolver.scheme=" + scheme)
+             for scheme in ("df-standard", "df-printed", "cn-printed")]
+    cases = [(free + [argv("single-chain", "evolver.scheme=cn-standard")],
+              [[0, False]] * 6 + [[0, True]]),
+             ([argv("variational-sweep")], [[0, True]])]
+    # the two interpreters run side by side; each pays the scipy import
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for runs, _ in cases]
+    for proc, (_, expected) in zip(procs, cases):
+        stdout, stderr = proc.communicate(timeout=60)
+        assert proc.returncode == 0, stderr
+        lines = [json.loads(line) for line in stdout.splitlines()]
+        assert lines == [[False, False]] + expected
 
 
 def test_console_script_entry_point(tmp_path):
