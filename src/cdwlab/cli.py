@@ -15,8 +15,10 @@ prints one ``warning: overflow:`` line to stderr, and one with recorded
 levels whose mean phase or norm is not finite prints one
 ``warning: non-finite:`` line; a ``variational-sweep`` with points whose
 minimization did not converge prints one ``warning: not converged:``
-line.  Exit status: 0 success, 1 domain error or overflow, 2 config
-error.
+line.  An output path that cannot be written (a missing directory, or a
+directory itself) is a config error, ``error: config: cannot write
+output: ...``, and leaves no file behind.  Exit status: 0 success, 1
+domain error or overflow, 2 config error.
 """
 
 import argparse
@@ -60,7 +62,6 @@ _KEYS = {
     "evolver.dt": ("float", 0.005),
     "evolver.steps": ("int", 2000),
     "evolver.sweeps": ("int", 1),
-    "evolver.boundary": ("str", "dirichlet"),
 
     "chain.sites": ("int", 400),
     "chain.omega0_sq": ("float", 900.0),
@@ -181,8 +182,7 @@ def _run_single_chain(cfg):
         x_c=o["evolver.x_c"], alpha0=o["evolver.alpha0"])
     traj = evolver.evolve(
         o["evolver.scheme"], init, _params(o, "model"), _params(o, "drive"),
-        o["evolver.dt"], o["evolver.steps"], sweeps=o["evolver.sweeps"],
-        boundary=o["evolver.boundary"])
+        o["evolver.dt"], o["evolver.steps"], sweeps=o["evolver.sweeps"])
     if traj.truncated:
         print("warning: overflow: trajectory truncated after %d of %d steps"
               % (len(traj) - 1, o["evolver.steps"]), file=sys.stderr)
@@ -271,7 +271,10 @@ EXPERIMENTS = tuple(_RUNNERS)
 def run(cfg):
     """Execute the configured experiment and write its CSV artifact."""
     table = _RUNNERS[cfg.experiment](cfg)
-    write_csv(table, cfg.output_path)
+    try:
+        write_csv(table, cfg.output_path)
+    except OSError as err:
+        raise ConfigError("cannot write output: %s" % err) from None
 
 
 def main(argv=None):

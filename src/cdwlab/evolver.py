@@ -7,9 +7,8 @@ textbook-correct counterparts.  The governing equation is
     i*hbar*psi_t = -(hbar^2/D)*psi_xx + V(x, t)*psi
 
 with V the washboard potential whose driving phase theta advances
-linearly in time at rate a_D.  Grid boundaries are held fixed
-(Dirichlet) by default; a periodic variant sits behind the boundary
-flag.
+linearly in time at rate a_D.  Both grid end points are held at their
+current values (Dirichlet ends) in every scheme.
 """
 
 import math
@@ -68,30 +67,24 @@ class Trajectory:
         return self.times.size
 
 
-def _check(dt, boundary, sweeps):
-    """Validate the step arguments; True when the ends are periodic."""
+def _check(dt, sweeps):
+    """Validate the step arguments."""
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError("dt must be positive")
-    if boundary not in ("dirichlet", "periodic"):
-        raise DomainError("boundary must be 'dirichlet' or 'periodic'")
     if sweeps < 1:
         raise DomainError("need at least one fixed-point sweep")
-    return boundary == "periodic"
 
 
 def _neighbours(a, combine=np.add):
     """combine(a[j-1], a[j+1]) at every grid point, wrapping around at
-    the ends (kernels with held ends overwrite the end points)."""
+    the ends only to keep the length (every plan overwrites the ends)."""
     a = np.concatenate((a[-1:], a, a[:1]))
     return combine(a[:-2], a[2:])
 
 
-def _laplacian(a, periodic):
+def _laplacian(a):
     out = np.zeros_like(a)
     out[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2]
-    if periodic:
-        out[0] = a[1] - 2.0 * a[0] + a[-1]
-        out[-1] = a[0] - 2.0 * a[-1] + a[-2]
     return out
 
 
@@ -129,30 +122,28 @@ def _check_info(info):
                          % -info)
 
 
-# A plan builder takes (V, p, dx, dt, periodic, sweeps), computes what
-# depends only on them, and returns step(prev, curr) -> new on plain
-# arrays; only cn-printed reads sweeps.  Steps check nothing, and
-# without periodic ends they hold the end points at curr's.
-def _cn_printed(V, p, dx, dt, periodic, sweeps):
+# A plan builder takes (V, p, dx, dt, sweeps), computes what depends
+# only on them, and returns step(prev, curr) -> new on plain arrays;
+# only cn-printed reads sweeps.  Steps check nothing and hold the end
+# points at curr's.
+def _cn_printed(V, p, dx, dt, sweeps):
     kappa = p.hbar / (p.D * dx * dx)
     drift_v = (2.0 / p.hbar) * V
 
     def step(prev, curr):
-        lap_c = _laplacian(curr, periodic)
+        lap_c = _laplacian(curr)
         drift = drift_v * curr
         g = prev
         for _ in range(sweeps):
-            new = prev + 1j * dt * (kappa * (lap_c + _laplacian(g, periodic))
-                                    - drift)
-            if not periodic:
-                new[0], new[-1] = curr[0], curr[-1]
+            new = prev + 1j * dt * (kappa * (lap_c + _laplacian(g)) - drift)
+            new[0], new[-1] = curr[0], curr[-1]
             g = new
         return new
 
     return step
 
 
-def _dufort_frankel(V, p, dx, dt, periodic, sweeps, combine=np.add):
+def _dufort_frankel(V, p, dx, dt, sweeps, combine=np.add):
     r2 = -1j * dt * p.hbar / (p.D * dx * dx)  # 2*R~
     a = r2 / (1.0 + r2)
     b = (1.0 - r2) / (1.0 + r2)
@@ -160,8 +151,7 @@ def _dufort_frankel(V, p, dx, dt, periodic, sweeps, combine=np.add):
 
     def step(prev, curr):
         new = a * _neighbours(curr, combine) + b * prev - pot * curr
-        if not periodic:
-            new[0], new[-1] = curr[0], curr[-1]
+        new[0], new[-1] = curr[0], curr[-1]
         return new
 
     return step
@@ -170,7 +160,7 @@ def _dufort_frankel(V, p, dx, dt, periodic, sweeps, combine=np.add):
 _df_printed = partial(_dufort_frankel, combine=np.subtract)
 
 
-def _cn_standard(V, p, dx, dt, periodic, sweeps):
+def _cn_standard(V, p, dx, dt, sweeps):
     koff = 1j * p.hbar / (p.D * dx * dx)
     diag_m = -2.0 * koff - 1j * V / p.hbar
     half = 0.5 * dt
@@ -178,40 +168,15 @@ def _cn_standard(V, p, dx, dt, periodic, sweeps):
     off = -half * koff
     dl = np.full(V.size - 1, off)
     du = dl.copy()
-
-    def explicit(curr):
-        return curr + half * (koff * _neighbours(curr) + diag_m * curr)
-
-    if not periodic:
-        diag[0] = diag[-1] = 1.0
-        du[0] = dl[-1] = 0.0
-        solver = _lu(dl, diag, du)
-
-        def step(prev, curr):
-            rhs = explicit(curr)
-            rhs[0], rhs[-1] = curr[0], curr[-1]
-            return _solve(solver, rhs)
-
-        return step
-
-    # Cyclic corners by Sherman-Morrison: the matrix is T + u v^T with
-    # T tridiagonal, u = (gamma, 0, .., off), v = (1, 0, .., off/gamma);
-    # z = T^-1 u and v.z depend on V only.
-    gamma = -diag[0]
-    diag[0] -= gamma
-    diag[-1] -= off * off / gamma
+    # identity end rows pass the held end points through
+    diag[0] = diag[-1] = 1.0
+    du[0] = dl[-1] = 0.0
     solver = _lu(dl, diag, du)
-    u = np.zeros(V.size, dtype=complex)
-    u[0] = gamma
-    u[-1] = off
-    z = _solve(solver, u)
-    ratio = off / gamma
-    vz = z[0] + ratio * z[-1]
 
     def step(prev, curr):
-        y = _solve(solver, explicit(curr))
-        vy = y[0] + ratio * y[-1]
-        return y - z * (vy / (1.0 + vz))
+        rhs = curr + half * (koff * _neighbours(curr) + diag_m * curr)
+        rhs[0], rhs[-1] = curr[0], curr[-1]
+        return _solve(solver, rhs)
 
     return step
 
@@ -224,22 +189,21 @@ _PLANS = {
 }
 
 
-def _step(build, prev, curr, p, dt, boundary, sweeps=1):
+def _step(build, prev, curr, p, dt, sweeps=1):
     if (prev.values.size != curr.values.size or prev.dx != curr.dx
             or prev.x0 != curr.x0):
         raise DomainError("prev and curr live on different grids")
-    periodic = _check(dt, boundary, sweeps)
+    _check(dt, sweeps)
     with np.errstate(over="ignore", invalid="ignore"):
         step = build(washboard_potential(curr.grid(), p), p, curr.dx, dt,
-                     periodic, sweeps)
+                     sweeps)
         new = step(prev.values, curr.values)
     if not np.isfinite(new).all():
         raise FieldOverflowError("field left the finite range")
     return ComplexField(new, curr.dx, curr.x0)
 
 
-def step_crank_nicolson_printed(prev, curr, p, dt, sweeps=1,
-                                boundary="dirichlet"):
+def step_crank_nicolson_printed(prev, curr, p, dt, sweeps=1):
     """One step of the printed Crank-Nicolson-like leapfrog.
 
     new = prev + i*dt*( (hbar/D)*(lap(curr) + lap(new))/dx^2
@@ -249,10 +213,10 @@ def step_crank_nicolson_printed(prev, curr, p, dt, sweeps=1,
     seeded from prev; one sweep reproduces the printed update.  The
     scheme is unstable for every dt (kept deliberately).
     """
-    return _step(_cn_printed, prev, curr, p, dt, boundary, sweeps)
+    return _step(_cn_printed, prev, curr, p, dt, sweeps)
 
 
-def step_dufort_frankel_printed(prev, curr, p, dt, boundary="dirichlet"):
+def step_dufort_frankel_printed(prev, curr, p, dt):
     """The printed DuFort-Frankel-like update, sign error and all:
 
     new = (2R/(1+2R))*(curr_{j-1} - curr_{j+1}) + ((1-2R)/(1+2R))*prev
@@ -260,26 +224,24 @@ def step_dufort_frankel_printed(prev, curr, p, dt, boundary="dirichlet"):
 
     The neighbor difference (instead of sum) means even a constant field
     is not preserved."""
-    return _step(_df_printed, prev, curr, p, dt, boundary)
+    return _step(_df_printed, prev, curr, p, dt)
 
 
-def step_dufort_frankel_standard(prev, curr, p, dt, boundary="dirichlet"):
+def step_dufort_frankel_standard(prev, curr, p, dt):
     """DuFort-Frankel with the neighbor sum; preserves constants exactly
     at V=0 and is marginally stable (|g| = 1) for the free equation."""
-    return _step(_dufort_frankel, prev, curr, p, dt, boundary)
+    return _step(_dufort_frankel, prev, curr, p, dt)
 
 
-def step_crank_nicolson_standard(prev, curr, p, dt, boundary="dirichlet"):
+def step_crank_nicolson_standard(prev, curr, p, dt):
     """Textbook Crank-Nicolson (Cayley form), unconditionally stable.
 
     (I - dt/2 M) psi_new = (I + dt/2 M) psi,
     M = i*(hbar/D)*L/dx^2 - (i/hbar) diag(V)
 
-    Dirichlet rows are identity so held boundary values pass through;
-    the periodic variant folds the cyclic corners in by the
-    Sherman-Morrison correction.  prev is accepted for signature
-    uniformity and ignored."""
-    return _step(_cn_standard, prev, curr, p, dt, boundary)
+    The end rows are identity, so the held end points pass through.
+    prev is accepted for signature uniformity and ignored."""
+    return _step(_cn_standard, prev, curr, p, dt)
 
 
 def _phase_norm(values, x, dx):
@@ -324,7 +286,7 @@ def gaussian_packet(n, dx, x0=None, x_c=0.0, alpha0=1.0):
         return ComplexField(np.exp(-alpha0 * (x - x_c) ** 2), dx, x0)
 
 
-def evolve(kind, init, p, drive, dt, steps, sweeps=1, boundary="dirichlet"):
+def evolve(kind, init, p, drive, dt, steps, sweeps=1):
     """March `steps` steps from `init`, recording t, mean phase and norm
     at every level (the initial state included).
 
@@ -336,7 +298,7 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1, boundary="dirichlet"):
     build = _PLANS.get(kind)
     if build is None:
         raise DomainError("unknown scheme kind %r" % (kind,))
-    periodic = _check(dt, boundary, sweeps)
+    _check(dt, sweeps)
     x, dx = init.grid(), init.dx
 
     # V is the same at every step when its tilt term is +0.0 (mu_E = 0)
@@ -346,14 +308,13 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1, boundary="dirichlet"):
     truncated = False
     with np.errstate(over="ignore", invalid="ignore"):
         levels = [_phase_norm(curr, x, dx)]
-        step = build(washboard_potential(x, p), p, dx, dt, periodic, sweeps)
+        step = build(washboard_potential(x, p), p, dx, dt, sweeps)
         for n in range(steps):
             if driven and n:
                 theta_n = p.theta + drive.a_D * (n * dt)
                 if not math.isfinite(theta_n):
                     raise DomainError("non-finite physical parameter")
-                step = build(_washboard(x, p, theta_n), p, dx, dt, periodic,
-                             sweeps)
+                step = build(_washboard(x, p, theta_n), p, dx, dt, sweeps)
             new = step(prev, curr)
             if not np.isfinite(new).all():
                 truncated = True

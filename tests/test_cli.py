@@ -291,7 +291,7 @@ def test_main_exit_two_on_huge_sizes(tmp_path, capsys):
     "drive.e_star", "drive.E_applied", "drive.E_threshold", "drive.c_v",
     "drive.G_p", "drive.delta_s", "chain.spacing", "fourier.n1",
     "variational.cold_start", "current.gate_zener",
-    "model.experimental_regime"])
+    "model.experimental_regime", "evolver.boundary"])
 def test_main_rejects_removed_keys(tmp_path, capsys, key):
     # keys that no experiment reads are unknown keys
     cfg = write_cfg(tmp_path, "experiment = single-chain\n%s = 1\n" % key)
@@ -325,8 +325,7 @@ _REACH_CONTEXT = {"evolver.sweeps": ("evolver.scheme=cn-printed",)}
 # base value, be invalid, or (chain.steps) add no snapshot at stride 10
 _REACH_OFF = {
     "model.theta": "0.5", "evolver.scheme": "cn-standard",
-    "evolver.x0": "-2.0", "evolver.x_c": "0.5",
-    "evolver.boundary": "periodic", "chain.sign": "-1",
+    "evolver.x0": "-2.0", "evolver.x_c": "0.5", "chain.sign": "-1",
     "chain.center": "30", "chain.steps": "60",
 }
 
@@ -446,6 +445,20 @@ def test_main_chain_overflow_names_the_step(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: overflow: chain state became non-finite at step 55 of 2500\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/out.csv", "folder"])
+def test_main_unwritable_output_is_config_error(tmp_path, capsys, target):
+    # a missing directory fails at the temp file, a directory as the
+    # target at the rename; neither leaves a file behind
+    cfg = write_cfg(tmp_path, "experiment = iv-curve\niv.points = 5\n")
+    (tmp_path / "folder").mkdir()
+    assert cli.main([cfg, "--output", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: config: cannot write output:")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["folder",
+                                                          "run.cfg"]
 
 
 def test_main_rerun_byte_identical(tmp_path):

@@ -38,16 +38,12 @@ def potential_on_grid(f, p):
             + 0.5 * p.D * p.omega_p_sq * (1.0 - np.cos(x)))
 
 
-def lap_matrix(n, boundary):
+def lap_matrix(n):
     L = np.zeros((n, n))
     for i in range(1, n - 1):
         L[i, i - 1] = 1.0
         L[i, i] = -2.0
         L[i, i + 1] = 1.0
-    if boundary == "periodic":
-        L[0, 0] = L[-1, -1] = -2.0
-        L[0, 1] = L[0, -1] = 1.0
-        L[-1, -2] = L[-1, 0] = 1.0
     return L
 
 
@@ -57,10 +53,10 @@ def random_pair(rng, n=12, dx=0.2, x0=-1.0):
     return ComplexField(a, dx, x0), ComplexField(b, dx, x0)
 
 
-def cn_printed_oracle(prev, curr, p, dt, sweeps, boundary):
+def cn_printed_oracle(prev, curr, p, dt, sweeps):
     # matrix-form evaluation of the printed two-level update
     n = curr.values.size
-    L = lap_matrix(n, boundary)
+    L = lap_matrix(n)
     V = potential_on_grid(curr, p)
     kappa = p.hbar / (p.D * curr.dx ** 2)
     drift = (2.0 / p.hbar) * V * curr.values
@@ -68,9 +64,8 @@ def cn_printed_oracle(prev, curr, p, dt, sweeps, boundary):
     for _ in range(sweeps):
         new = prev.values + 1j * dt * (
             kappa * (L @ curr.values + L @ g) - drift)
-        if boundary == "dirichlet":
-            new[0] = curr.values[0]
-            new[-1] = curr.values[-1]
+        new[0] = curr.values[0]
+        new[-1] = curr.values[-1]
         g = new
     return new
 
@@ -89,16 +84,15 @@ def df_oracle(prev, curr, p, dt, as_printed):
     return new
 
 
-def cn_standard_oracle(curr, p, dt, boundary):
+def cn_standard_oracle(curr, p, dt):
     # dense Cayley-form solve
     n = curr.values.size
-    L = lap_matrix(n, boundary)
+    L = lap_matrix(n)
     V = potential_on_grid(curr, p)
     M = 1j * (p.hbar / (p.D * curr.dx ** 2)) * L \
         - 1j * np.diag(V) / p.hbar
-    if boundary == "dirichlet":
-        M[0, :] = 0.0
-        M[-1, :] = 0.0
+    M[0, :] = 0.0
+    M[-1, :] = 0.0
     eye = np.eye(n)
     A = eye - 0.5 * dt * M
     B = eye + 0.5 * dt * M
@@ -156,14 +150,12 @@ def test_cn_printed_impulse_spread():
 
 def test_cn_printed_matches_matrix_oracle():
     rng = np.random.default_rng(31)
-    for boundary in ["dirichlet", "periodic"]:
-        for sweeps in [1, 3]:
-            prev, curr = random_pair(rng)
-            out = step_crank_nicolson_printed(prev, curr, WELL, 2e-3,
-                                              sweeps=sweeps,
-                                              boundary=boundary)
-            ref = cn_printed_oracle(prev, curr, WELL, 2e-3, sweeps, boundary)
-            np.testing.assert_allclose(out.values, ref, rtol=1e-13, atol=1e-15)
+    for sweeps in [1, 3]:
+        prev, curr = random_pair(rng)
+        out = step_crank_nicolson_printed(prev, curr, WELL, 2e-3,
+                                          sweeps=sweeps)
+        ref = cn_printed_oracle(prev, curr, WELL, 2e-3, sweeps)
+        np.testing.assert_allclose(out.values, ref, rtol=1e-13, atol=1e-15)
 
 
 def test_cn_printed_grid_mismatch():
@@ -224,12 +216,10 @@ def test_df_standard_free_run_stays_bounded():
 
 def test_cn_standard_matches_dense_oracle():
     rng = np.random.default_rng(34)
-    for boundary in ["dirichlet", "periodic"]:
-        prev, curr = random_pair(rng)
-        out = step_crank_nicolson_standard(prev, curr, WELL, 2e-3,
-                                           boundary=boundary)
-        ref = cn_standard_oracle(curr, WELL, 2e-3, boundary)
-        np.testing.assert_allclose(out.values, ref, rtol=1e-11, atol=1e-14)
+    prev, curr = random_pair(rng)
+    out = step_crank_nicolson_standard(prev, curr, WELL, 2e-3)
+    ref = cn_standard_oracle(curr, WELL, 2e-3)
+    np.testing.assert_allclose(out.values, ref, rtol=1e-11, atol=1e-14)
 
 
 def test_cn_standard_norm_conserved():
@@ -334,8 +324,6 @@ def test_evolve_rejects_bad_arguments():
         evolve("cn-standard", f, FREE, drive, 0.0, 10)
     with pytest.raises(DomainError):
         evolve("cn-printed", f, FREE, drive, 1e-3, 10, sweeps=0)
-    with pytest.raises(DomainError):
-        evolve("cn-standard", f, FREE, drive, 1e-3, 10, boundary="open")
 
 
 def assert_evolve_matches_steppers(p, drive):
@@ -348,23 +336,21 @@ def assert_evolve_matches_steppers(p, drive):
              ("df-printed", step_dufort_frankel_printed, {}),
              ("cn-standard", step_crank_nicolson_standard, {}),
              ("df-standard", step_dufort_frankel_standard, {})]
-    for boundary in ["dirichlet", "periodic"]:
-        for kind, stepper, extra in cases:
-            t = evolve(kind, f, p, drive, dt, steps, boundary=boundary,
-                       **extra)
-            prev = curr = f
-            norms, phases = [field_norm(f)], [mean_phase(f)]
-            for n in range(steps):
-                pn = replace(p, theta=p.theta + drive.a_D * (n * dt))
-                new = stepper(prev, curr, pn, dt, boundary=boundary, **extra)
-                prev, curr = curr, new
-                norms.append(field_norm(curr))
-                phases.append(mean_phase(curr))
-            assert not t.truncated
-            np.testing.assert_array_equal(t.times,
-                                          [n * dt for n in range(steps + 1)])
-            np.testing.assert_array_equal(t.norm, norms)
-            np.testing.assert_array_equal(t.mean_phase, phases)
+    for kind, stepper, extra in cases:
+        t = evolve(kind, f, p, drive, dt, steps, **extra)
+        prev = curr = f
+        norms, phases = [field_norm(f)], [mean_phase(f)]
+        for n in range(steps):
+            pn = replace(p, theta=p.theta + drive.a_D * (n * dt))
+            new = stepper(prev, curr, pn, dt, **extra)
+            prev, curr = curr, new
+            norms.append(field_norm(curr))
+            phases.append(mean_phase(curr))
+        assert not t.truncated
+        np.testing.assert_array_equal(t.times,
+                                      [n * dt for n in range(steps + 1)])
+        np.testing.assert_array_equal(t.norm, norms)
+        np.testing.assert_array_equal(t.mean_phase, phases)
 
 
 def test_evolve_drive_advances_theta():
@@ -430,11 +416,10 @@ def test_evolve_truncates_on_overflow_every_scheme():
     p = PhysicalParams(mu_E=1e308)
     drive = FieldDriveParams(a_D=0.0)
     for kind in evolver._PLANS:
-        for boundary in ["dirichlet", "periodic"]:
-            with np.errstate(over="ignore"):
-                t = evolve(kind, f, p, drive, 1e-3, 5, boundary=boundary)
-            assert t.truncated
-            assert len(t) == 1
+        with np.errstate(over="ignore"):
+            t = evolve(kind, f, p, drive, 1e-3, 5)
+        assert t.truncated
+        assert len(t) == 1
 
 
 def test_evolve_static_theta_below_pi_is_bounded():
@@ -476,34 +461,31 @@ def test_evolve_cn_printed_blows_up():
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 80),
        dx=st.floats(0.02, 0.5), dt=st.floats(1e-4, 2e-2),
-       p=st.sampled_from([FREE, WELL]),
-       boundary=st.sampled_from(["dirichlet", "periodic"]))
-def test_cn_standard_step_conserves_norm(seed, n, dx, dt, p, boundary):
-    # the Cayley step is unitary: periodic ends, or Dirichlet ends held
-    # at zero, keep sum |psi|^2 to rounding
+       p=st.sampled_from([FREE, WELL]))
+def test_cn_standard_step_conserves_norm(seed, n, dx, dt, p):
+    # the Cayley step is unitary: ends held at zero keep sum |psi|^2 to
+    # rounding
     rng = np.random.default_rng(seed)
     vals = rng.normal(size=n) + 1j * rng.normal(size=n)
-    if boundary == "dirichlet":
-        vals[0] = vals[-1] = 0.0
+    vals[0] = vals[-1] = 0.0
     f = ComplexField(vals, dx, x0=-0.5 * dx * (n - 1))
-    out = step_crank_nicolson_standard(f, f, p, dt, boundary=boundary)
+    out = step_crank_nicolson_standard(f, f, p, dt)
     assert abs(field_norm(out) - field_norm(f)) <= 1e-12 * field_norm(f)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(c=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
        n=st.integers(3, 80), dx=st.floats(0.02, 0.5),
-       dt=st.floats(1e-4, 2e-2),
-       boundary=st.sampled_from(["dirichlet", "periodic"]))
-def test_df_standard_step_keeps_constants(c, n, dx, dt, boundary):
+       dt=st.floats(1e-4, 2e-2))
+def test_df_standard_step_keeps_constants(c, n, dx, dt):
     f = ComplexField(np.full(n, c), dx)
-    out = step_dufort_frankel_standard(f, f, FREE, dt, boundary=boundary)
+    out = step_dufort_frankel_standard(f, f, FREE, dt)
     np.testing.assert_allclose(out.values, f.values, rtol=1e-14)
 
 
-def cn_standard_banded_reference(curr, V, p, dx, dt, periodic):
+def cn_standard_banded_reference(curr, V, p, dx, dt):
     # one Cayley step by scipy's one-shot banded solve in its (1, 1)
-    # layout; periodic corners by a two-column Sherman-Morrison solve
+    # layout
     n = curr.size
     koff = 1j * p.hbar / (p.D * dx * dx)
     diag_m = -2.0 * koff - 1j * V / p.hbar
@@ -515,20 +497,6 @@ def cn_standard_banded_reference(curr, V, p, dx, dt, periodic):
     ab = np.zeros((3, n), dtype=complex)
     ab[0, 1:] = off
     ab[2, :-1] = off
-    if periodic:
-        gamma = -diag[0]
-        diag[0] -= gamma
-        diag[-1] -= off * off / gamma
-        ab[1] = diag
-        u = np.zeros(n, dtype=complex)
-        u[0] = gamma
-        u[-1] = off
-        sol = solve_banded((1, 1), ab, np.column_stack([rhs, u]),
-                           check_finite=False)
-        y, z = sol[:, 0], sol[:, 1]
-        vy = y[0] + (off / gamma) * y[-1]
-        vz = z[0] + (off / gamma) * z[-1]
-        return y - z * (vy / (1.0 + vz))
     rhs[0], rhs[-1] = curr[0], curr[-1]
     diag[0] = diag[-1] = 1.0
     ab[1] = diag
@@ -536,27 +504,26 @@ def cn_standard_banded_reference(curr, V, p, dx, dt, periodic):
     return solve_banded((1, 1), ab, rhs, check_finite=False)
 
 
-def cn_standard_plan_step(curr, V, p, dx, dt, periodic):
+def cn_standard_plan_step(curr, V, p, dx, dt):
     build = evolver._PLANS["cn-standard"]
-    return build(V, p, dx, dt, periodic, 1)(curr, curr)
+    return build(V, p, dx, dt, 1)(curr, curr)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 80),
        dx=st.floats(0.02, 0.5), dt=st.floats(1e-4, 2e-1),
        v_max=st.sampled_from([0.0, 1.0, 1e3]),
-       D=st.floats(0.1, 10.0), hbar=st.floats(0.1, 10.0),
-       periodic=st.booleans())
+       D=st.floats(0.1, 10.0), hbar=st.floats(0.1, 10.0))
 def test_cn_standard_plan_matches_banded_solve(seed, n, dx, dt, v_max, D,
-                                               hbar, periodic):
+                                               hbar):
     # the LU factors kept by the plan give, bit for bit, the one-shot
     # banded solve of the same step
     rng = np.random.default_rng(seed)
     curr = rng.normal(size=n) + 1j * rng.normal(size=n)
     V = v_max * rng.random(n)
     p = PhysicalParams(D=D, hbar=hbar)
-    out = cn_standard_plan_step(curr, V, p, dx, dt, periodic)
-    ref = cn_standard_banded_reference(curr, V, p, dx, dt, periodic)
+    out = cn_standard_plan_step(curr, V, p, dx, dt)
+    ref = cn_standard_banded_reference(curr, V, p, dx, dt)
     np.testing.assert_array_equal(out, ref)
 
 
@@ -567,20 +534,18 @@ def test_cn_standard_plan_non_finite_potential():
     curr = rng.normal(size=9) + 1j * rng.normal(size=9)
     p = PhysicalParams()
     for bad in [math.inf, math.nan]:
-        for periodic in [False, True]:
-            V = rng.random(9)
-            V[4] = bad
-            with np.errstate(invalid="ignore"):
-                out = cn_standard_plan_step(curr, V, p, 0.1, 1e-2, periodic)
-                ref = cn_standard_banded_reference(curr, V, p, 0.1, 1e-2,
-                                                   periodic)
-            assert not np.isfinite(out).all()
-            assert not np.isfinite(ref).all()
+        V = rng.random(9)
+        V[4] = bad
+        with np.errstate(invalid="ignore"):
+            out = cn_standard_plan_step(curr, V, p, 0.1, 1e-2)
+            ref = cn_standard_banded_reference(curr, V, p, 0.1, 1e-2)
+        assert not np.isfinite(out).all()
+        assert not np.isfinite(ref).all()
         V = rng.random(9)
         V[0] = V[-1] = bad
         with np.errstate(invalid="ignore"):
-            out = cn_standard_plan_step(curr, V, p, 0.1, 1e-2, False)
-            ref = cn_standard_banded_reference(curr, V, p, 0.1, 1e-2, False)
+            out = cn_standard_plan_step(curr, V, p, 0.1, 1e-2)
+            ref = cn_standard_banded_reference(curr, V, p, 0.1, 1e-2)
         np.testing.assert_array_equal(out, ref)
 
 
