@@ -17,8 +17,8 @@ levels whose mean phase or norm is not finite prints one
 minimization did not converge prints one ``warning: not converged:``
 line.  An output path that cannot be written (a missing directory, or a
 directory itself) is a config error, ``error: config: cannot write
-output: ...``, and leaves no file behind.  Exit status: 0 success, 1
-domain error or overflow, 2 config error.
+output: <path>: <reason>``, and leaves no file behind.  Exit status: 0
+success, 1 domain error or overflow, 2 config error.
 """
 
 import argparse
@@ -274,7 +274,9 @@ def run(cfg):
     try:
         write_csv(table, cfg.output_path)
     except OSError as err:
-        raise ConfigError("cannot write output: %s" % err) from None
+        # the target and the reason only: a temp file's name is random
+        raise ConfigError("cannot write output: %s: %s" % (
+            cfg.output_path, err.strerror or err)) from None
 
 
 def main(argv=None):

@@ -75,13 +75,6 @@ def _check(dt, sweeps):
         raise DomainError("need at least one fixed-point sweep")
 
 
-def _neighbours(a, combine=np.add):
-    """combine(a[j-1], a[j+1]) at every grid point, wrapping around at
-    the ends only to keep the length (every plan overwrites the ends)."""
-    a = np.concatenate((a[-1:], a, a[:1]))
-    return combine(a[:-2], a[2:])
-
-
 def _laplacian(a):
     out = np.zeros_like(a)
     out[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2]
@@ -105,15 +98,6 @@ def _lu(dl, d, du):
     return partial(zgttrs, *factors)
 
 
-def _solve(solver, b):
-    """Solution of the factored system for b; overwrites b."""
-    if solver is None:
-        return np.full_like(b, np.nan)
-    x, info = solver(b, overwrite_b=1)
-    _check_info(info)
-    return x
-
-
 def _check_info(info):
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
@@ -123,21 +107,22 @@ def _check_info(info):
 
 
 # A plan builder takes (V, p, dx, dt, sweeps), computes what depends
-# only on them, and returns step(prev, curr) -> new on plain arrays;
-# only cn-printed reads sweeps.  Steps check nothing and hold the end
-# points at curr's.
+# only on them, and returns step(prev, curr, out=None) -> new on plain
+# arrays, writing new into out when given (a fresh array otherwise);
+# out must alias neither prev nor curr.  Only cn-printed reads sweeps.
+# Steps check nothing and hold the end points at curr's.
 def _cn_printed(V, p, dx, dt, sweeps):
     kappa = p.hbar / (p.D * dx * dx)
     drift_v = (2.0 / p.hbar) * V
 
-    def step(prev, curr):
+    def step(prev, curr, out=None):
         lap_c = _laplacian(curr)
         drift = drift_v * curr
-        g = prev
+        new = prev
         for _ in range(sweeps):
-            new = prev + 1j * dt * (kappa * (lap_c + _laplacian(g)) - drift)
+            new = np.add(prev, 1j * dt * (kappa * (lap_c + _laplacian(new))
+                                          - drift), out=out)
             new[0], new[-1] = curr[0], curr[-1]
-            g = new
         return new
 
     return step
@@ -147,12 +132,22 @@ def _dufort_frankel(V, p, dx, dt, sweeps, combine=np.add):
     r2 = -1j * dt * p.hbar / (p.D * dx * dx)  # 2*R~
     a = r2 / (1.0 + r2)
     b = (1.0 - r2) / (1.0 + r2)
-    pot = 1j * dt * (V / p.hbar)
+    pot = (1j * dt * (V / p.hbar))[1:-1]
+    scratch = np.empty_like(pot)
 
-    def step(prev, curr):
-        new = a * _neighbours(curr, combine) + b * prev - pot * curr
-        new[0], new[-1] = curr[0], curr[-1]
-        return new
+    def step(prev, curr, out=None):
+        # interior a*(curr[j-1] +/- curr[j+1]) + b*prev[j] - pot[j]*curr[j]
+        if out is None:
+            out = np.empty_like(curr)
+        new = out[1:-1]
+        combine(curr[:-2], curr[2:], out=new)
+        np.multiply(a, new, out=new)
+        np.multiply(b, prev[1:-1], out=scratch)
+        np.add(new, scratch, out=new)
+        np.multiply(pot, curr[1:-1], out=scratch)
+        np.subtract(new, scratch, out=new)
+        out[0], out[-1] = curr[0], curr[-1]
+        return out
 
     return step
 
@@ -172,11 +167,26 @@ def _cn_standard(V, p, dx, dt, sweeps):
     diag[0] = diag[-1] = 1.0
     du[0] = dl[-1] = 0.0
     solver = _lu(dl, diag, du)
+    diag_m = diag_m[1:-1]
+    scratch = np.empty_like(diag_m)
 
-    def step(prev, curr):
-        rhs = curr + half * (koff * _neighbours(curr) + diag_m * curr)
-        rhs[0], rhs[-1] = curr[0], curr[-1]
-        return _solve(solver, rhs)
+    def step(prev, curr, out=None):
+        # curr + half*(koff*(neighbour sum) + diag_m*curr), solved in place
+        if out is None:
+            out = np.empty_like(curr)
+        if solver is None:
+            out.fill(np.nan)
+            return out
+        rhs = out[1:-1]
+        np.add(curr[:-2], curr[2:], out=rhs)
+        np.multiply(koff, rhs, out=rhs)
+        np.multiply(diag_m, curr[1:-1], out=scratch)
+        np.add(rhs, scratch, out=rhs)
+        np.multiply(half, rhs, out=rhs)
+        np.add(curr[1:-1], rhs, out=rhs)
+        out[0], out[-1] = curr[0], curr[-1]
+        _check_info(solver(out, overwrite_b=1)[1])
+        return out
 
     return step
 
@@ -244,18 +254,22 @@ def step_crank_nicolson_standard(prev, curr, p, dt):
     return _step(_cn_standard, prev, curr, p, dt)
 
 
-def _phase_norm(values, x, dx):
-    """Mean phase (None at zero norm) and L2 norm of a field on grid x;
-    call under np.errstate(over="ignore", invalid="ignore")."""
-    w = np.abs(values) ** 2
-    total = float(w.sum())
-    phase = float((x * w).sum() / total) if total != 0.0 else None
-    return phase, math.sqrt(total * dx)
+def _phase_norm(block, x, dx, zero=None):
+    """Per-row mean phase (`zero` at zero norm) and L2 norm of a
+    C-contiguous (k, n) block of fields on grid x, as two lists; call
+    under np.errstate(over="ignore", invalid="ignore").  Row sums of a
+    contiguous block equal the sums of each row alone, bit for bit."""
+    w = np.abs(block) ** 2
+    totals = w.sum(axis=1).tolist()
+    moments = (x * w).sum(axis=1).tolist()
+    return ([m / t if t != 0.0 else zero for m, t in zip(moments, totals)],
+            [math.sqrt(t * dx) for t in totals])
 
 
 def _field_phase_norm(f):
     with np.errstate(over="ignore", invalid="ignore"):
-        return _phase_norm(f.values, f.grid(), f.dx)
+        phases, norms = _phase_norm(f.values[None], f.grid(), f.dx)
+    return phases[0], norms[0]
 
 
 def mean_phase(f):
@@ -286,13 +300,21 @@ def gaussian_packet(n, dx, x0=None, x_c=0.0, alpha0=1.0):
         return ComplexField(np.exp(-alpha0 * (x - x_c) ** 2), dx, x0)
 
 
+# Levels held by evolve's block: at most 64, and at most 1 MiB of them
+_BLOCK_ROWS = 64
+_BLOCK_BYTES = 1 << 20
+
+
 def evolve(kind, init, p, drive, dt, steps, sweeps=1):
     """March `steps` steps from `init`, recording t, mean phase and norm
     at every level (the initial state included).
 
     The driving phase at step n is p.theta + drive.a_D*(n*dt).  If a
     step overflows, the trajectory is truncated at the last finite level
-    and marked.  Zero-norm levels record mean phase 0."""
+    and marked.  Zero-norm levels record mean phase 0.  The scheme
+    plan's `step(prev, curr, out=None)` writes each level into the next
+    row of a preallocated block (out); the finiteness check and the
+    phase/norm sums run once per block."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
     build = _PLANS.get(kind)
@@ -304,26 +326,44 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1):
     # V is the same at every step when its tilt term is +0.0 (mu_E = 0)
     # or theta_n is theta (a_D = 0); only a driven V is rebuilt per step.
     driven = p.mu_E != 0.0 and drive.a_D != 0.0
-    prev = curr = init.values
-    truncated = False
+    rows = max(1, min(_BLOCK_ROWS, steps + 1, _BLOCK_BYTES // (16 * x.size)))
+    block = np.empty((rows, x.size), dtype=complex)
+    block[0] = init.values
+    prev = curr = block[0]
+    filled = 1
+    phases, norms = [], []
+
+    def record():  # the block's levels before its first non-finite one
+        finite = np.isfinite(block[:filled]).all(axis=1)
+        end = filled if finite.all() else int(finite.argmin())
+        ph, nm = _phase_norm(block[:end], x, dx, 0.0)
+        phases.extend(ph)
+        norms.extend(nm)
+        return end < filled
+
     with np.errstate(over="ignore", invalid="ignore"):
-        levels = [_phase_norm(curr, x, dx)]
         step = build(washboard_potential(x, p), p, dx, dt, sweeps)
         for n in range(steps):
             if driven and n:
                 theta_n = p.theta + drive.a_D * (n * dt)
                 if not math.isfinite(theta_n):
+                    # a field that overflowed first truncates the run
+                    if record():
+                        break
                     raise DomainError("non-finite physical parameter")
                 step = build(_washboard(x, p, theta_n), p, dx, dt, sweeps)
-            new = step(prev, curr)
-            if not np.isfinite(new).all():
-                truncated = True
-                break
-            prev, curr = curr, new
-            levels.append(_phase_norm(curr, x, dx))
-    return Trajectory(dt * np.arange(len(levels)),
-                      [0.0 if ph is None else ph for ph, _ in levels],
-                      [norm for _, norm in levels], truncated=truncated)
+            if filled == rows:
+                if record():
+                    break
+                # the next rows overwrite the block: keep the last two
+                prev, curr = prev.copy(), curr.copy()
+                filled = 0
+            prev, curr = curr, step(prev, curr, block[filled])
+            filled += 1
+        else:
+            record()
+    return Trajectory(dt * np.arange(len(norms)), phases, norms,
+                      truncated=len(norms) <= steps)
 
 
 def detect_blowup(t, factor):

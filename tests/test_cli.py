@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -457,6 +458,27 @@ def test_main_unwritable_output_is_config_error(tmp_path, capsys, target):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: config: cannot write output:")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["folder",
+                                                          "run.cfg"]
+
+
+@pytest.mark.parametrize("target, code", [("missing/out.csv", errno.ENOENT),
+                                          ("folder", errno.EISDIR)])
+def test_main_unwritable_output_error_is_deterministic(tmp_path, capsys,
+                                                       target, code):
+    # the line names the target and the reason, never the random temp
+    # file, so two identical failing runs print the same stderr
+    cfg = write_cfg(tmp_path, "experiment = iv-curve\niv.points = 5\n")
+    (tmp_path / "folder").mkdir()
+    path = str(tmp_path / target)
+    errs = []
+    for _ in range(2):
+        assert cli.main([cfg, "--output", path]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == (
+        "error: config: cannot write output: %s: %s\n"
+        % (path, os.strerror(code)))
+    assert ".tmp" not in errs[0]
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["folder",
                                                           "run.cfg"]
 

@@ -598,3 +598,268 @@ def test_trajectory_table_layout():
     assert table.columns == ("t", "mean_phase", "norm")
     assert len(table) == 2
     assert [r[2] for r in table.rows] == [1.0, 0.9]
+
+
+def reference_plan(kind, V, p, dx, dt, sweeps):
+    # oracle for the in-place kernels: one allocating expression per
+    # step, in the same floating-point order
+    def neighbours(a, combine=np.add):
+        a = np.concatenate((a[-1:], a, a[:1]))
+        return combine(a[:-2], a[2:])
+
+    def lap(a):
+        out = np.zeros_like(a)
+        out[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2]
+        return out
+
+    if kind == "cn-printed":
+        kappa = p.hbar / (p.D * dx * dx)
+        drift_v = (2.0 / p.hbar) * V
+
+        def step(prev, curr):
+            lap_c = lap(curr)
+            drift = drift_v * curr
+            g = prev
+            for _ in range(sweeps):
+                new = prev + 1j * dt * (kappa * (lap_c + lap(g)) - drift)
+                new[0], new[-1] = curr[0], curr[-1]
+                g = new
+            return new
+    elif kind == "cn-standard":
+        koff = 1j * p.hbar / (p.D * dx * dx)
+        diag_m = -2.0 * koff - 1j * V / p.hbar
+        half = 0.5 * dt
+        diag = 1.0 - half * diag_m
+        dl = np.full(V.size - 1, -half * koff)
+        du = dl.copy()
+        diag[0] = diag[-1] = 1.0
+        du[0] = dl[-1] = 0.0
+        solver = evolver._lu(dl, diag, du)
+
+        def step(prev, curr):
+            rhs = curr + half * (koff * neighbours(curr) + diag_m * curr)
+            rhs[0], rhs[-1] = curr[0], curr[-1]
+            if solver is None:
+                return np.full_like(rhs, np.nan)
+            return solver(rhs, overwrite_b=1)[0]
+    else:
+        combine = np.subtract if kind == "df-printed" else np.add
+        r2 = -1j * dt * p.hbar / (p.D * dx * dx)
+        a = r2 / (1.0 + r2)
+        b = (1.0 - r2) / (1.0 + r2)
+        pot = 1j * dt * (V / p.hbar)
+
+        def step(prev, curr):
+            new = a * neighbours(curr, combine) + b * prev - pot * curr
+            new[0], new[-1] = curr[0], curr[-1]
+            return new
+    return step
+
+
+def reference_evolve(kind, init, p, drive, dt, steps, sweeps=1,
+                     plan=reference_plan):
+    # oracle for the blocked loop: one finiteness check and one
+    # phase/norm reduction of 1-D sums per level
+    x, dx = init.grid(), init.dx
+
+    def phase_norm(values):
+        w = np.abs(values) ** 2
+        total = float(w.sum())
+        phase = float((x * w).sum() / total) if total != 0.0 else 0.0
+        return phase, math.sqrt(total * dx)
+
+    driven = p.mu_E != 0.0 and drive.a_D != 0.0
+    prev = curr = init.values
+    truncated = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = [phase_norm(curr)]
+        step = plan(kind, model.washboard_potential(x, p), p, dx, dt, sweeps)
+        for n in range(steps):
+            if driven and n:
+                theta_n = p.theta + drive.a_D * (n * dt)
+                if not math.isfinite(theta_n):
+                    raise DomainError("non-finite physical parameter")
+                step = plan(kind, model._washboard(x, p, theta_n), p, dx, dt,
+                            sweeps)
+            new = step(prev, curr)
+            if not np.isfinite(new).all():
+                truncated = True
+                break
+            prev, curr = curr, new
+            levels.append(phase_norm(curr))
+    return Trajectory(dt * np.arange(len(levels)), [ph for ph, _ in levels],
+                      [norm for _, norm in levels], truncated=truncated)
+
+
+def assert_trajectories_bitwise(t, ref):
+    assert t.truncated == ref.truncated
+    for name in ("times", "mean_phase", "norm"):
+        got, want = getattr(t, name), getattr(ref, name)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+
+DRIVEN = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.012, theta=0.7)
+KINDS = tuple(evolver._PLANS)
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("a_D", [0.0, 0.3], ids=["static", "driven"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_evolve_matches_reference_bitwise(kind, a_D, steps):
+    # block edges at 64 levels: runs of 2, 64, 65, 66 and 131 levels
+    f = gaussian_packet(41, 0.1, x_c=0.5)
+    drive = FieldDriveParams(a_D=a_D)
+    for sweeps in ([1, 3] if kind == "cn-printed" else [1]):
+        t = evolve(kind, f, DRIVEN, drive, 2e-3, steps, sweeps)
+        ref = reference_evolve(kind, f, DRIVEN, drive, 2e-3, steps, sweeps)
+        assert not ref.truncated
+        assert_trajectories_bitwise(t, ref)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evolve_matches_reference_on_overflow(kind):
+    # the printed schemes leave the finite range in mid-block (after 356
+    # and 931 steps); the stable ones run all steps
+    f = gaussian_packet(501, 0.05)
+    p = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.012, theta=2.0)
+    drive = FieldDriveParams(a_D=0.0)
+    t = evolve(kind, f, p, drive, 5e-3, 2000)
+    ref = reference_evolve(kind, f, p, drive, 5e-3, 2000)
+    assert ref.truncated == kind.endswith("-printed")
+    assert_trajectories_bitwise(t, ref)
+
+
+def poisoned(bad_level):
+    # a plan whose step writing level `bad_level` leaves one NaN in it
+    # (counted over every plan built, so also for a driven V)
+    calls = [0]
+
+    def plan(kind, V, p, dx, dt, sweeps):
+        inner = evolver._PLANS[kind](V, p, dx, dt, sweeps)
+
+        def step(prev, curr, out=None):
+            new = inner(prev, curr, out)
+            calls[0] += 1
+            if calls[0] == bad_level:
+                new[3] = np.nan
+            return new
+        return step
+    return plan
+
+
+@pytest.mark.parametrize("bad_level", [1, 2, 40, 63, 64, 65, 100, 127, 128])
+@pytest.mark.parametrize("a_D", [0.0, 0.3], ids=["static", "driven"])
+def test_evolve_truncation_lands_on_any_block_row(bad_level, a_D,
+                                                  monkeypatch):
+    # level 64k is the first row of a block and 64k - 1 its last
+    f = gaussian_packet(41, 0.1, x_c=0.5)
+    drive = FieldDriveParams(a_D=a_D)
+    for kind in KINDS:
+        ref = reference_evolve(kind, f, DRIVEN, drive, 2e-3, 130,
+                               plan=poisoned(bad_level))
+        plan = poisoned(bad_level)
+        monkeypatch.setitem(evolver._PLANS, "poisoned",
+                            lambda *args, kind=kind: plan(kind, *args))
+        t = evolve("poisoned", f, DRIVEN, drive, 2e-3, 130)
+        assert ref.truncated
+        assert len(ref) == bad_level
+        assert_trajectories_bitwise(t, ref)
+
+
+# at dt = 1e-3 theta_n = theta + a_D*(n*dt) first overflows at n = 70,
+# after the first block of 64 levels is recorded; a tilt of 5e-324
+# rounds 0.5*mu_E to zero, so V stays finite (and equal to the static
+# well) up to that step
+TINY_TILT = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=5e-324,
+                           theta=1.7e308)
+LATE_INF_DRIVE = FieldDriveParams(
+    a_D=float(np.finfo(float).max - TINY_TILT.theta) / 0.0695)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evolve_late_driving_phase_overflow_raises(kind):
+    theta = [TINY_TILT.theta + LATE_INF_DRIVE.a_D * (n * 1e-3)
+             for n in (69, 70)]
+    assert math.isfinite(theta[0]) and not math.isfinite(theta[1])
+    f = gaussian_packet(41, 0.1, x_c=0.5)
+    for run in (evolve, reference_evolve):
+        with pytest.raises(DomainError, match="non-finite physical"):
+            run(kind, f, TINY_TILT, LATE_INF_DRIVE, 1e-3, 130)
+
+
+@pytest.mark.parametrize("bad_level", [66, 70])
+def test_evolve_truncation_before_late_phase_overflow(bad_level,
+                                                      monkeypatch):
+    # the field leaves the finite range in the pending block before
+    # theta_70 overflows: the run is truncated, not an error
+    f = gaussian_packet(41, 0.1, x_c=0.5)
+    ref = reference_evolve("df-standard", f, TINY_TILT, LATE_INF_DRIVE,
+                           1e-3, 130, plan=poisoned(bad_level))
+    plan = poisoned(bad_level)
+    monkeypatch.setitem(evolver._PLANS, "poisoned",
+                        lambda *args: plan("df-standard", *args))
+    t = evolve("poisoned", f, TINY_TILT, LATE_INF_DRIVE, 1e-3, 130)
+    assert ref.truncated
+    assert len(ref) == bad_level
+    assert_trajectories_bitwise(t, ref)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evolve_one_row_block_matches_reference(kind):
+    # two levels of this grid exceed the block's 1 MiB, so every level
+    # is a block of its own
+    n = 40001
+    assert 2 * 16 * n > evolver._BLOCK_BYTES
+    f = gaussian_packet(n, 1e-3)
+    for a_D in (0.0, 0.3):
+        drive = FieldDriveParams(a_D=a_D)
+        t = evolve(kind, f, DRIVEN, drive, 1e-6, 3)
+        ref = reference_evolve(kind, f, DRIVEN, drive, 1e-6, 3)
+        assert not ref.truncated
+        assert_trajectories_bitwise(t, ref)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_plan_step_writes_into_out(kind):
+    # with out the step fills and returns that buffer; without it a
+    # fresh array; both bit for bit the allocating expressions
+    rng = np.random.default_rng(38)
+    prev, curr = random_pair(rng, n=17)
+    V = potential_on_grid(curr, WELL)
+    keep = prev.values.copy(), curr.values.copy()
+    for sweeps in (1, 3):
+        step = evolver._PLANS[kind](V, WELL, curr.dx, 2e-3, sweeps)
+        ref = reference_plan(kind, V, WELL, curr.dx, 2e-3, sweeps)(
+            prev.values.copy(), curr.values.copy())
+        out = np.full(17, np.nan, dtype=complex)
+        assert step(prev.values, curr.values, out) is out
+        fresh = step(prev.values, curr.values)
+        for got in (out, fresh):
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          ref.view(np.int64))
+        assert not np.shares_memory(fresh, prev.values)
+        assert not np.shares_memory(fresh, curr.values)
+        np.testing.assert_array_equal(prev.values, keep[0])
+        np.testing.assert_array_equal(curr.values, keep[1])
+
+
+def test_steppers_return_fresh_fields():
+    # the public steppers allocate their result and leave both inputs
+    # as they were
+    rng = np.random.default_rng(39)
+    prev, curr = random_pair(rng)
+    keep = prev.values.copy(), curr.values.copy()
+    steppers = [step_crank_nicolson_printed, step_dufort_frankel_printed,
+                step_crank_nicolson_standard, step_dufort_frankel_standard]
+    for stepper in steppers:
+        out = stepper(prev, curr, WELL, 2e-3)
+        assert isinstance(out, ComplexField)
+        assert out is not prev and out is not curr
+        assert not np.shares_memory(out.values, prev.values)
+        assert not np.shares_memory(out.values, curr.values)
+        np.testing.assert_array_equal(prev.values.view(np.int64),
+                                      keep[0].view(np.int64))
+        np.testing.assert_array_equal(curr.values.view(np.int64),
+                                      keep[1].view(np.int64))
