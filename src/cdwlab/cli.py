@@ -225,7 +225,7 @@ def _run_variational_sweep(cfg):
     npts = o["variational.theta_points"]
     if npts < 1:
         raise ConfigError("variational.theta_points must be >= 1")
-    from . import variational  # loads scipy, which no other experiment needs
+    from . import variational  # no other experiment needs it
     grid = np.linspace(o["variational.theta_min"],
                        o["variational.theta_max"], npts)
     result = variational.sweep_theta(_params(o, "model"), grid)

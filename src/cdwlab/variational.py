@@ -17,8 +17,12 @@ closed form (Gaussian product theorem; Boys 1950, Proc. R. Soc. A 200,
 542), so the energy is 5x5 matrix algebra.  The minimizer is
 Rayleigh-Ritz: alternating generalized eigenproblems for b and c at
 fixed alpha, and a log-alpha scan (extended outward while the energy
-still falls at an end) refined by golden-section search.  Every theta
-of a sweep is minimized independently of the others.
+still falls at an end) refined by golden-section search.  It runs on
+stacks: each (theta, alpha) member's overlap is whitened once by its
+Cholesky factor, each half step is one numpy ``eigh`` over the members
+still alternating, and all thetas scan and refine in lockstep.  Every
+theta still sees the evaluations it would see alone, so its row is
+bit-identical whether it is swept alone or in a grid.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
 (``energy_expectation``, ``norm_squared``, ``phase_expectation``) is
@@ -29,10 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .curves import CurveTable
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, FieldOverflowError, QuadratureError
 from .tunneling import _composite_gl
 
 CENTERS = 2.0 * math.pi * np.arange(-2, 3, dtype=float)
@@ -223,127 +226,151 @@ def phase_expectation(a, q):
     return 0.5 * (m1 / n1 + m2 / n2)
 
 
-def _chain_matrices(p, alpha, theta):
-    """Exact 5x5 moment matrices of one comb factor, (S, H, C, X): the
-    overlap, the one-chain Hamiltonian, the cosine and the position
-    matrix <g_m|.|g_n> over the whole line.  g_m g_n is one Gaussian of
-    exponent 2 alpha centred at mu, so every moment has a closed form."""
-    s = math.sqrt(math.pi / (2.0 * alpha)) * np.exp(-0.5 * alpha * _DELTA2)
-    c = _PARITY * math.exp(-0.125 / alpha) * s
-    kin = p.hbar * p.hbar / (2.0 * p.D1) * (alpha - alpha * alpha * _DELTA2)
-    chg = p.E2 * ((_MU - theta) ** 2 + 0.25 / alpha)
+def _chain_matrices(p, theta, alpha):
+    """Exact 5x5 moment matrices of one comb factor at each (theta,
+    alpha) pair of two equal-length arrays, as one (4, K, 5, 5) stack
+    (S, H, C, X): the overlap, the one-chain Hamiltonian, the cosine and
+    the position matrix <g_m|.|g_n> over the whole line.  g_m g_n is one
+    Gaussian of exponent 2 alpha centred at mu, so every moment has a
+    closed form."""
+    a = alpha[:, None, None]
+    s = np.sqrt(math.pi / (2.0 * a)) * np.exp(-0.5 * a * _DELTA2)
+    c = _PARITY * np.exp(-0.125 / a) * s
+    kin = p.hbar * p.hbar / (2.0 * p.D1) * (a - a * a * _DELTA2)
+    chg = p.E2 * ((_MU - theta[:, None, None]) ** 2 + 0.25 / a)
     h = (kin + p.E1 + chg) * s - p.E1 * c
-    return s, h, c, _MU * s
+    return np.stack((s, h, c, _MU * s))
 
 
-def _ground(a, s):
-    """Lowest generalized eigenvector of (a, s), unit length with a
+def _whiten(mats):
+    """W = inv(cholesky(S)) per member and (W H W^T, W C W^T)."""
+    w = np.linalg.inv(np.linalg.cholesky(mats[0]))
+    return w, w @ mats[1:3] @ w.swapaxes(1, 2)
+
+
+def _quotients(mats, v):
+    """(3, K) Rayleigh quotients v.Mv / v.Sv of M = H, C, X."""
+    vmv = ((mats @ v[:, :, None])[..., 0] * v).sum(axis=-1)
+    return vmv[1:] / vmv[0]
+
+
+def _reduced(w, white, dp_kappa):
+    """Ground state of H - dp kappa C, the problem for one comb given the
+    other (dp_kappa = dp * c.Cc / c.Sc): W^T v, unit length with a
     positive sum, and the gap to the next eigenvalue."""
-    w, v = eigh(a, s, subset_by_index=(0, 1), check_finite=False)
-    g = v[:, 0] / np.linalg.norm(v[:, 0])
-    return (-g if g.sum() < 0 else g), float(w[1] - w[0])
+    vals, vecs = np.linalg.eigh(white[0] - dp_kappa[:, None, None] * white[1])
+    g = (vecs[:, None, :, 0] @ w)[:, 0]
+    g /= np.sqrt((g * g).sum(axis=1))[:, None]
+    g[g.sum(axis=1) < 0] *= -1.0
+    return g, vals[:, 1] - vals[:, 0]
 
 
-def _quotient(m, s, v):
-    return float(v @ m @ v) / float(v @ s @ v)
+def _energy(qb, qc, dp):
+    """Normalized energy of the product comb from its (3, K) quotients."""
+    return qb[0] + qc[0] + dp * (1.0 - qb[1] * qc[1])
 
 
-def _energy(mats, dp, b, c):
-    """Closed-form normalized energy of the product comb (b, c)."""
-    s, h, cos, _ = mats
-    return (_quotient(h, s, b) + _quotient(h, s, c)
-            + dp * (1.0 - _quotient(cos, s, b) * _quotient(cos, s, c)))
-
-
-def _mean_phase(mats, b, c):
-    """Closed-form mean joint phase <(phi1 + phi2)/2>."""
-    return 0.5 * (_quotient(mats[3], mats[0], b)
-                  + _quotient(mats[3], mats[0], c))
-
-
-def _reduced(mats, dp, c):
-    """Ground state of the mean-field problem for one comb given the
-    other: the operator H - dp kappa_c C, kappa_c = c.Cc / c.Sc."""
-    s, h, cos, _ = mats
-    return _ground(h - dp * _quotient(cos, s, c) * cos, s)
+# columns of the rows that _alternate returns
+_E, _CONV, _GAP, _PHI, _ALPHA = range(5)
+_B, _C = slice(5, 10), slice(10, 15)
 
 
 def _alternate(p, theta, log_alpha):
-    """Alternating exact minimization over the two combs at one alpha,
-    from the uncoupled ground state until the energy stops changing;
-    each half step is a generalized eigenproblem, so the energy never
-    rises.  Returns (energy, converged, b, c, gap, alpha, mats), gap
-    being the eigen-gap of the last reduced problem solved."""
-    alpha = math.exp(log_alpha)
-    mats = _chain_matrices(p, alpha, theta)
-    c = _ground(mats[1], mats[0])[0]
-    e_prev = math.inf
+    """Alternating exact minimization over the two combs at each (theta,
+    log alpha) pair, each from its uncoupled ground state until its
+    energy stops changing; every half step is one eigh over the members
+    still alternating, so no energy rises.  Returns a row per member:
+    energy, converged, the eigen-gap of the problem for b given c, the
+    mean joint phase <(phi1 + phi2)/2>, alpha, b (the last comb solved)
+    and c."""
+    alpha = np.exp(log_alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = _chain_matrices(p, theta, alpha)
+        w, white = _whiten(mats)
+    if not np.isfinite(white).all():
+        raise FieldOverflowError("the comb moment matrices overflow")
+    rows = np.empty((alpha.size, 15))
+    live = np.arange(alpha.size)
+    c = _reduced(w, white, np.zeros(alpha.size))[0]
+    qc, e_prev = _quotients(mats, c), np.inf
     for _ in range(_MAX_ALTERNATIONS):
-        b, gap = _reduced(mats, p.delta_prime, c)
-        e = _energy(mats, p.delta_prime, b, c)
-        conv = e_prev - e <= _ETOL * abs(e)
-        if conv:
+        b, gap = _reduced(w, white, p.delta_prime * qc[1])
+        qb = _quotients(mats, b)
+        e = _energy(qb, qc, p.delta_prime)
+        done = e_prev - e <= _ETOL * np.abs(e)
+        rows[live] = np.column_stack(
+            (e, done, gap, 0.5 * (qb[2] + qc[2]), alpha[live], b, c))
+        keep = ~done
+        live, mats, w, white = (live[keep], mats[:, keep], w[keep],
+                                white[:, keep])
+        if not live.size:
             break
-        e_prev = e
-        b, c = c, b
-    return e, conv, b, c, gap, alpha, mats
-
-
-def _golden(f, lo, hi):
-    """Golden-section search for the minimum of f on [lo, hi]."""
-    x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > _LOG_ALPHA_TOL:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = f(x2)
-
-
-def minimize_energy(p, theta):
-    """Minimize the energy over (b, c, alpha) by Rayleigh-Ritz: the combs
-    by ``_alternate``, alpha by a log-alpha scan, extended outward while
-    the energy still falls at an end, and golden-section refinement.
-    Returns the point's SweepRow, with its closed-form mean phase; the
-    row keeps the best point seen and reads converged=False if its
-    alternation hit the cap or the energy still falls at a scan limit."""
-    seen = []
-
-    def run(la):
-        seen.append(_alternate(p, theta, la))
-        return seen[-1][0]
-
-    las = list(_LOG_ALPHA_SCAN)
-    es = [run(la) for la in las]
-    lo, hi = _LOG_ALPHA_LIMITS
-    while es[0] == min(es) and las[0] - _LOG_ALPHA_STEP >= lo:
-        las.insert(0, las[0] - _LOG_ALPHA_STEP)
-        es.insert(0, run(las[0]))
-    while es[-1] == min(es) and las[-1] + _LOG_ALPHA_STEP <= hi:
-        las.append(las[-1] + _LOG_ALPHA_STEP)
-        es.append(run(las[-1]))
-    i = int(np.argmin(es))
-    interior = 0 < i < len(las) - 1
-    if interior:
-        _golden(run, las[i - 1], las[i + 1])
-    e, conv, b, c, gap, alpha, mats = min(seen, key=lambda r: r[0])
-    return SweepRow(theta, e, _mean_phase(mats, b, c), interior and conv,
-                    AnsatzCoeffs(tuple(b), tuple(c), alpha), gap)
+        c, qc, e_prev = b[keep], qb[:, keep], e[keep]
+    return rows
 
 
 def sweep_theta(p, theta_grid):
-    """Minimize each theta of a strictly increasing grid on its own; a
-    point that does not converge keeps its best point in its row."""
+    """Minimize the energy over (b, c, alpha) at each theta of a strictly
+    increasing grid: the combs by ``_alternate``, alpha by a log-alpha
+    scan, extended outward while the energy still falls at an end, and
+    golden-section refinement.  A row keeps the best point its theta saw
+    and reads converged=False if that point's alternation hit the cap or
+    the energy still falls at a scan limit."""
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D sequence")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("theta grid must be strictly increasing")
-    return SweepResult([minimize_energy(p, t) for t in map(float, grid)])
+    n, scan = grid.size, _LOG_ALPHA_SCAN.size
+    seen = []
+
+    def run(idx, las):
+        seen.append((idx, _alternate(p, grid[idx], np.asarray(las))))
+        return seen[-1][1][:, _E]
+
+    es = run(np.repeat(np.arange(n), scan), np.tile(_LOG_ALPHA_SCAN, n))
+    es = [list(e) for e in es.reshape(n, scan)]
+    las = [list(_LOG_ALPHA_SCAN) for _ in es]
+    lo, hi = _LOG_ALPHA_LIMITS
+    for end, step in ((0, -_LOG_ALPHA_STEP), (-1, _LOG_ALPHA_STEP)):
+        while grow := [j for j in range(n) if es[j][end] == min(es[j])
+                       and lo <= las[j][end] + step <= hi]:
+            new = [las[j][end] + step for j in grow]
+            for j, la, e in zip(grow, new, run(np.array(grow), new)):
+                at = 0 if end == 0 else len(es[j])
+                las[j].insert(at, la)
+                es[j].insert(at, e)
+    best = [int(np.argmin(e)) for e in es]
+    interior = [0 < i < len(e) - 1 for i, e in zip(best, es)]
+    # golden-section search between the best point's neighbours, in
+    # lockstep: one evaluation per theta and round
+    idx = np.flatnonzero(interior)
+    lo = np.array([las[j][best[j] - 1] for j in idx])
+    hi = np.array([las[j][best[j] + 1] for j in idx])
+    x1, x2 = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    f1, f2 = np.split(run(np.tile(idx, 2), np.concatenate((x1, x2))), 2)
+    while (keep := hi - lo > _LOG_ALPHA_TOL).any():
+        idx, lo, hi, x1, x2, f1, f2 = (
+            v[keep] for v in (idx, lo, hi, x1, x2, f1, f2))
+        left = f1 < f2
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        x1, x2 = (np.where(left, hi - _INVPHI * (hi - lo), x2),
+                  np.where(left, x1, lo + _INVPHI * (hi - lo)))
+        fn = run(idx, np.where(left, x1, x2))
+        f1, f2 = np.where(left, fn, f2), np.where(left, f1, fn)
+    # each theta's first lowest point, in the order it saw them
+    idx, rows = (np.concatenate(v) for v in zip(*seen))
+    order = np.lexsort((np.arange(idx.size), rows[:, _E], idx))
+    rows = rows[order[np.r_[True, np.diff(idx[order]) != 0]]]
+    return SweepResult([
+        SweepRow(t, r[_E], r[_PHI], bool(inner and r[_CONV]),
+                 AnsatzCoeffs(r[_B], r[_C], r[_ALPHA]), r[_GAP])
+        for t, r, inner in zip(grid.tolist(), rows.tolist(), interior)])
+
+
+def minimize_energy(p, theta):
+    """The SweepRow of the one-point sweep at theta."""
+    return sweep_theta(p, [theta]).rows[0]
 
 
 def count_local_minima(values):

@@ -244,6 +244,23 @@ def test_main_sweep_not_converged_exits_zero(tmp_path, capsys, monkeypatch):
     assert [line.split(",")[3] for line in lines[1:]] == ["0", "0"]
 
 
+@pytest.mark.parametrize("sets", [
+    ["model.hbar=1e200"], ["model.D1=1e-310"],
+    ["model.E1=1e308", "model.E2=1e308"]], ids=["hbar", "D1", "E1-E2"])
+def test_main_sweep_overflow_is_one_error_line(tmp_path, capsys, sets):
+    # finite constants whose comb moment matrices overflow end the run
+    # with one error line, exit 1 and no artifact
+    cfg = write_cfg(tmp_path, "experiment = variational-sweep\n"
+                              "variational.theta_points = 3\n")
+    out = tmp_path / "vs.csv"
+    argv = [cfg, "--output", str(out)] + [a for s in sets
+                                         for a in ("--set", s)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: overflow: the comb moment matrices overflow\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
 def test_main_exit_two_on_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "experiment = iv-curve\nbogus.key = 1\n")
     assert cli.main([cfg]) == 2
@@ -525,8 +542,9 @@ for argv in json.loads(sys.argv[1]):
 
 
 def test_main_loads_scipy_only_for_lapack(tmp_path):
-    # scipy loads where a run first reaches LAPACK: the cn-standard
-    # tridiagonal solve and the variational sweep's eigh
+    # scipy loads where a run first reaches its LAPACK wrappers: only the
+    # cn-standard tridiagonal solve; the variational sweep's stacked
+    # eigh is numpy's
     cfg = write_cfg(tmp_path, "evolver.n = 31\nevolver.steps = 10\n"
                               "chain.sites = 40\nchain.steps = 20\n"
                               "chain.stride = 10\niv.points = 5\n"
@@ -539,22 +557,17 @@ def test_main_loads_scipy_only_for_lapack(tmp_path):
         return [cfg, "--output", out] + [a for s in sets
                                          for a in ("--set", s)]
 
-    free = [argv(e) for e in ("pendulum-kink", "iv-curve", "fourier-check")]
-    free += [argv("single-chain", "evolver.scheme=" + scheme)
-             for scheme in ("df-standard", "df-printed", "cn-printed")]
-    cases = [(free + [argv("single-chain", "evolver.scheme=cn-standard")],
-              [[0, False]] * 6 + [[0, True]]),
-             ([argv("variational-sweep")], [[0, True]])]
-    # the two interpreters run side by side; each pays the scipy import
-    procs = [subprocess.Popen(
+    runs = [argv(e) for e in ("pendulum-kink", "iv-curve", "fourier-check",
+                              "variational-sweep")]
+    runs += [argv("single-chain", "evolver.scheme=" + scheme)
+             for scheme in ("df-standard", "df-printed", "cn-printed",
+                            "cn-standard")]
+    proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for runs, _ in cases]
-    for proc, (_, expected) in zip(procs, cases):
-        stdout, stderr = proc.communicate(timeout=60)
-        assert proc.returncode == 0, stderr
-        lines = [json.loads(line) for line in stdout.splitlines()]
-        assert lines == [[False, False]] + expected
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert lines == [[False, False]] + [[0, False]] * 7 + [[0, True]]
 
 
 def test_console_script_entry_point(tmp_path):
