@@ -53,7 +53,7 @@ _KEYS = {
     "variational.theta_max": ("float", 4.0 * math.pi),
     "variational.theta_points": ("int", 81),
 
-    "evolver.scheme": ("str", "df-standard"),
+    "evolver.scheme": ("choice", "df-standard"),
     "evolver.n": ("int", 501),
     "evolver.dx": ("float", 0.05),
     "evolver.x0": ("float", None),
@@ -61,7 +61,6 @@ _KEYS = {
     "evolver.alpha0": ("float", 1.0),
     "evolver.dt": ("float", 0.005),
     "evolver.steps": ("int", 2000),
-    "evolver.sweeps": ("int", 1),
 
     "chain.sites": ("int", 400),
     "chain.omega0_sq": ("float", 900.0),
@@ -107,10 +106,10 @@ def _convert(key, raw, line=None):
                                   "size %d" % (raw, key, _INT_MAX), line=line)
             return int(v)
         if kind == "choice":
-            if raw not in EXPERIMENTS:
+            if raw not in _CHOICES[key]:
                 raise ConfigError(
-                    "unknown experiment %r (choices: %s)"
-                    % (raw, ", ".join(EXPERIMENTS)), line=line)
+                    "unknown %s %r (choices: %s)"
+                    % (key, raw, ", ".join(_CHOICES[key])), line=line)
             return raw
         return raw
     except (ValueError, TypeError, OverflowError):
@@ -182,7 +181,7 @@ def _run_single_chain(cfg):
         x_c=o["evolver.x_c"], alpha0=o["evolver.alpha0"])
     traj = evolver.evolve(
         o["evolver.scheme"], init, _params(o, "model"), _params(o, "drive"),
-        o["evolver.dt"], o["evolver.steps"], sweeps=o["evolver.sweeps"])
+        o["evolver.dt"], o["evolver.steps"])
     if traj.truncated:
         print("warning: overflow: trajectory truncated after %d of %d steps"
               % (len(traj) - 1, o["evolver.steps"]), file=sys.stderr)
@@ -225,6 +224,9 @@ def _run_variational_sweep(cfg):
     npts = o["variational.theta_points"]
     if npts < 1:
         raise ConfigError("variational.theta_points must be >= 1")
+    for key in ("variational.theta_min", "variational.theta_max"):
+        if not math.isfinite(o[key]):
+            raise ConfigError("%s must be finite" % key)
     from . import variational  # no other experiment needs it
     grid = np.linspace(o["variational.theta_min"],
                        o["variational.theta_max"], npts)
@@ -243,7 +245,8 @@ def _run_iv_curve(cfg):
     if n < 1:
         raise ConfigError("iv.points must be >= 1")
     top = o["iv.E_max_factor"] * cp.E_T * cp.c_v
-    grid = top * np.arange(1, n + 1) / n
+    with np.errstate(over="ignore"):  # iv_curve rejects an overflowed grid
+        grid = top * np.arange(1, n + 1) / n
     return tunneling.iv_curve(grid, cp)
 
 
@@ -266,6 +269,8 @@ _RUNNERS = {
     "fourier-check": _run_fourier_check,
 }
 EXPERIMENTS = tuple(_RUNNERS)
+# "choice" key -> the values it accepts
+_CHOICES = {"experiment": EXPERIMENTS, "evolver.scheme": tuple(evolver._PLANS)}
 
 
 def run(cfg):

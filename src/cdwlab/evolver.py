@@ -67,12 +67,10 @@ class Trajectory:
         return self.times.size
 
 
-def _check(dt, sweeps):
+def _check(dt):
     """Validate the step arguments."""
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError("dt must be positive")
-    if sweeps < 1:
-        raise DomainError("need at least one fixed-point sweep")
 
 
 def _laplacian(a):
@@ -106,29 +104,25 @@ def _check_info(info):
                          % -info)
 
 
-# A plan builder takes (V, p, dx, dt, sweeps), computes what depends
-# only on them, and returns step(prev, curr, out=None) -> new on plain
-# arrays, writing new into out when given (a fresh array otherwise);
-# out must alias neither prev nor curr.  Only cn-printed reads sweeps.
-# Steps check nothing and hold the end points at curr's.
-def _cn_printed(V, p, dx, dt, sweeps):
+# A plan builder takes (V, p, dx, dt), computes what depends only on
+# them, and returns step(prev, curr, out=None) -> new on plain arrays,
+# writing new into out when given (a fresh array otherwise); out must
+# alias neither prev nor curr.  Steps check nothing and hold the end
+# points at curr's.
+def _cn_printed(V, p, dx, dt):
     kappa = p.hbar / (p.D * dx * dx)
     drift_v = (2.0 / p.hbar) * V
 
     def step(prev, curr, out=None):
-        lap_c = _laplacian(curr)
-        drift = drift_v * curr
-        new = prev
-        for _ in range(sweeps):
-            new = np.add(prev, 1j * dt * (kappa * (lap_c + _laplacian(new))
-                                          - drift), out=out)
-            new[0], new[-1] = curr[0], curr[-1]
+        lap = _laplacian(curr) + _laplacian(prev)
+        new = np.add(prev, 1j * dt * (kappa * lap - drift_v * curr), out=out)
+        new[0], new[-1] = curr[0], curr[-1]
         return new
 
     return step
 
 
-def _dufort_frankel(V, p, dx, dt, sweeps, combine=np.add):
+def _dufort_frankel(V, p, dx, dt, combine=np.add):
     r2 = -1j * dt * p.hbar / (p.D * dx * dx)  # 2*R~
     a = r2 / (1.0 + r2)
     b = (1.0 - r2) / (1.0 + r2)
@@ -155,7 +149,7 @@ def _dufort_frankel(V, p, dx, dt, sweeps, combine=np.add):
 _df_printed = partial(_dufort_frankel, combine=np.subtract)
 
 
-def _cn_standard(V, p, dx, dt, sweeps):
+def _cn_standard(V, p, dx, dt):
     koff = 1j * p.hbar / (p.D * dx * dx)
     diag_m = -2.0 * koff - 1j * V / p.hbar
     half = 0.5 * dt
@@ -199,31 +193,29 @@ _PLANS = {
 }
 
 
-def _step(build, prev, curr, p, dt, sweeps=1):
+def _step(build, prev, curr, p, dt):
     if (prev.values.size != curr.values.size or prev.dx != curr.dx
             or prev.x0 != curr.x0):
         raise DomainError("prev and curr live on different grids")
-    _check(dt, sweeps)
+    _check(dt)
     with np.errstate(over="ignore", invalid="ignore"):
-        step = build(washboard_potential(curr.grid(), p), p, curr.dx, dt,
-                     sweeps)
+        step = build(washboard_potential(curr.grid(), p), p, curr.dx, dt)
         new = step(prev.values, curr.values)
     if not np.isfinite(new).all():
         raise FieldOverflowError("field left the finite range")
     return ComplexField(new, curr.dx, curr.x0)
 
 
-def step_crank_nicolson_printed(prev, curr, p, dt, sweeps=1):
+def step_crank_nicolson_printed(prev, curr, p, dt):
     """One step of the printed Crank-Nicolson-like leapfrog.
 
     new = prev + i*dt*( (hbar/D)*(lap(curr) + lap(new))/dx^2
                         - (2*V/hbar)*curr )
 
-    The implicit lap(new) is resolved by Jacobi-style fixed-point sweeps
-    seeded from prev; one sweep reproduces the printed update.  The
-    scheme is unstable for every dt (kept deliberately).
+    with lap(new) taken at prev, the printed update.  The scheme is
+    unstable for every dt (kept deliberately).
     """
-    return _step(_cn_printed, prev, curr, p, dt, sweeps)
+    return _step(_cn_printed, prev, curr, p, dt)
 
 
 def step_dufort_frankel_printed(prev, curr, p, dt):
@@ -295,8 +287,9 @@ def gaussian_packet(n, dx, x0=None, x_c=0.0, alpha0=1.0):
         raise DomainError("dx and alpha0 must be positive")
     if x0 is None:
         x0 = -0.5 * dx * (n - 1)
-    x = x0 + dx * np.arange(n)
-    with np.errstate(over="ignore"):  # a huge exponent underflows to 0
+    # a huge exponent underflows to 0; ComplexField rejects non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0 + dx * np.arange(n)
         return ComplexField(np.exp(-alpha0 * (x - x_c) ** 2), dx, x0)
 
 
@@ -305,7 +298,7 @@ _BLOCK_ROWS = 64
 _BLOCK_BYTES = 1 << 20
 
 
-def evolve(kind, init, p, drive, dt, steps, sweeps=1):
+def evolve(kind, init, p, drive, dt, steps):
     """March `steps` steps from `init`, recording t, mean phase and norm
     at every level (the initial state included).
 
@@ -320,7 +313,7 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1):
     build = _PLANS.get(kind)
     if build is None:
         raise DomainError("unknown scheme kind %r" % (kind,))
-    _check(dt, sweeps)
+    _check(dt)
     x, dx = init.grid(), init.dx
 
     # V is the same at every step when its tilt term is +0.0 (mu_E = 0)
@@ -342,7 +335,7 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1):
         return end < filled
 
     with np.errstate(over="ignore", invalid="ignore"):
-        step = build(washboard_potential(x, p), p, dx, dt, sweeps)
+        step = build(washboard_potential(x, p), p, dx, dt)
         for n in range(steps):
             if driven and n:
                 theta_n = p.theta + drive.a_D * (n * dt)
@@ -351,7 +344,7 @@ def evolve(kind, init, p, drive, dt, steps, sweeps=1):
                     if record():
                         break
                     raise DomainError("non-finite physical parameter")
-                step = build(_washboard(x, p, theta_n), p, dx, dt, sweeps)
+                step = build(_washboard(x, p, theta_n), p, dx, dt)
             if filled == rows:
                 if record():
                     break

@@ -114,16 +114,6 @@ def _force(phi, omega0_sq, omega1_sq, out, sin):
     np.subtract(out, sin, out=out)
 
 
-def chain_acceleration(s):
-    """Discrete Laplacian coupling minus pendulum restoring force.
-
-    End sites are clamped: their acceleration is reported as zero.
-    """
-    acc = np.zeros_like(s.phi)
-    _force(s.phi, s.omega0_sq, s.omega1_sq, acc[1:-1], np.empty(acc.size - 2))
-    return acc
-
-
 def integrate_chain_rk4(s, dt, steps, stride=1):
     """Classical RK4 on (phi, phi_dot); snapshots every `stride` steps.
 

@@ -105,8 +105,8 @@ def _fourier_modes(g, n_modes, box):
         raise DomainError("need at least one mode")
     if g.b * g.L < 100.0:
         raise DomainError("sharp-wall regime needs b*L >= 100")
-    if box < 10.0 * g.L:
-        raise DomainError("box must be at least 10*L")
+    if not 10.0 * g.L <= box < math.inf:
+        raise DomainError("box must be finite and at least 10*L")
     mid = 0.5 * (g.x_a + g.x_b)
     half_l = 0.5 * g.L
     # beyond w = 40/b both tanh factors are flat to ~e^{-80}, so the
@@ -182,8 +182,9 @@ def iv_curve(E_grid, cp):
         raise DomainError("field grid must be a non-empty 1-D sequence")
     if not np.all(grid > 0):
         raise DomainError("field grid must be positive")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise DomainError("field grid must be strictly increasing")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: not increasing
+        if grid.size > 1 and not np.all(np.diff(grid) > 0):
+            raise DomainError("field grid must be strictly increasing")
     columns = (current_beckwith, current_zener,
                partial(current_zener, gated=False))
     table = CurveTable(("E", "I_beckwith", "I_zener_gated", "I_zener_ungated"))

@@ -103,11 +103,6 @@ class AnsatzCoeffs:
         return AnsatzCoeffs(tuple(v / nb for v in self.b),
                             tuple(v / nc for v in self.c), self.alpha)
 
-    def is_normalized(self, tol=1e-12):
-        nb = sum(v * v for v in self.b)
-        nc = sum(v * v for v in self.c)
-        return abs(nb - 1.0) <= tol and abs(nc - 1.0) <= tol
-
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -366,11 +361,6 @@ def sweep_theta(p, theta_grid):
         SweepRow(t, r[_E], r[_PHI], bool(inner and r[_CONV]),
                  AnsatzCoeffs(r[_B], r[_C], r[_ALPHA]), r[_GAP])
         for t, r, inner in zip(grid.tolist(), rows.tolist(), interior)])
-
-
-def minimize_energy(p, theta):
-    """The SweepRow of the one-point sweep at theta."""
-    return sweep_theta(p, [theta]).rows[0]
 
 
 def count_local_minima(values):

@@ -144,14 +144,14 @@ _VALUE = {
     "float": st.floats(allow_nan=False).map(repr),
     "int": st.integers(-10 ** 6, 10 ** 6).map(str),
     "str": _TEXT,
-    "choice": st.sampled_from(cli.EXPERIMENTS),
 }
 
 
 @st.composite
 def _entries(draw):
     keys = draw(st.lists(st.sampled_from(sorted(cli._KEYS)), unique=True))
-    return {k: draw(_VALUE[cli._KEYS[k][0]]) for k in keys}
+    return {k: draw(st.sampled_from(cli._CHOICES[k]) if k in cli._CHOICES
+                    else _VALUE[cli._KEYS[k][0]]) for k in keys}
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -271,6 +271,47 @@ def test_main_exit_two_on_config_error(tmp_path, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+def test_main_unknown_scheme_names_the_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "experiment = single-chain\n"
+                              "evolver.scheme = foo\n")
+    out = tmp_path / "x.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: line 2: unknown evolver.scheme 'foo' (choices: "
+        "cn-printed, df-printed, cn-standard, df-standard)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sets, key", [
+    (["variational.theta_max=inf"], "theta_max"),
+    (["variational.theta_max=-inf"], "theta_max"),
+    (["variational.theta_min=nan"], "theta_min"),
+    (["variational.theta_points=1", "variational.theta_min=inf"],
+     "theta_min")], ids=["max-inf", "max-neg-inf", "min-nan", "one-point"])
+def test_main_non_finite_theta_bound_is_config_error(tmp_path, capsys, sets,
+                                                     key):
+    cfg = write_cfg(tmp_path, "experiment = variational-sweep\n")
+    out = tmp_path / "vs.csv"
+    argv = [cfg, "--output", str(out)] + [a for s in sets
+                                         for a in ("--set", s)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: config: variational.%s must be finite\n" % key)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["fourier.L=1e308", "fourier.box_factor=inf",
+                                 "fourier.box_factor=nan"])
+def test_main_non_finite_fourier_box_is_domain_error(tmp_path, capsys, key):
+    # an infinite box puts every mode at k = 0; a NaN box has no modes
+    cfg = write_cfg(tmp_path, "experiment = fourier-check\n")
+    out = tmp_path / "fc.csv"
+    assert cli.main([cfg, "--output", str(out), "--set", key]) == 1
+    assert capsys.readouterr().err == (
+        "error: domain: box must be finite and at least 10*L\n")
+    assert not out.exists()
+
+
 def test_main_exit_two_on_bad_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "experiment = iv-curve\n")
     assert cli.main([cfg, "--set", "iv.points=zero"]) == 2
@@ -309,7 +350,7 @@ def test_main_exit_two_on_huge_sizes(tmp_path, capsys):
     "drive.e_star", "drive.E_applied", "drive.E_threshold", "drive.c_v",
     "drive.G_p", "drive.delta_s", "chain.spacing", "fourier.n1",
     "variational.cold_start", "current.gate_zener",
-    "model.experimental_regime", "evolver.boundary"])
+    "model.experimental_regime", "evolver.boundary", "evolver.sweeps"])
 def test_main_rejects_removed_keys(tmp_path, capsys, key):
     # keys that no experiment reads are unknown keys
     cfg = write_cfg(tmp_path, "experiment = single-chain\n%s = 1\n" % key)
@@ -337,8 +378,6 @@ _REACH_READERS = {
     "current": ("iv-curve",), "iv": ("iv-curve",),
     "fourier": ("fourier-check",),
 }
-# entries both runs of a key need: only cn-printed reads evolver.sweeps
-_REACH_CONTEXT = {"evolver.sweeps": ("evolver.scheme=cn-printed",)}
 # off-default values where a float's x1.25 or an int's +1 would keep the
 # base value, be invalid, or (chain.steps) add no snapshot at stride 10
 _REACH_OFF = {
@@ -374,34 +413,44 @@ def reach_run(tmp_path_factory):
                                  if k not in ("experiment", "output", "seed")])
 def test_every_key_changes_an_artifact(reach_run, key):
     # a key whose value reaches no artifact is dead and should be removed
-    context = _REACH_CONTEXT.get(key, ())
     differs = []
     for experiment in _REACH_READERS[key.split(".")[0]]:
         value = _REACH_OFF.get(key)
         if value is None:
             base = cli.parse_config(
                 b"experiment = %s\n" % experiment.encode(),
-                _REACH_BASE[experiment] + context).options[key]
+                _REACH_BASE[experiment]).options[key]
             value = repr(base * 1.25 if isinstance(base, float) else base + 1)
-        code, default = reach_run(experiment, *context)
-        off_code, changed = reach_run(experiment, *context,
-                                      "%s=%s" % (key, value))
+        code, default = reach_run(experiment)
+        off_code, changed = reach_run(experiment, "%s=%s" % (key, value))
         assert (code, off_code) == (0, 0), (experiment, value)
         differs.append(changed != default)
     assert any(differs)
 
 
-@pytest.mark.parametrize("overrides, warning", [
-    (["model.mu_E=1e308"],
+@pytest.mark.parametrize("overrides, code, stderr", [
+    (["model.mu_E=1e308"], 0,
      "warning: overflow: trajectory truncated after 0 of 2000 steps\n"),
-    (["evolver.alpha0=1e308"], ""),
+    (["evolver.alpha0=1e308"], 0, ""),
     # the kink's launch velocity is 2/cosh(z), and cosh overflows far
     # from the core: near the speed of light, or with a 1-site-wide kink
-    (["experiment=pendulum-kink", "chain.beta=0.999999999"], ""),
+    (["experiment=pendulum-kink", "chain.beta=0.999999999"], 0, ""),
     (["experiment=pendulum-kink", "chain.sites=2000", "chain.omega0_sq=1"],
-     "")], ids=["mu_E", "alpha0", "kink-beta", "kink-width"])
-def test_main_overflow_reports_no_numpy_warning(tmp_path, overrides,
-                                                warning):
+     0, ""),
+    # grids and packets that are not finite end with their one error line
+    (["evolver.dx=1e308"], 1, "error: domain: non-finite field amplitudes\n"),
+    (["evolver.alpha0=inf"], 1,
+     "error: domain: non-finite field amplitudes\n"),
+    (["experiment=iv-curve", "iv.E_max_factor=1e308"], 1,
+     "error: domain: field grid must be strictly increasing\n"),
+    (["experiment=iv-curve", "iv.E_max_factor=inf"], 1,
+     "error: domain: field grid must be strictly increasing\n"),
+    (["experiment=variational-sweep", "variational.theta_max=inf"], 2,
+     "error: config: variational.theta_max must be finite\n")],
+    ids=["mu_E", "alpha0", "kink-beta", "kink-width", "dx-inf-grid",
+         "alpha0-inf", "iv-overflow", "iv-inf", "theta-inf"])
+def test_main_overflow_reports_no_numpy_warning(tmp_path, overrides, code,
+                                                stderr):
     # a separate interpreter, so numpy's warnings reach stderr unfiltered
     cfg = write_cfg(tmp_path, "experiment = single-chain\n")
     out = tmp_path / "sc.csv"
@@ -409,9 +458,9 @@ def test_main_overflow_reports_no_numpy_warning(tmp_path, overrides,
     proc = subprocess.run(
         [sys.executable, "-m", "cdwlab.cli", cfg, "--output", str(out)]
         + sets, capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stderr == warning
-    assert out.exists()
+    assert proc.returncode == code
+    assert proc.stderr == stderr
+    assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize("scheme", ["df-standard", "cn-standard",

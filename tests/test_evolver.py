@@ -53,20 +53,17 @@ def random_pair(rng, n=12, dx=0.2, x0=-1.0):
     return ComplexField(a, dx, x0), ComplexField(b, dx, x0)
 
 
-def cn_printed_oracle(prev, curr, p, dt, sweeps):
+def cn_printed_oracle(prev, curr, p, dt):
     # matrix-form evaluation of the printed two-level update
     n = curr.values.size
     L = lap_matrix(n)
     V = potential_on_grid(curr, p)
     kappa = p.hbar / (p.D * curr.dx ** 2)
     drift = (2.0 / p.hbar) * V * curr.values
-    g = prev.values
-    for _ in range(sweeps):
-        new = prev.values + 1j * dt * (
-            kappa * (L @ curr.values + L @ g) - drift)
-        new[0] = curr.values[0]
-        new[-1] = curr.values[-1]
-        g = new
+    new = prev.values + 1j * dt * (
+        kappa * (L @ curr.values + L @ prev.values) - drift)
+    new[0] = curr.values[0]
+    new[-1] = curr.values[-1]
     return new
 
 
@@ -143,19 +140,17 @@ def test_cn_printed_impulse_spread():
     coeff = 1j * dt * FREE.hbar / (FREE.D * dx * dx)
     assert out.values[4] == pytest.approx(coeff, rel=1e-12)
     assert out.values[6] == pytest.approx(coeff, rel=1e-12)
-    # nothing beyond the immediate neighbors after a single sweep
+    # nothing beyond the immediate neighbors after one step
     assert out.values[3] == 0.0
     assert out.values[7] == 0.0
 
 
 def test_cn_printed_matches_matrix_oracle():
     rng = np.random.default_rng(31)
-    for sweeps in [1, 3]:
-        prev, curr = random_pair(rng)
-        out = step_crank_nicolson_printed(prev, curr, WELL, 2e-3,
-                                          sweeps=sweeps)
-        ref = cn_printed_oracle(prev, curr, WELL, 2e-3, sweeps)
-        np.testing.assert_allclose(out.values, ref, rtol=1e-13, atol=1e-15)
+    prev, curr = random_pair(rng)
+    out = step_crank_nicolson_printed(prev, curr, WELL, 2e-3)
+    ref = cn_printed_oracle(prev, curr, WELL, 2e-3)
+    np.testing.assert_allclose(out.values, ref, rtol=1e-13, atol=1e-15)
 
 
 def test_cn_printed_grid_mismatch():
@@ -163,8 +158,6 @@ def test_cn_printed_grid_mismatch():
     b = ComplexField(np.zeros(9, dtype=complex), 0.1)
     with pytest.raises(DomainError):
         step_crank_nicolson_printed(a, b, FREE, 1e-3)
-    with pytest.raises(DomainError):
-        step_crank_nicolson_printed(a, a, FREE, 1e-3, sweeps=0)
 
 
 def test_df_printed_constant_not_preserved():
@@ -322,8 +315,6 @@ def test_evolve_rejects_bad_arguments():
         evolve("cn-standard", f, FREE, drive, 1e-3, 0)
     with pytest.raises(DomainError):
         evolve("cn-standard", f, FREE, drive, 0.0, 10)
-    with pytest.raises(DomainError):
-        evolve("cn-printed", f, FREE, drive, 1e-3, 10, sweeps=0)
 
 
 def assert_evolve_matches_steppers(p, drive):
@@ -331,18 +322,17 @@ def assert_evolve_matches_steppers(p, drive):
     # the checked steppers with theta_n = theta0 + a_D*(n*dt)
     f = gaussian_packet(41, 0.1, x_c=0.5)
     dt, steps = 2e-3, 6
-    cases = [("cn-printed", step_crank_nicolson_printed, {"sweeps": 1}),
-             ("cn-printed", step_crank_nicolson_printed, {"sweeps": 3}),
-             ("df-printed", step_dufort_frankel_printed, {}),
-             ("cn-standard", step_crank_nicolson_standard, {}),
-             ("df-standard", step_dufort_frankel_standard, {})]
-    for kind, stepper, extra in cases:
-        t = evolve(kind, f, p, drive, dt, steps, **extra)
+    cases = [("cn-printed", step_crank_nicolson_printed),
+             ("df-printed", step_dufort_frankel_printed),
+             ("cn-standard", step_crank_nicolson_standard),
+             ("df-standard", step_dufort_frankel_standard)]
+    for kind, stepper in cases:
+        t = evolve(kind, f, p, drive, dt, steps)
         prev = curr = f
         norms, phases = [field_norm(f)], [mean_phase(f)]
         for n in range(steps):
             pn = replace(p, theta=p.theta + drive.a_D * (n * dt))
-            new = stepper(prev, curr, pn, dt, **extra)
+            new = stepper(prev, curr, pn, dt)
             prev, curr = curr, new
             norms.append(field_norm(curr))
             phases.append(mean_phase(curr))
@@ -506,7 +496,7 @@ def cn_standard_banded_reference(curr, V, p, dx, dt):
 
 def cn_standard_plan_step(curr, V, p, dx, dt):
     build = evolver._PLANS["cn-standard"]
-    return build(V, p, dx, dt, 1)(curr, curr)
+    return build(V, p, dx, dt)(curr, curr)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -600,7 +590,7 @@ def test_trajectory_table_layout():
     assert [r[2] for r in table.rows] == [1.0, 0.9]
 
 
-def reference_plan(kind, V, p, dx, dt, sweeps):
+def reference_plan(kind, V, p, dx, dt):
     # oracle for the in-place kernels: one allocating expression per
     # step, in the same floating-point order
     def neighbours(a, combine=np.add):
@@ -617,13 +607,9 @@ def reference_plan(kind, V, p, dx, dt, sweeps):
         drift_v = (2.0 / p.hbar) * V
 
         def step(prev, curr):
-            lap_c = lap(curr)
-            drift = drift_v * curr
-            g = prev
-            for _ in range(sweeps):
-                new = prev + 1j * dt * (kappa * (lap_c + lap(g)) - drift)
-                new[0], new[-1] = curr[0], curr[-1]
-                g = new
+            new = prev + 1j * dt * (kappa * (lap(curr) + lap(prev))
+                                    - drift_v * curr)
+            new[0], new[-1] = curr[0], curr[-1]
             return new
     elif kind == "cn-standard":
         koff = 1j * p.hbar / (p.D * dx * dx)
@@ -656,8 +642,7 @@ def reference_plan(kind, V, p, dx, dt, sweeps):
     return step
 
 
-def reference_evolve(kind, init, p, drive, dt, steps, sweeps=1,
-                     plan=reference_plan):
+def reference_evolve(kind, init, p, drive, dt, steps, plan=reference_plan):
     # oracle for the blocked loop: one finiteness check and one
     # phase/norm reduction of 1-D sums per level
     x, dx = init.grid(), init.dx
@@ -673,14 +658,13 @@ def reference_evolve(kind, init, p, drive, dt, steps, sweeps=1,
     truncated = False
     with np.errstate(over="ignore", invalid="ignore"):
         levels = [phase_norm(curr)]
-        step = plan(kind, model.washboard_potential(x, p), p, dx, dt, sweeps)
+        step = plan(kind, model.washboard_potential(x, p), p, dx, dt)
         for n in range(steps):
             if driven and n:
                 theta_n = p.theta + drive.a_D * (n * dt)
                 if not math.isfinite(theta_n):
                     raise DomainError("non-finite physical parameter")
-                step = plan(kind, model._washboard(x, p, theta_n), p, dx, dt,
-                            sweeps)
+                step = plan(kind, model._washboard(x, p, theta_n), p, dx, dt)
             new = step(prev, curr)
             if not np.isfinite(new).all():
                 truncated = True
@@ -711,11 +695,10 @@ def test_evolve_matches_reference_bitwise(kind, a_D, steps):
     # block edges at 64 levels: runs of 2, 64, 65, 66 and 131 levels
     f = gaussian_packet(41, 0.1, x_c=0.5)
     drive = FieldDriveParams(a_D=a_D)
-    for sweeps in ([1, 3] if kind == "cn-printed" else [1]):
-        t = evolve(kind, f, DRIVEN, drive, 2e-3, steps, sweeps)
-        ref = reference_evolve(kind, f, DRIVEN, drive, 2e-3, steps, sweeps)
-        assert not ref.truncated
-        assert_trajectories_bitwise(t, ref)
+    t = evolve(kind, f, DRIVEN, drive, 2e-3, steps)
+    ref = reference_evolve(kind, f, DRIVEN, drive, 2e-3, steps)
+    assert not ref.truncated
+    assert_trajectories_bitwise(t, ref)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -736,8 +719,8 @@ def poisoned(bad_level):
     # (counted over every plan built, so also for a driven V)
     calls = [0]
 
-    def plan(kind, V, p, dx, dt, sweeps):
-        inner = evolver._PLANS[kind](V, p, dx, dt, sweeps)
+    def plan(kind, V, p, dx, dt):
+        inner = evolver._PLANS[kind](V, p, dx, dt)
 
         def step(prev, curr, out=None):
             new = inner(prev, curr, out)
@@ -829,20 +812,19 @@ def test_plan_step_writes_into_out(kind):
     prev, curr = random_pair(rng, n=17)
     V = potential_on_grid(curr, WELL)
     keep = prev.values.copy(), curr.values.copy()
-    for sweeps in (1, 3):
-        step = evolver._PLANS[kind](V, WELL, curr.dx, 2e-3, sweeps)
-        ref = reference_plan(kind, V, WELL, curr.dx, 2e-3, sweeps)(
-            prev.values.copy(), curr.values.copy())
-        out = np.full(17, np.nan, dtype=complex)
-        assert step(prev.values, curr.values, out) is out
-        fresh = step(prev.values, curr.values)
-        for got in (out, fresh):
-            np.testing.assert_array_equal(got.view(np.int64),
-                                          ref.view(np.int64))
-        assert not np.shares_memory(fresh, prev.values)
-        assert not np.shares_memory(fresh, curr.values)
-        np.testing.assert_array_equal(prev.values, keep[0])
-        np.testing.assert_array_equal(curr.values, keep[1])
+    step = evolver._PLANS[kind](V, WELL, curr.dx, 2e-3)
+    ref = reference_plan(kind, V, WELL, curr.dx, 2e-3)(
+        prev.values.copy(), curr.values.copy())
+    out = np.full(17, np.nan, dtype=complex)
+    assert step(prev.values, curr.values, out) is out
+    fresh = step(prev.values, curr.values)
+    for got in (out, fresh):
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      ref.view(np.int64))
+    assert not np.shares_memory(fresh, prev.values)
+    assert not np.shares_memory(fresh, curr.values)
+    np.testing.assert_array_equal(prev.values, keep[0])
+    np.testing.assert_array_equal(curr.values, keep[1])
 
 
 def test_steppers_return_fresh_fields():

@@ -17,7 +17,6 @@ from cdwlab.variational import (
     SweepRow,
     count_local_minima,
     energy_expectation,
-    minimize_energy,
     norm_squared,
     phase_expectation,
     phase_jumps,
@@ -34,6 +33,12 @@ GRID = np.linspace(-4 * math.pi, 4 * math.pi, 81)
 SLICE = GRID[39:42]
 
 E2ONLY = (0.0, 0.0, 1.0, 0.0, 0.0)
+
+
+def assert_unit_combs(a, tol):
+    # both comb vectors have unit Euclidean length
+    for v in (a.b, a.c):
+        assert abs(sum(x * x for x in v) - 1.0) <= tol
 
 
 def comb_1d(phi, coeff, alpha):
@@ -234,11 +239,9 @@ def test_ansatz_coeffs_validation():
         AnsatzCoeffs((math.nan,) + (0.0,) * 4, E2ONLY, 1.0)
     a = AnsatzCoeffs((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
                      1.0)
-    assert not a.is_normalized()
     proj = a.projected()
-    assert proj.is_normalized()
-    assert proj.b[0] == 1.0
-    assert proj.c[2] == 1.0
+    assert proj.b == (1.0, 0.0, 0.0, 0.0, 0.0)
+    assert proj.c == E2ONLY
     with pytest.raises(DomainError):
         AnsatzCoeffs((0.0,) * 5, E2ONLY, 1.0).projected()
 
@@ -384,10 +387,10 @@ def test_minimize_kinetic_only_runs_downhill():
     # least as low as a single alpha=1 tooth
     e_init = energy_expectation(AnsatzCoeffs(E2ONLY, E2ONLY, 1.0), FREE,
                                 0.0, Q)
-    row = minimize_energy(FREE, 0.0)
+    row = sweep_theta(FREE, [0.0]).rows[0]
     assert not row.converged
     coeffs, e = row.coeffs, row.e_min
-    assert coeffs.is_normalized(tol=1e-10)
+    assert_unit_combs(coeffs, 1e-10)
     assert e <= e_init + 1e-12
     lo = variational._LOG_ALPHA_LIMITS[0]
     assert lo <= math.log(coeffs.alpha) < lo + variational._LOG_ALPHA_STEP
@@ -399,7 +402,7 @@ def test_minimize_finds_alpha_beyond_the_scan(p):
     # both optima lie above the coarse scan's top alpha: the scan must be
     # extended until the energy rises, and alpha refined inside that
     top = variational._LOG_ALPHA_SCAN[-1]
-    row = minimize_energy(p, 0.3)
+    row = sweep_theta(p, [0.3]).rows[0]
     assert row.converged
     coeffs, e = row.coeffs, row.e_min
     assert math.log(coeffs.alpha) > top + variational._LOG_ALPHA_STEP
@@ -410,7 +413,7 @@ def test_minimize_finds_alpha_beyond_the_scan(p):
 
 def test_minimize_theta_zero_symmetric_and_near_grid_scan():
     # coarse scan over (b0, b1 = b_-1, alpha) with b2 fixed by the norm
-    row = minimize_energy(STD, 0.0)
+    row = sweep_theta(STD, [0.0]).rows[0]
     coeffs, e = row.coeffs, row.e_min
     b = np.array(coeffs.b)
     assert np.max(np.abs(b - b[::-1])) < 0.02
@@ -481,15 +484,15 @@ def test_phase_expectation_bounded_by_box():
 
 def test_sweep_single_point_composes():
     # every sweep point is minimized on its own, so each row repeats a
-    # lone minimize_energy call exactly
+    # one-point sweep exactly
     grid = [-0.4, 0.0, 0.3]
     res = sweep_theta(STD, grid)
     assert len(res.rows) == len(grid)
     for theta, row in zip(grid, res.rows):
-        assert row == minimize_energy(STD, theta)
+        assert row == sweep_theta(STD, [theta]).rows[0]
         assert row.theta == theta
         assert row.converged
-        assert row.coeffs.is_normalized(tol=1e-10)
+        assert_unit_combs(row.coeffs, 1e-10)
         assert row.mean_phi == pytest.approx(
             phase_expectation(row.coeffs, Q), rel=1e-10, abs=1e-12)
 
@@ -554,16 +557,17 @@ def test_sweep_row_does_not_depend_on_the_grid(grid_sweeps, p):
     rows = grid_sweeps[p]
     assert sweep_theta(p, SLICE).rows == rows[39:42]
     for j in range(0, GRID.size, 10):
-        assert minimize_energy(p, GRID[j]) == rows[j]
+        assert sweep_theta(p, [GRID[j]]).rows[0] == rows[j]
 
 
 def test_nonconverged_point_kept_in_row(monkeypatch):
     # one alternation step can never show that the energy stopped changing
     monkeypatch.setattr(variational, "_MAX_ALTERNATIONS", 1)
-    row = minimize_energy(STD, 0.3)
+    row = sweep_theta(STD, [0.3]).rows[0]
     assert not row.converged
     best = row.coeffs
-    assert isinstance(best, AnsatzCoeffs) and best.is_normalized()
+    assert isinstance(best, AnsatzCoeffs)
+    assert_unit_combs(best, 1e-12)
     # the kept point is the lowest of the alpha scan, and its energy is
     # that of its own coefficients
     scan = energy_at(STD, 0.3, variational._LOG_ALPHA_SCAN)
