@@ -176,6 +176,8 @@ def _params(o, prefix):
 
 def _run_single_chain(cfg):
     o = cfg.options
+    if not math.isfinite(o["evolver.x_c"]):
+        raise ConfigError("evolver.x_c must be finite")
     init = evolver.gaussian_packet(
         o["evolver.n"], o["evolver.dx"], x0=o["evolver.x0"],
         x_c=o["evolver.x_c"], alpha0=o["evolver.alpha0"])
@@ -205,6 +207,8 @@ def _run_pendulum_kink(cfg):
     center = o["chain.center"]
     if center is None:
         center = 0.6 * m
+    elif not math.isfinite(center):
+        raise ConfigError("chain.center must be finite")
     spec = sinegordon.KinkSpec(beta=o["chain.beta"], sign=o["chain.sign"])
     # lattice-to-continuum map: v = omega0 * spacing, z_i proportional
     # to site index so the kink width spans omega0/omega1 sites

@@ -49,13 +49,13 @@ def format_number(x):
 
 def to_csv_text(table):
     """The table as CSV text, each value as format_number renders it
-    (one format call per row)."""
-    fmt = ",".join(["%.15g"] * len(table.columns))
+    (one format call for the whole table)."""
     nan = float("nan")
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(fmt % tuple([nan if v is None else v for v in row]))
-    return "\n".join(lines) + "\n"
+    values = tuple([nan if v is None else v
+                    for row in table.rows for v in row])
+    line = ",".join(["%.15g"] * len(table.columns)) + "\n"
+    # the header stays out of the format string: a name may hold a '%'
+    return ",".join(table.columns) + "\n" + (line * len(table.rows)) % values
 
 
 def write_csv(table, path):

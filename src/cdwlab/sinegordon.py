@@ -101,13 +101,14 @@ def sine_gordon_residual(phi_prev, phi_curr, phi_next, dz, dtau):
     return phi_tt - phi_zz + np.sin(curr[1:-1])
 
 
-def _force(phi, omega0_sq, omega1_sq, out, sin):
-    """Write omega0_sq*(phi[i+1] - 2 phi[i] + phi[i-1]) - omega1_sq*sin(phi[i])
-    at the interior sites of phi into out; sin is scratch of out's size."""
-    mid = phi[1:-1]
+def _force(mid, right, left, omega0_sq, omega1_sq, out, sin):
+    """Write omega0_sq*(right - 2 mid + left) - omega1_sq*sin(mid) into
+    out, where mid, right and left are the interior sites of a chain's
+    angles and their right and left neighbours (phi[1:-1], phi[2:],
+    phi[:-2]); sin is scratch of out's size."""
     np.multiply(mid, 2.0, out=out)
-    np.subtract(phi[2:], out, out=out)
-    np.add(out, phi[:-2], out=out)
+    np.subtract(right, out, out=out)
+    np.add(out, left, out=out)
     np.multiply(out, omega0_sq, out=out)
     np.sin(mid, out=sin)
     np.multiply(sin, omega1_sq, out=sin)
@@ -118,11 +119,13 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
     """Classical RK4 on (phi, phi_dot); snapshots every `stride` steps.
 
     The state is one stacked (2, m) array y = [phi; phi_dot], advanced
-    in place through stage buffers allocated once per run.  Both end
-    sites are clamped: their angle and velocity never change.  The
-    returned list starts with a copy of the initial state, and every
-    snapshot holds its own copies of the arrays.  A non-finite state
-    aborts with the offending step index.
+    in place through stage buffers allocated once per run.  The views
+    of them that each stage reads and writes are built once per run
+    too, so a step slices nothing.  Both end sites are clamped: their
+    angle and velocity never change.  The returned list starts with a
+    copy of the initial state, and every snapshot holds its own copies
+    of the arrays.  A non-finite state aborts with the offending step
+    index.
     """
     if not (dt > 0):
         raise DomainError("dt must be positive")
@@ -132,27 +135,36 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
         raise DomainError("stride must be >= 1")
     w0, w1 = s.omega0_sq, s.omega1_sq
     y = np.stack((s.phi, s.phi_dot))
-    # derivative writes only the interior columns of k1..k4, so the
-    # clamped end columns stay 0
+    # the stage derivatives write only the interior columns of k1..k4,
+    # so the clamped end columns stay 0
     k1, k2, k3, k4 = (np.zeros_like(y) for _ in range(4))
     stage = np.empty_like(y)
     acc = np.empty_like(y)
     sin = np.empty(y.shape[1] - 2)
     half, sixth = 0.5 * dt, dt / 6.0
 
-    def derivative(src, dst):
-        np.copyto(dst[0, 1:-1], src[1, 1:-1])
-        _force(src[0], w0, w1, dst[1, 1:-1], sin)
+    def views(src, dst):
+        # the views of src that _force and the velocity copy read, and
+        # the rows of dst they write
+        return (src[0, 1:-1], src[0, 2:], src[0, :-2], src[1, 1:-1],
+                dst[0, 1:-1], dst[1, 1:-1])
+
+    # per stage: (k, h) forming the stage y + h*k (None for k1, taken
+    # at y), then the views of its derivative into k1..k4
+    plan = ((None, None) + views(y, k1),
+            (k1, half) + views(stage, k2),
+            (k2, half) + views(stage, k3),
+            (k3, dt) + views(stage, k4))
 
     snaps = [ChainState(s.phi, s.phi_dot, w0, w1)]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
-            derivative(y, k1)
-            for k, k_next, h in ((k1, k2, half), (k2, k3, half),
-                                 (k3, k4, dt)):
-                np.multiply(k, h, out=stage)
-                np.add(y, stage, out=stage)
-                derivative(stage, k_next)
+            for k, h, mid, right, left, vel, dphi, dvel in plan:
+                if k is not None:
+                    np.multiply(k, h, out=stage)
+                    np.add(y, stage, out=stage)
+                np.copyto(dphi, vel)
+                _force(mid, right, left, w0, w1, dvel, sin)
             # y += (dt/6)*(((k1 + 2 k2) + 2 k3) + k4)
             np.multiply(k2, 2.0, out=acc)
             np.add(k1, acc, out=acc)

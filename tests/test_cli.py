@@ -300,6 +300,24 @@ def test_main_non_finite_theta_bound_is_config_error(tmp_path, capsys, sets,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, key, value", [
+    ("pendulum-kink", "chain.center", "inf"),
+    ("pendulum-kink", "chain.center", "-inf"),
+    ("pendulum-kink", "chain.center", "nan"),
+    ("single-chain", "evolver.x_c", "inf"),
+    ("single-chain", "evolver.x_c", "nan")])
+def test_main_non_finite_position_is_config_error(tmp_path, capsys,
+                                                  experiment, key, value):
+    # a kink or packet centred at infinity would be an all-zero run
+    cfg = write_cfg(tmp_path, "experiment = %s\n" % experiment)
+    out = tmp_path / "pos.csv"
+    assert cli.main([cfg, "--output", str(out),
+                     "--set", "%s=%s" % (key, value)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: %s must be finite\n" % key)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["fourier.L=1e308", "fourier.box_factor=inf",
                                  "fourier.box_factor=nan"])
 def test_main_non_finite_fourier_box_is_domain_error(tmp_path, capsys, key):

@@ -50,16 +50,32 @@ def test_to_csv_text():
 
 
 def test_to_csv_text_matches_format_number():
-    # one format call per row writes what format_number writes per value
+    # one format call for the whole table writes what format_number
+    # writes per value
     rows = [(None, math.nan, -math.nan, math.inf),
             (-math.inf, -0.0, 5e-324, 2.2250738585072014e-308 / 3),
             (np.int64(7), np.float64(0.1), np.float32(0.1), np.int32(-3)),
             (np.float64(-np.inf), 1, True, 10 ** 20),
-            (1e300, -1.5e-310, 123456789012345678.0, 0.1 + 0.2)]
+            (1e300, -1.5e-310, 123456789012345678.0, 0.1 + 0.2),
+            (np.float64(-0.0), np.float64(math.nan), None, -0.0)]
     table = CurveTable(["a", "b", "c", "d"], rows)
     expect = "".join(",".join(format_number(v) for v in row) + "\n"
                      for row in rows)
     assert to_csv_text(table) == "a,b,c,d\n" + expect
+    # the cells that need a sign or a missing value kept
+    assert expect.startswith("nan,nan,nan,inf\n-inf,-0,")
+    assert expect.endswith("\n-0,nan,nan,-0\n")
+
+
+def test_to_csv_text_zero_rows_is_header_alone():
+    assert to_csv_text(CurveTable(["x", "y"])) == "x,y\n"
+    assert to_csv_text(CurveTable(["x"], [])) == "x\n"
+
+
+def test_to_csv_text_header_percent_verbatim():
+    # the header is not part of the format string
+    table = CurveTable(["a%s", "%%", "%.15g%"], [(1.0, 2.0, 3.0)])
+    assert to_csv_text(table) == "a%s,%%,%.15g%\n1,2,3\n"
 
 
 _NAME = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cdwlab import sinegordon
+from cdwlab import cli, sinegordon
+from cdwlab.curves import format_number
 from cdwlab.errors import DiagnosticError, DomainError, FieldOverflowError
 from cdwlab.sinegordon import (
     ChainState,
@@ -183,8 +184,9 @@ def chain_acceleration(s):
     # the RK4 step's in-place force, written into a buffer whose clamped
     # end sites stay 0
     acc = np.zeros_like(s.phi)
-    sinegordon._force(s.phi, s.omega0_sq, s.omega1_sq, acc[1:-1],
-                      np.empty(acc.size - 2))
+    phi = s.phi
+    sinegordon._force(phi[1:-1], phi[2:], phi[:-2], s.omega0_sq,
+                      s.omega1_sq, acc[1:-1], np.empty(acc.size - 2))
     return acc
 
 
@@ -247,7 +249,10 @@ def test_rk4_single_pendulum_period():
     (make_kink_chain(400, 900.0, 1.0, 240, beta=0.5), 0.004, 2500, 50),
     (make_kink_chain(400, 900.0, 1.0, 240, beta=0.5), 0.004, 7, 3),
     (ChainState([0.1, -0.0, 2.0], [-0.0, 0.3, 0.5], 2.0, 3.0), 0.01, 100, 9),
-], ids=["default-kink", "stride-not-dividing", "three-sites"])
+    (make_kink_chain(400, 900.0, 1.0, 240, beta=-0.9, sign=-1),
+     0.004, 70, 7),
+], ids=["default-kink", "stride-not-dividing", "three-sites",
+        "reversed-kink"])
 def test_rk4_matches_reference_bitwise(s, dt, steps, stride):
     snaps = integrate_chain_rk4(s, dt, steps, stride=stride)
     ref = reference_rk4(s, dt, steps, stride)
@@ -258,6 +263,23 @@ def test_rk4_matches_reference_bitwise(s, dt, steps, stride):
                                       phi.view(np.int64))
         np.testing.assert_array_equal(snap.phi_dot.view(np.int64),
                                       dot.view(np.int64))
+
+
+def test_main_pendulum_kink_bytes_match_reference(tmp_path):
+    # the whole pendulum-kink path, RK4 and CSV, against the allocating
+    # reference written value by value
+    cfg = tmp_path / "pk.cfg"
+    cfg.write_text("experiment = pendulum-kink\nchain.sites = 40\n"
+                   "chain.steps = 60\nchain.stride = 7\n")
+    out = tmp_path / "pk.csv"
+    assert cli.main([str(cfg), "--output", str(out)]) == 0
+    s = make_kink_chain(40, 900.0, 1.0, 24.0, beta=0.5)
+    lines = ["t,site,phi,phi_dot"]
+    for k, (phi, dot) in enumerate(reference_rk4(s, 0.004, 60, 7)):
+        for i in range(40):
+            lines.append(",".join(map(format_number, (
+                k * (0.004 * 7), float(i), phi[i], dot[i]))))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_rk4_snapshots_are_independent_copies():
