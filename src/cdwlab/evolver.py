@@ -13,9 +13,10 @@ current values (Dirichlet ends) in every scheme.
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
+from numpy import add as _add, multiply as _multiply, subtract as _subtract
 
 from .curves import CurveTable
 from .errors import DomainError, FieldOverflowError
@@ -73,12 +74,6 @@ def _check(dt):
         raise DomainError("dt must be positive")
 
 
-def _laplacian(a):
-    out = np.zeros_like(a)
-    out[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2]
-    return out
-
-
 def _lu(dl, d, du):
     """Solver b -> (x, info) by the LAPACK LU factors of the tridiagonal
     matrix (dl, d, du), from the same partial-pivoting elimination as
@@ -87,13 +82,17 @@ def _lu(dl, d, du):
     zgttrf may instead report a zero pivot)."""
     if not all(np.isfinite(a).all() for a in (dl, d, du)):
         return None
-    # scipy loads at the first factorization, not with the module: only
-    # cn-standard runs reach LAPACK
-    from scipy.linalg.lapack import zgttrf, zgttrs
+    zgttrf, zgttrs = _lapack()
     *factors, info = zgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
                             overwrite_du=1)
     _check_info(info)
     return partial(zgttrs, *factors)
+
+
+@cache
+def _lapack():  # loads scipy at the first call: only cn-standard uses it
+    from scipy.linalg.lapack import zgttrf, zgttrs
+    return zgttrf, zgttrs
 
 
 def _check_info(info):
@@ -108,24 +107,41 @@ def _check_info(info):
 # them, and returns step(prev, curr, out=None) -> new on plain arrays,
 # writing new into out when given (a fresh array otherwise); out must
 # alias neither prev nor curr.  Steps check nothing and hold the end
-# points at curr's.
+# points at curr's.  Each ufunc call keeps the operand order of the
+# allocating expression it replaces, takes `out` positionally and gets
+# every scalar (as a 0-d array) and coefficient row in the other
+# operand's dtype: on 398-element rows (numpy 2.4) `out=` costs 0.04 us
+# a call more, and a Python float 0.23 us (complex128 row: 0.37 us).
 def _cn_printed(V, p, dx, dt):
-    kappa = p.hbar / (p.D * dx * dx)
-    drift_v = (2.0 / p.hbar) * V
+    kappa, two, i_dt = (np.array(c, complex) for c in (
+        p.hbar / (p.D * dx * dx), 2.0, 1j * dt))
+    drift_v = ((2.0 / p.hbar) * V)[1:-1].astype(complex)
+    lap, scratch = np.empty((2, V.size - 2), dtype=complex)
 
     def step(prev, curr, out=None):
-        lap = _laplacian(curr) + _laplacian(prev)
-        new = np.add(prev, 1j * dt * (kappa * lap - drift_v * curr), out=out)
-        new[0], new[-1] = curr[0], curr[-1]
-        return new
+        # interior prev + 1j*dt*(kappa*(lap(curr) + lap(prev))
+        # - drift_v*curr), lap(a) = (a[j+1] - 2.0*a[j]) + a[j-1]
+        if out is None:
+            out = np.empty_like(curr)
+        for a, row in ((curr, lap), (prev, scratch)):
+            _multiply(two, a[1:-1], row)
+            _subtract(a[2:], row, row)
+            _add(row, a[:-2], row)
+        _add(lap, scratch, lap)
+        _multiply(kappa, lap, lap)
+        _multiply(drift_v, curr[1:-1], scratch)
+        _subtract(lap, scratch, lap)
+        _multiply(i_dt, lap, lap)
+        _add(prev[1:-1], lap, out[1:-1])
+        out[0], out[-1] = curr[0], curr[-1]
+        return out
 
     return step
 
 
 def _dufort_frankel(V, p, dx, dt, combine=np.add):
     r2 = -1j * dt * p.hbar / (p.D * dx * dx)  # 2*R~
-    a = r2 / (1.0 + r2)
-    b = (1.0 - r2) / (1.0 + r2)
+    a, b = map(np.array, (r2 / (1.0 + r2), (1.0 - r2) / (1.0 + r2)))
     pot = (1j * dt * (V / p.hbar))[1:-1]
     scratch = np.empty_like(pot)
 
@@ -134,12 +150,12 @@ def _dufort_frankel(V, p, dx, dt, combine=np.add):
         if out is None:
             out = np.empty_like(curr)
         new = out[1:-1]
-        combine(curr[:-2], curr[2:], out=new)
-        np.multiply(a, new, out=new)
-        np.multiply(b, prev[1:-1], out=scratch)
-        np.add(new, scratch, out=new)
-        np.multiply(pot, curr[1:-1], out=scratch)
-        np.subtract(new, scratch, out=new)
+        combine(curr[:-2], curr[2:], new)
+        _multiply(a, new, new)
+        _multiply(b, prev[1:-1], scratch)
+        _add(new, scratch, new)
+        _multiply(pot, curr[1:-1], scratch)
+        _subtract(new, scratch, new)
         out[0], out[-1] = curr[0], curr[-1]
         return out
 
@@ -163,6 +179,7 @@ def _cn_standard(V, p, dx, dt):
     solver = _lu(dl, diag, du)
     diag_m = diag_m[1:-1]
     scratch = np.empty_like(diag_m)
+    koff, half = np.array(koff), np.array(half, complex)
 
     def step(prev, curr, out=None):
         # curr + half*(koff*(neighbour sum) + diag_m*curr), solved in place
@@ -172,12 +189,12 @@ def _cn_standard(V, p, dx, dt):
             out.fill(np.nan)
             return out
         rhs = out[1:-1]
-        np.add(curr[:-2], curr[2:], out=rhs)
-        np.multiply(koff, rhs, out=rhs)
-        np.multiply(diag_m, curr[1:-1], out=scratch)
-        np.add(rhs, scratch, out=rhs)
-        np.multiply(half, rhs, out=rhs)
-        np.add(curr[1:-1], rhs, out=rhs)
+        _add(curr[:-2], curr[2:], rhs)
+        _multiply(koff, rhs, rhs)
+        _multiply(diag_m, curr[1:-1], scratch)
+        _add(rhs, scratch, rhs)
+        _multiply(half, rhs, rhs)
+        _add(curr[1:-1], rhs, rhs)
         out[0], out[-1] = curr[0], curr[-1]
         _check_info(solver(out, overwrite_b=1)[1])
         return out

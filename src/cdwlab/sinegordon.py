@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
+from numpy import add as _add, multiply as _multiply, subtract as _subtract
 
 from .curves import CurveTable
 from .errors import DiagnosticError, DomainError, FieldOverflowError
@@ -105,27 +106,28 @@ def _force(mid, right, left, omega0_sq, omega1_sq, out, sin):
     """Write omega0_sq*(right - 2 mid + left) - omega1_sq*sin(mid) into
     out, where mid, right and left are the interior sites of a chain's
     angles and their right and left neighbours (phi[1:-1], phi[2:],
-    phi[:-2]); sin is scratch of out's size."""
-    np.multiply(mid, 2.0, out=out)
-    np.subtract(right, out, out=out)
-    np.add(out, left, out=out)
-    np.multiply(out, omega0_sq, out=out)
-    np.sin(mid, out=sin)
-    np.multiply(sin, omega1_sq, out=sin)
-    np.subtract(out, sin, out=out)
+    phi[:-2]); sin is scratch of out's size.  mid + mid is 2*mid."""
+    _add(mid, mid, out)
+    _subtract(right, out, out)
+    _add(out, left, out)
+    _multiply(out, omega0_sq, out)
+    np.sin(mid, sin)
+    _multiply(sin, omega1_sq, sin)
+    _subtract(out, sin, out)
 
 
 def integrate_chain_rk4(s, dt, steps, stride=1):
     """Classical RK4 on (phi, phi_dot); snapshots every `stride` steps.
 
-    The state is one stacked (2, m) array y = [phi; phi_dot], advanced
-    in place through stage buffers allocated once per run.  The views
-    of them that each stage reads and writes are built once per run
-    too, so a step slices nothing.  Both end sites are clamped: their
-    angle and velocity never change.  The returned list starts with a
+    The stages live in one (4, 3, m) block b with rows phi, phi_dot and
+    phi_ddot: stage j is b[j, :2] (stage 0 is the state y) and its
+    derivative b[j, 1:].  b and the views each stage reads and writes
+    are built once per run, so a step slices and allocates nothing.
+    Both end sites are clamped: their angles never change, their
+    phi_dot and phi_ddot columns in b stay 0, and their own velocities
+    are held aside for the snapshots.  The returned list starts with a
     copy of the initial state, and every snapshot holds its own copies
-    of the arrays.  A non-finite state aborts with the offending step
-    index.
+    of the arrays.  A non-finite state aborts with the offending step.
     """
     if not (dt > 0):
         raise DomainError("dt must be positive")
@@ -133,52 +135,43 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
         raise DomainError("steps must be >= 1")
     if stride < 1:
         raise DomainError("stride must be >= 1")
-    w0, w1 = s.omega0_sq, s.omega1_sq
-    y = np.stack((s.phi, s.phi_dot))
-    # the stage derivatives write only the interior columns of k1..k4,
-    # so the clamped end columns stay 0
-    k1, k2, k3, k4 = (np.zeros_like(y) for _ in range(4))
-    stage = np.empty_like(y)
-    acc = np.empty_like(y)
-    sin = np.empty(y.shape[1] - 2)
-    half, sixth = 0.5 * dt, dt / 6.0
+    b = np.zeros((4, 3, s.phi.size))
+    b[0, 0], b[0, 1, 1:-1] = s.phi, s.phi_dot[1:-1]
+    y, (k1, k2, k3, k4) = b[0, :2], b[:, 1:]
+    ends = s.phi_dot[::s.phi.size - 1] + 0.0  # as y += 0 leaves them
+    sin, finite = np.empty(s.phi.size - 2), np.empty(y.shape, dtype=bool)
+    w0, w1, half, full, sixth = map(
+        np.array, (s.omega0_sq, s.omega1_sq, 0.5 * dt, dt, dt / 6.0))
 
-    def views(src, dst):
-        # the views of src that _force and the velocity copy read, and
-        # the rows of dst they write
-        return (src[0, 1:-1], src[0, 2:], src[0, :-2], src[1, 1:-1],
-                dst[0, 1:-1], dst[1, 1:-1])
+    # stage j: k, h with b[j, :2] = y + h*k (k None at j = 0), its views
+    plan = [(b[j - 1, 1:] if j else None, h, b[j, :2], b[j, 0, 1:-1],
+             b[j, 0, 2:], b[j, 0, :-2], b[j, 2, 1:-1])
+            for j, h in enumerate((None, half, half, full))]
 
-    # per stage: (k, h) forming the stage y + h*k (None for k1, taken
-    # at y), then the views of its derivative into k1..k4
-    plan = ((None, None) + views(y, k1),
-            (k1, half) + views(stage, k2),
-            (k2, half) + views(stage, k3),
-            (k3, dt) + views(stage, k4))
-
-    snaps = [ChainState(s.phi, s.phi_dot, w0, w1)]
+    snaps = [ChainState(s.phi, s.phi_dot, s.omega0_sq, s.omega1_sq)]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
-            for k, h, mid, right, left, vel, dphi, dvel in plan:
+            for k, h, stage, mid, right, left, acc in plan:
                 if k is not None:
-                    np.multiply(k, h, out=stage)
-                    np.add(y, stage, out=stage)
-                np.copyto(dphi, vel)
-                _force(mid, right, left, w0, w1, dvel, sin)
-            # y += (dt/6)*(((k1 + 2 k2) + 2 k3) + k4)
-            np.multiply(k2, 2.0, out=acc)
-            np.add(k1, acc, out=acc)
-            np.multiply(k3, 2.0, out=k3)
-            np.add(acc, k3, out=acc)
-            np.add(acc, k4, out=acc)
-            np.multiply(acc, sixth, out=acc)
-            np.add(y, acc, out=y)
-            if not np.isfinite(y).all():
+                    _multiply(k, h, stage)
+                    _add(y, stage, stage)
+                _force(mid, right, left, w0, w1, acc, sin)
+            # y += (dt/6)*(((k1 + 2 k2) + 2 k3) + k4), summed in k2
+            _add(k2, k2, k2)
+            _add(k1, k2, k2)
+            _add(k3, k3, k3)
+            _add(k2, k3, k2)
+            _add(k2, k4, k2)
+            _multiply(k2, sixth, k2)
+            _add(y, k2, y)
+            np.isfinite(y, finite)
+            if not finite.all():
                 raise FieldOverflowError(
                     "chain state became non-finite at step %d of %d"
                     % (n, steps), step=n)
             if n % stride == 0:
-                snaps.append(ChainState(y[0], y[1], w0, w1))
+                snaps.append(ChainState(*y, s.omega0_sq, s.omega1_sq))
+                snaps[-1].phi_dot[::s.phi.size - 1] = ends
     return snaps
 
 

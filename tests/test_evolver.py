@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -825,6 +826,25 @@ def test_plan_step_writes_into_out(kind):
     assert not np.shares_memory(fresh, curr.values)
     np.testing.assert_array_equal(prev.values, keep[0])
     np.testing.assert_array_equal(curr.values, keep[1])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_plan_step_allocates_less_than_a_level(kind):
+    # a step writes into out and its own scratch: the traced peak over
+    # 100 steps stays below one level of the grid (16 bytes a point)
+    f = gaussian_packet(501, 0.05)
+    step = evolver._PLANS[kind](potential_on_grid(f, WELL), WELL, f.dx,
+                                2e-3)
+    prev, curr, out = f.values.copy(), f.values * 0.5, np.empty_like(f.values)
+    step(prev, curr, out)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            step(prev, curr, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * f.values.size
 
 
 def test_steppers_return_fresh_fields():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,8 +252,11 @@ def test_rk4_single_pendulum_period():
     (ChainState([0.1, -0.0, 2.0], [-0.0, 0.3, 0.5], 2.0, 3.0), 0.01, 100, 9),
     (make_kink_chain(400, 900.0, 1.0, 240, beta=-0.9, sign=-1),
      0.004, 70, 7),
+    # O(1) clamped-end velocities of both signs, a -0.0 end angle
+    (ChainState([-0.0, 0.4, -0.3, 1.1, 2.0], [0.7, 0.2, -0.5, 0.1, -0.7],
+                2.0, 3.0), 0.01, 40, 3),
 ], ids=["default-kink", "stride-not-dividing", "three-sites",
-        "reversed-kink"])
+        "reversed-kink", "end-velocities"])
 def test_rk4_matches_reference_bitwise(s, dt, steps, stride):
     snaps = integrate_chain_rk4(s, dt, steps, stride=stride)
     ref = reference_rk4(s, dt, steps, stride)
@@ -263,6 +267,25 @@ def test_rk4_matches_reference_bitwise(s, dt, steps, stride):
                                       phi.view(np.int64))
         np.testing.assert_array_equal(snap.phi_dot.view(np.int64),
                                       dot.view(np.int64))
+        # the clamped ends' velocities are held outside the RK4 state
+        np.testing.assert_array_equal(snap.phi_dot[[0, -1]].view(np.int64),
+                                      dot[[0, -1]].view(np.int64))
+
+
+def test_rk4_peak_memory_does_not_grow_with_steps():
+    # a step allocates nothing that outlives it: 1000 steps peak at most
+    # one 400-site row above 10 steps (both runs return two snapshots)
+    s = make_kink_chain(400, 900.0, 1.0, 240, beta=0.5)
+    integrate_chain_rk4(s, 0.004, 10, stride=10)
+    peaks = []
+    for steps in (10, 1000):
+        tracemalloc.start()
+        try:
+            integrate_chain_rk4(s, 0.004, steps, stride=steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 8 * 400
 
 
 def test_main_pendulum_kink_bytes_match_reference(tmp_path):
