@@ -1,7 +1,8 @@
 """Tabular results and CSV emission.
 
 Every artifact the lab produces is a 1-D or 2-D curve, so a single
-column-named table type backs all of them.  Numbers are written with 15
+column-named table type backs all of them: one float64 (rows, columns)
+array, in which a missing cell is NaN.  Numbers are written with 15
 significant digits and a plain '.' decimal separator; rows are joined
 with '\\n'.  Writes go through a temp file in the target directory and an
 atomic rename, so an interrupted run never leaves a truncated artifact.
@@ -10,29 +11,31 @@ atomic rename, so an interrupted run never leaves a truncated artifact.
 import os
 import tempfile
 
+import numpy as np
+
 from .errors import DomainError
 
 
 class CurveTable:
-    """Ordered rows of numeric values under a fixed column header."""
+    """Numeric rows under a fixed column header, held as one float64
+    (rows, columns) array ``rows`` in which a missing cell (None in the
+    rows given) is NaN."""
 
-    def __init__(self, columns, rows=None):
+    def __init__(self, columns, rows=()):
         self.columns = tuple(str(c) for c in columns)
         if not self.columns:
             raise DomainError("table needs at least one column")
-        self.rows = []
-        if rows is not None:
-            for row in rows:
-                self.append(row)
-
-    def append(self, row):
-        row = tuple(row)
-        if len(row) != len(self.columns):
-            raise DomainError(
-                "row arity %d does not match header arity %d"
-                % (len(row), len(self.columns))
-            )
-        self.rows.append(row)
+        arity = len(self.columns)
+        try:
+            self.rows = np.array(rows, dtype=float)
+        except ValueError as err:
+            raise DomainError("rows must be numeric and of header arity "
+                              "%d: %s" % (arity, err)) from None
+        if self.rows.shape == (0,):
+            self.rows = self.rows.reshape(0, arity)
+        if self.rows.ndim != 2 or self.rows.shape[1] != arity:
+            raise DomainError("rows of shape %s do not match header arity %d"
+                              % (self.rows.shape, arity))
 
     def __len__(self):
         return len(self.rows)
@@ -50,12 +53,10 @@ def format_number(x):
 def to_csv_text(table):
     """The table as CSV text, each value as format_number renders it
     (one format call for the whole table)."""
-    nan = float("nan")
-    values = tuple([nan if v is None else v
-                    for row in table.rows for v in row])
     line = ",".join(["%.15g"] * len(table.columns)) + "\n"
     # the header stays out of the format string: a name may hold a '%'
-    return ",".join(table.columns) + "\n" + (line * len(table.rows)) % values
+    return ",".join(table.columns) + "\n" + (line * len(table)) % tuple(
+        table.rows.ravel().tolist())
 
 
 def write_csv(table, path):

@@ -410,4 +410,4 @@ def detect_resonance(t, window):
 def trajectory_table(t):
     """Trajectory as a three-column table t, mean_phase, norm."""
     return CurveTable(("t", "mean_phase", "norm"),
-                      zip(t.times, t.mean_phase, t.norm))
+                      np.column_stack((t.times, t.mean_phase, t.norm)))

@@ -59,16 +59,13 @@ class FieldDriveParams:
 def washboard_potential(phi, p):
     """Tilted washboard: 0.5*mu_E*(phi-theta)^2 + 0.5*D*omega_p_sq*(1-cos phi).
 
-    Accepts a scalar or an array of phases; non-negative for the
-    validated parameter ranges.
+    Returns an array of phi's shape (0-d for a scalar phase);
+    non-negative for the validated parameter ranges.
     """
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise DomainError("non-finite phase")
-    out = _washboard(phi, p, p.theta)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _washboard(phi, p, p.theta)
 
 
 def _washboard(phi, p, theta):

@@ -10,7 +10,6 @@ kink is the 4*arctan(exp(.)) profile.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 from numpy import add as _add, multiply as _multiply, subtract as _subtract
@@ -65,10 +64,7 @@ def kink_phase(z, tau, k):
     gamma = math.sqrt(1.0 - k.beta * k.beta)
     u = k.sign * (np.asarray(z, dtype=float) + k.beta * tau) / gamma
     with np.errstate(over="ignore"):
-        out = 4.0 * np.arctan(np.exp(u))
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return 4.0 * np.arctan(np.exp(u))
 
 
 def kink_phase_rate(z, tau, k):
@@ -76,10 +72,7 @@ def kink_phase_rate(z, tau, k):
     gamma = math.sqrt(1.0 - k.beta * k.beta)
     u = k.sign * (np.asarray(z, dtype=float) + k.beta * tau) / gamma
     with np.errstate(over="ignore"):  # cosh overflows far out; 2/inf = 0
-        out = 2.0 / np.cosh(u) * k.sign * k.beta / gamma
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return 2.0 / np.cosh(u) * k.sign * k.beta / gamma
 
 
 def sine_gordon_residual(phi_prev, phi_curr, phi_next, dz, dtau):
@@ -221,16 +214,14 @@ def thin_wall_profile(x, b, x_a, x_b):
     if not x_a < x_b:
         raise DomainError("wall centers must satisfy x_a < x_b")
     x = np.asarray(x, dtype=float)
-    out = math.pi * (np.tanh(b * (x - x_a)) + np.tanh(b * (x_b - x)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return math.pi * (np.tanh(b * (x - x_a)) + np.tanh(b * (x_b - x)))
 
 
 def chain_trajectory_table(snapshots, dt_snapshot):
     """Long-format table of chain snapshots: one row per (time, site)."""
-    rows = []
-    for k, s in enumerate(snapshots):
-        rows.extend(zip(repeat(k * dt_snapshot), map(float, range(s.phi.size)),
-                        s.phi.tolist(), s.phi_dot.tolist()))
-    return CurveTable(("t", "site", "phi", "phi_dot"), rows)
+    phi = np.array([s.phi for s in snapshots])
+    phi_dot = np.array([s.phi_dot for s in snapshots])
+    n, m = phi.shape
+    return CurveTable(("t", "site", "phi", "phi_dot"), np.column_stack((
+        np.repeat(np.arange(n) * dt_snapshot, m),
+        np.tile(np.arange(m, dtype=float), n), phi.ravel(), phi_dot.ravel())))

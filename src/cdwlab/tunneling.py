@@ -187,13 +187,14 @@ def iv_curve(E_grid, cp):
             raise DomainError("field grid must be strictly increasing")
     columns = (current_beckwith, current_zener,
                partial(current_zener, gated=False))
-    table = CurveTable(("E", "I_beckwith", "I_zener_gated", "I_zener_ungated"))
-    for E in grid:
-        row = [float(E)]
+    rows = []
+    for E in grid.tolist():
+        row = [E]
         for fn in columns:
             try:
-                row.append(fn(float(E), cp))
+                row.append(fn(E, cp))
             except (CdwError, OverflowError):
                 row.append(None)
-        table.append(row)
-    return table
+        rows.append(row)
+    return CurveTable(("E", "I_beckwith", "I_zener_gated", "I_zener_ungated"),
+                      rows)

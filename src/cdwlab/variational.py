@@ -124,12 +124,9 @@ class SweepResult:
         cols += ["b_%d" % m for m in range(-2, 3)]
         cols += ["c_%d" % m for m in range(-2, 3)]
         cols.append("alpha")
-        table = CurveTable(cols)
-        for r in self.rows:
-            table.append((r.theta, r.e_min, r.mean_phi,
-                          1.0 if r.converged else 0.0)
-                         + r.coeffs.b + r.coeffs.c + (r.coeffs.alpha,))
-        return table
+        return CurveTable(cols, [
+            (r.theta, r.e_min, r.mean_phi, r.converged)
+            + r.coeffs.b + r.coeffs.c + (r.coeffs.alpha,) for r in self.rows])
 
 
 _NODE_CACHE = {}

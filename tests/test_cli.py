@@ -4,13 +4,18 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdwlab import cli, variational
+from cdwlab import cli, evolver, tunneling, variational
+from cdwlab.curves import format_number
 from cdwlab.errors import ConfigError
+from cdwlab.model import FieldDriveParams, PhysicalParams
+from cdwlab.tunneling import CurrentParams
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -575,6 +580,67 @@ def test_main_rerun_byte_identical(tmp_path):
     assert cli.main([cfg, "--output", str(a)]) == 0
     assert cli.main([cfg, "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _main_bytes(tmp_path, text):
+    """The CSV bytes cli.main writes for config text; stderr stays empty."""
+    out = tmp_path / "run.csv"
+    assert cli.main([write_cfg(tmp_path, text), "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+def _per_value_bytes(header, rows):
+    """Header plus every value as format_number renders it."""
+    return "".join([",".join(header) + "\n"] + [
+        ",".join(map(format_number, row)) + "\n" for row in rows]).encode()
+
+
+def test_main_single_chain_bytes_match_per_value_rule(tmp_path, capsys):
+    text = "experiment = single-chain\nevolver.n = 7\nevolver.steps = 40\n"
+    o = cli.parse_config(text.encode()).options
+    init = evolver.gaussian_packet(7, o["evolver.dx"], x0=o["evolver.x0"],
+                                   x_c=o["evolver.x_c"],
+                                   alpha0=o["evolver.alpha0"])
+    t = evolver.evolve(o["evolver.scheme"], init, PhysicalParams(),
+                       FieldDriveParams(), o["evolver.dt"], 40)
+    assert len(t) == 41
+    rows = [list(r) for r in zip(t.times, t.mean_phase, t.norm)]
+    assert _main_bytes(tmp_path, text) == _per_value_bytes(
+        ["t", "mean_phase", "norm"], rows)
+    assert capsys.readouterr().err == ""
+
+
+def test_main_iv_curve_bytes_match_per_value_rule(tmp_path, capsys):
+    # the top fields overflow the cosh form: those cells are missing
+    cp = CurrentParams()
+    rows = []
+    for E in (1e6 * np.arange(1, 11) / 10).tolist():
+        row = [E]
+        for fn in (tunneling.current_beckwith, tunneling.current_zener,
+                   partial(tunneling.current_zener, gated=False)):
+            try:
+                row.append(fn(E, cp))
+            except OverflowError:
+                row.append(None)
+        rows.append(row)
+    assert [r[1] is None for r in rows] == [False] * 2 + [True] * 8
+    got = _main_bytes(tmp_path, "experiment = iv-curve\n"
+                                "iv.E_max_factor = 1e6\niv.points = 10\n")
+    assert got == _per_value_bytes(
+        ["E", "I_beckwith", "I_zener_gated", "I_zener_ungated"], rows)
+    assert capsys.readouterr().err == ""
+
+
+def test_main_fourier_check_bytes_match_per_value_rule(tmp_path, capsys):
+    # box = 16 L puts the excluded modes at 16 and 32
+    g = tunneling.PairGeometry(L=1.0, b=1e4, x_a=-0.5, x_b=0.5)
+    rows = [list(r) for r in tunneling._fourier_modes(g, 40, 16.0)]
+    assert [n + 1 for n, r in enumerate(rows) if r[3] is None] == [16, 32]
+    got = _main_bytes(tmp_path, "experiment = fourier-check\n"
+                                "fourier.n_modes = 40\n")
+    assert got == _per_value_bytes(
+        ["k", "numeric", "closed_form", "rel_deviation"], rows)
+    assert capsys.readouterr().err == ""
 
 
 def test_main_set_overrides_config(tmp_path):

@@ -30,19 +30,19 @@ def test_format_number_sig_digits():
 
 
 def test_table_arity_checked():
-    t = CurveTable(["a", "b"])
-    t.append([1.0, 2.0])
-    with pytest.raises(DomainError):
-        t.append([1.0])
-    with pytest.raises(DomainError):
-        t.append([1.0, 2.0, 3.0])
+    t = CurveTable(["a", "b"], [[1.0, 2.0]])
     assert len(t) == 1
+    for rows in ([[1.0]], [[1.0, 2.0, 3.0]], [[1.0, 2.0], [1.0]]):
+        with pytest.raises(DomainError):
+            CurveTable(["a", "b"], rows)
+    empty = CurveTable(["a", "b"], [])
+    assert len(empty) == 0
+    assert to_csv_text(empty) == "a,b\n"
 
 
 def test_to_csv_text():
-    t = CurveTable(["x", "y"])
-    t.append([1.0, None])
-    t.append([2.5, -3.0])
+    t = CurveTable(["x", "y"], [[1.0, None], [2.5, -3.0]])
+    assert math.isnan(t.rows[0, 1])
     text = to_csv_text(t)
     assert text == "x,y\n1,nan\n2.5,-3\n"
     # newline endings only, no carriage returns
@@ -114,8 +114,7 @@ def test_csv_round_trip(table):
 
 
 def test_write_csv_atomic(tmp_path):
-    t = CurveTable(["x"])
-    t.append([1.0])
+    t = CurveTable(["x"], [[1.0]])
     out = tmp_path / "sub" / "t.csv"
     os.makedirs(out.parent)
     write_csv(t, str(out))
@@ -127,9 +126,7 @@ def test_write_csv_atomic(tmp_path):
 
 
 def test_write_csv_byte_identical(tmp_path):
-    t = CurveTable(["a", "b"])
-    for k in range(20):
-        t.append([k * 0.1, math.sin(k)])
+    t = CurveTable(["a", "b"], [[k * 0.1, math.sin(k)] for k in range(20)])
     p1 = tmp_path / "one.csv"
     p2 = tmp_path / "two.csv"
     write_csv(t, str(p1))
