@@ -12,15 +12,19 @@ current values (Dirichlet ends) in every scheme.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cache, partial
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
+from importlib.util import module_from_spec
 
 import numpy as np
 from numpy import add as _add, multiply as _multiply, subtract as _subtract
 
 from .curves import CurveTable
 from .errors import DomainError, FieldOverflowError
-from .model import _washboard, washboard_potential
+from .model import _pinning, _washboard, washboard_potential
 
 
 @dataclass
@@ -90,9 +94,21 @@ def _lu(dl, d, du):
 
 
 @cache
-def _lapack():  # loads scipy at the first call: only cn-standard uses it
-    from scipy.linalg.lapack import zgttrf, zgttrs
-    return zgttrf, zgttrs
+def _lapack():
+    """scipy's zgttrf and zgttrs from its f2py extension `_flapack`,
+    loaded alone at the first call (only cn-standard needs them) and
+    kept out of sys.modules, so the `scipy.linalg` package is never
+    imported.  The top-level `scipy` import is light and runs the
+    wheel's DLL set-up on Windows."""
+    import scipy
+    where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)
+                      ).find_spec("_flapack")
+    if spec is None:
+        raise ImportError("no scipy LAPACK extension _flapack in %s" % where)
+    flapack = module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.zgttrf, flapack.zgttrs
 
 
 def _check_info(info):
@@ -334,7 +350,8 @@ def evolve(kind, init, p, drive, dt, steps):
     x, dx = init.grid(), init.dx
 
     # V is the same at every step when its tilt term is +0.0 (mu_E = 0)
-    # or theta_n is theta (a_D = 0); only a driven V is rebuilt per step.
+    # or theta_n is theta (a_D = 0); only a driven V is rebuilt per step,
+    # from a pinning term computed once.
     driven = p.mu_E != 0.0 and drive.a_D != 0.0
     rows = max(1, min(_BLOCK_ROWS, steps + 1, _BLOCK_BYTES // (16 * x.size)))
     block = np.empty((rows, x.size), dtype=complex)
@@ -353,6 +370,7 @@ def evolve(kind, init, p, drive, dt, steps):
 
     with np.errstate(over="ignore", invalid="ignore"):
         step = build(washboard_potential(x, p), p, dx, dt)
+        pin = _pinning(x, p) if driven else None
         for n in range(steps):
             if driven and n:
                 theta_n = p.theta + drive.a_D * (n * dt)
@@ -361,7 +379,7 @@ def evolve(kind, init, p, drive, dt, steps):
                     if record():
                         break
                     raise DomainError("non-finite physical parameter")
-                step = build(_washboard(x, p, theta_n), p, dx, dt)
+                step = build(_washboard(x, p, theta_n, pin), p, dx, dt)
             if filled == rows:
                 if record():
                     break

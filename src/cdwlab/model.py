@@ -65,11 +65,16 @@ def washboard_potential(phi, p):
     phi = np.asarray(phi, dtype=float)
     if not np.all(np.isfinite(phi)):
         raise DomainError("non-finite phase")
-    return _washboard(phi, p, p.theta)
+    return _washboard(phi, p, p.theta, _pinning(phi, p))
 
 
-def _washboard(phi, p, theta):
+def _pinning(phi, p):
+    """The theta-independent pinning term 0.5*D*omega_p_sq*(1-cos phi)."""
+    return 0.5 * p.D * p.omega_p_sq * (1.0 - np.cos(phi))
+
+
+def _washboard(phi, p, theta, pin):
     """washboard_potential at driving phase theta in place of p.theta,
-    for a float array phi the caller has checked."""
+    for a float array phi the caller has checked and its _pinning(phi, p)."""
     d = phi - theta
-    return 0.5 * p.mu_E * d * d + 0.5 * p.D * p.omega_p_sq * (1.0 - np.cos(phi))
+    return 0.5 * p.mu_E * d * d + pin

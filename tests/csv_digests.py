@@ -8,8 +8,10 @@ line per run: label, sha256 of the CSV (``-`` when none was written),
 sha256 of stderr, exit code.  Running it against two source trees and
 diffing the outputs checks that a change keeps the artifacts'
 byte contract.  The runs are the five experiments at their defaults,
-the benchmark's invocations (``perfbench/workloads.py``) and edge cases
-with missing cells, excluded modes, a negative kink and an overflow.
+the benchmark's invocations (``perfbench/workloads.py``), a driven
+``single-chain`` per scheme (its V and, for cn-standard, its LU factors
+rebuilt every step) and edge cases with missing cells, excluded modes,
+a negative kink and an overflow.
 """
 
 import hashlib
@@ -26,6 +28,9 @@ import workloads  # noqa: E402
 EXPERIMENTS = ("single-chain", "pendulum-kink", "variational-sweep",
                "iv-curve", "fourier-check")
 
+SCHEMES = ("df-standard", "df-printed", "cn-printed", "cn-standard")
+DRIVEN = ["model.mu_E=0.012", "model.theta=2", "drive.a_D=0.3"]
+
 EDGE_CASES = [
     ("iv-curve", ["iv.E_max_factor=1e6", "iv.points=10"]),
     ("iv-curve", ["iv.E_max_factor=1e9", "iv.points=50"]),
@@ -41,6 +46,8 @@ def runs():
     for make in workloads.WORKLOADS.values():
         out += [("bench-" + inv.label, inv.config, list(inv.sets))
                 for inv in make()]
+    out += [("driven-" + scheme, "experiment = single-chain\n",
+             ["evolver.scheme=" + scheme] + DRIVEN) for scheme in SCHEMES]
     out += [("edge-%s %s" % (e, " ".join(sets)), "experiment = %s\n" % e,
              sets) for e, sets in EDGE_CASES]
     return out

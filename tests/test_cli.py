@@ -670,14 +670,16 @@ import cdwlab
 print(json.dumps([loaded("numpy"), loaded("scipy")]))
 from cdwlab import cli
 for argv in json.loads(sys.argv[1]):
-    print(json.dumps([cli.main(argv), loaded("scipy")]))
+    print(json.dumps([cli.main(argv), loaded("scipy"),
+                      loaded("scipy.linalg")]))
 """
 
 
 def test_main_loads_scipy_only_for_lapack(tmp_path):
     # scipy loads where a run first reaches its LAPACK wrappers: only the
-    # cn-standard tridiagonal solve; the variational sweep's stacked
-    # eigh is numpy's
+    # cn-standard tridiagonal solve, which loads the extension module
+    # holding them but never the scipy.linalg package; the variational
+    # sweep's stacked eigh is numpy's
     cfg = write_cfg(tmp_path, "evolver.n = 31\nevolver.steps = 10\n"
                               "chain.sites = 40\nchain.steps = 20\n"
                               "chain.stride = 10\niv.points = 5\n"
@@ -700,7 +702,8 @@ def test_main_loads_scipy_only_for_lapack(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert lines == [[False, False]] + [[0, False]] * 7 + [[0, True]]
+    assert lines == ([[False, False]] + [[0, False, False]] * 7
+                     + [[0, True, False]])
 
 
 def test_console_script_entry_point(tmp_path):

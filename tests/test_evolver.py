@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -553,6 +554,47 @@ def test_tridiagonal_lapack_errors_raise():
         evolver._check_info(-2)
 
 
+def test_lapack_wrappers_are_scipys():
+    # the extension module loaded alone gives scipy.linalg.lapack's
+    # factors, info and solution bit for bit on a pivoting system
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(41)
+    n = 50
+
+    def cplx(size):
+        return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+    dl, d, du, b = cplx(n - 1), cplx(n), cplx(n - 1), cplx(n)
+    d[7] = 1e-14
+    zgttrf, zgttrs = evolver._lapack()
+    ours = zgttrf(dl.copy(), d.copy(), du.copy())
+    theirs = lapack.zgttrf(dl.copy(), d.copy(), du.copy())
+    assert not np.array_equal(ours[4], np.arange(1, n + 1))  # pivoted
+    assert ours[-1] == theirs[-1] == 0
+    for a, ref in zip(ours[:-1], theirs[:-1]):
+        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+    x, info = zgttrs(*ours[:-1], b.copy())
+    x_ref, info_ref = lapack.zgttrs(*theirs[:-1], b.copy())
+    assert info == info_ref == 0
+    assert x.tobytes() == x_ref.tobytes()
+
+
+def test_lapack_missing_extension_raises(tmp_path, monkeypatch):
+    import scipy
+
+    linalg = tmp_path / "scipy" / "linalg"
+    linalg.mkdir(parents=True)
+    (linalg / "lapack.py").write_text("")
+    monkeypatch.setattr(scipy, "__file__", str(linalg.parent / "__init__.py"))
+    evolver._lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=re.escape(str(linalg))):
+            evolver._lapack()
+    finally:
+        evolver._lapack.cache_clear()
+
+
 def test_detect_blowup_basics():
     t = Trajectory([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 2.0, 20.0])
     assert detect_blowup(t, 10.0) == 2
@@ -665,7 +707,8 @@ def reference_evolve(kind, init, p, drive, dt, steps, plan=reference_plan):
                 theta_n = p.theta + drive.a_D * (n * dt)
                 if not math.isfinite(theta_n):
                     raise DomainError("non-finite physical parameter")
-                step = plan(kind, model._washboard(x, p, theta_n), p, dx, dt)
+                step = plan(kind, model.washboard_potential(
+                    x, replace(p, theta=theta_n)), p, dx, dt)
             new = step(prev, curr)
             if not np.isfinite(new).all():
                 truncated = True
