@@ -120,25 +120,23 @@ def _check_info(info):
 
 
 # A plan builder takes (V, p, dx, dt), computes what depends only on
-# them, and returns step(prev, curr, out=None) -> new on plain arrays,
-# writing new into out when given (a fresh array otherwise); out must
-# alias neither prev nor curr.  Steps check nothing and hold the end
-# points at curr's.  Each ufunc call keeps the operand order of the
-# allocating expression it replaces, takes `out` positionally and gets
-# every scalar (as a 0-d array) and coefficient row in the other
-# operand's dtype: on 398-element rows (numpy 2.4) `out=` costs 0.04 us
-# a call more, and a Python float 0.23 us (complex128 row: 0.37 us).
+# them, and returns step(prev, curr, out) -> out on plain arrays,
+# writing the new level into out, which must alias neither prev nor
+# curr.  Steps check nothing and hold the end points at curr's.  Each
+# ufunc call keeps the operand order of the allocating expression it
+# replaces, takes `out` positionally and gets every scalar (as a 0-d
+# array) and coefficient row in the other operand's dtype: on
+# 398-element rows (numpy 2.4) `out=` costs 0.04 us a call more, and a
+# Python float 0.23 us (complex128 row: 0.37 us).
 def _cn_printed(V, p, dx, dt):
     kappa, two, i_dt = (np.array(c, complex) for c in (
         p.hbar / (p.D * dx * dx), 2.0, 1j * dt))
     drift_v = ((2.0 / p.hbar) * V)[1:-1].astype(complex)
     lap, scratch = np.empty((2, V.size - 2), dtype=complex)
 
-    def step(prev, curr, out=None):
+    def step(prev, curr, out):
         # interior prev + 1j*dt*(kappa*(lap(curr) + lap(prev))
         # - drift_v*curr), lap(a) = (a[j+1] - 2.0*a[j]) + a[j-1]
-        if out is None:
-            out = np.empty_like(curr)
         for a, row in ((curr, lap), (prev, scratch)):
             _multiply(two, a[1:-1], row)
             _subtract(a[2:], row, row)
@@ -161,10 +159,8 @@ def _dufort_frankel(V, p, dx, dt, combine=np.add):
     pot = (1j * dt * (V / p.hbar))[1:-1]
     scratch = np.empty_like(pot)
 
-    def step(prev, curr, out=None):
+    def step(prev, curr, out):
         # interior a*(curr[j-1] +/- curr[j+1]) + b*prev[j] - pot[j]*curr[j]
-        if out is None:
-            out = np.empty_like(curr)
         new = out[1:-1]
         combine(curr[:-2], curr[2:], new)
         _multiply(a, new, new)
@@ -197,10 +193,8 @@ def _cn_standard(V, p, dx, dt):
     scratch = np.empty_like(diag_m)
     koff, half = np.array(koff), np.array(half, complex)
 
-    def step(prev, curr, out=None):
+    def step(prev, curr, out):
         # curr + half*(koff*(neighbour sum) + diag_m*curr), solved in place
-        if out is None:
-            out = np.empty_like(curr)
         if solver is None:
             out.fill(np.nan)
             return out
@@ -233,7 +227,7 @@ def _step(build, prev, curr, p, dt):
     _check(dt)
     with np.errstate(over="ignore", invalid="ignore"):
         step = build(washboard_potential(curr.grid(), p), p, curr.dx, dt)
-        new = step(prev.values, curr.values)
+        new = step(prev.values, curr.values, np.empty_like(curr.values))
     if not np.isfinite(new).all():
         raise FieldOverflowError("field left the finite range")
     return ComplexField(new, curr.dx, curr.x0)
@@ -279,35 +273,16 @@ def step_crank_nicolson_standard(prev, curr, p, dt):
     return _step(_cn_standard, prev, curr, p, dt)
 
 
-def _phase_norm(block, x, dx, zero=None):
-    """Per-row mean phase (`zero` at zero norm) and L2 norm of a
-    C-contiguous (k, n) block of fields on grid x, as two lists; call
-    under np.errstate(over="ignore", invalid="ignore").  Row sums of a
+def _phase_norm(block, x, dx):
+    """Per-row mean phase (0 at zero norm) and L2 norm of a C-contiguous
+    (k, n) block of fields on grid x, as two float64 arrays; call under
+    np.errstate(over="ignore", invalid="ignore").  Row sums of a
     contiguous block equal the sums of each row alone, bit for bit."""
     w = np.abs(block) ** 2
-    totals = w.sum(axis=1).tolist()
-    moments = (x * w).sum(axis=1).tolist()
-    return ([m / t if t != 0.0 else zero for m, t in zip(moments, totals)],
-            [math.sqrt(t * dx) for t in totals])
-
-
-def _field_phase_norm(f):
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases, norms = _phase_norm(f.values[None], f.grid(), f.dx)
-    return phases[0], norms[0]
-
-
-def mean_phase(f):
-    """Norm-weighted mean grid coordinate sum(x*|psi|^2)/sum(|psi|^2)."""
-    phase = _field_phase_norm(f)[0]
-    if phase is None:
-        raise DomainError("mean phase of a zero-norm field is undefined")
-    return phase
-
-
-def field_norm(f):
-    """L2 norm sqrt(dx * sum|psi|^2); may overflow to inf near blow-up."""
-    return _field_phase_norm(f)[1]
+    totals = w.sum(axis=1)
+    moments = (x * w).sum(axis=1)
+    return (moments / np.where(totals == 0.0, 1.0, totals),
+            np.sqrt(totals * dx))
 
 
 def gaussian_packet(n, dx, x0=None, x_c=0.0, alpha0=1.0):
@@ -338,7 +313,7 @@ def evolve(kind, init, p, drive, dt, steps):
     The driving phase at step n is p.theta + drive.a_D*(n*dt).  If a
     step overflows, the trajectory is truncated at the last finite level
     and marked.  Zero-norm levels record mean phase 0.  The scheme
-    plan's `step(prev, curr, out=None)` writes each level into the next
+    plan's `step(prev, curr, out)` writes each level into the next
     row of a preallocated block (out); the finiteness check and the
     phase/norm sums run once per block."""
     if steps < 1:
@@ -363,9 +338,9 @@ def evolve(kind, init, p, drive, dt, steps):
     def record():  # the block's levels before its first non-finite one
         finite = np.isfinite(block[:filled]).all(axis=1)
         end = filled if finite.all() else int(finite.argmin())
-        ph, nm = _phase_norm(block[:end], x, dx, 0.0)
-        phases.extend(ph)
-        norms.extend(nm)
+        ph, nm = _phase_norm(block[:end], x, dx)
+        phases.append(ph)
+        norms.append(nm)
         return end < filled
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -390,8 +365,9 @@ def evolve(kind, init, p, drive, dt, steps):
             filled += 1
         else:
             record()
-    return Trajectory(dt * np.arange(len(norms)), phases, norms,
-                      truncated=len(norms) <= steps)
+    phases, norms = np.concatenate(phases), np.concatenate(norms)
+    return Trajectory(dt * np.arange(norms.size), phases, norms,
+                      truncated=norms.size <= steps)
 
 
 def detect_blowup(t, factor):

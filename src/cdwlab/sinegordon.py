@@ -122,7 +122,7 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
     copy of the initial state, and every snapshot holds its own copies
     of the arrays.  A non-finite state aborts with the offending step.
     """
-    if not (dt > 0):
+    if not (math.isfinite(dt) and dt > 0):
         raise DomainError("dt must be positive")
     if steps < 1:
         raise DomainError("steps must be >= 1")

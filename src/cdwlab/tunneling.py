@@ -67,10 +67,7 @@ def gaussian_norm_constant(a_exp, upper):
         raise DomainError("exponent a_exp must be positive")
     if math.isnan(upper) or upper <= 0:
         raise DomainError("upper limit must be positive")
-    if math.isinf(upper):
-        e = 1.0
-    else:
-        e = erf(upper * math.sqrt(2.0 * a_exp))
+    e = math.erf(upper * math.sqrt(2.0 * a_exp))
     integral = 0.5 * math.sqrt(math.pi / (2.0 * a_exp)) * e
     return 1.0 / math.sqrt(integral)
 

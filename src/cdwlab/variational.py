@@ -25,12 +25,13 @@ theta still sees the evaluations it would see alone, so its row is
 bit-identical whether it is swept alone or in a grid.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
-(``energy_expectation``, ``norm_squared``, ``phase_expectation``) is
-kept as an independent oracle for the closed form.
+(``energy_expectation``, ``phase_expectation``) is kept as an
+independent oracle for the closed form.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -129,20 +130,12 @@ class SweepResult:
             + r.coeffs.b + r.coeffs.c + (r.coeffs.alpha,) for r in self.rows])
 
 
-_NODE_CACHE = {}
-
-
+@cache
 def _nodes(q):
-    key = (float(q.eta), int(q.panels), int(q.order))
-    hit = _NODE_CACHE.get(key)
-    if hit is not None:
-        return hit
     x, w = _composite_gl(-q.eta * math.pi, q.eta * math.pi, q.panels,
                          q.order)
     d = x[None, :] - CENTERS[:, None]
-    hit = (x, w, np.cos(x), np.sin(x), d * d)
-    _NODE_CACHE[key] = hit
-    return hit
+    return x, w, np.cos(x), np.sin(x), d * d
 
 
 def _chain_moments(coeff, alpha, theta, p, nd):
@@ -164,19 +157,6 @@ def _chain_moments(coeff, alpha, theta, p, nd):
     mcos = float((u2w * cosx).sum())
     msin = float((u2w * sinx).sum())
     return n, kin, pin, chg, mcos, msin
-
-
-def norm_squared(a, q):
-    """Quadrature norm of the full 2-D ansatz (factorized)."""
-    nd = _nodes(q)
-    w = nd[1]
-    n1 = float(((_comb_on(nd, a.b, a.alpha)) ** 2 * w).sum())
-    n2 = float(((_comb_on(nd, a.c, a.alpha)) ** 2 * w).sum())
-    total = n1 * n2
-    if not (math.isfinite(total) and total > 0):
-        raise QuadratureError("ansatz norm is not positive (alpha too "
-                              "extreme for the quadrature grid?)")
-    return total
 
 
 def _comb_on(nd, coeff, alpha):

@@ -11,7 +11,7 @@ byte contract.  The runs are the five experiments at their defaults,
 the benchmark's invocations (``perfbench/workloads.py``), a driven
 ``single-chain`` per scheme (its V and, for cn-standard, its LU factors
 rebuilt every step) and edge cases with missing cells, excluded modes,
-a negative kink and an overflow.
+a negative kink, an overflow and an all-zero field.
 """
 
 import hashlib
@@ -37,6 +37,8 @@ EDGE_CASES = [
     ("fourier-check", ["fourier.n_modes=40"]),
     ("pendulum-kink", ["chain.beta=-0.9", "chain.sign=-1", "chain.stride=7"]),
     ("pendulum-kink", ["chain.dt=1"]),  # overflows at step 55: exit 1
+    # a packet far off the grid is all zeros: every level has zero norm
+    ("single-chain", ["evolver.x_c=1000", "evolver.steps=5"]),
 ]
 
 

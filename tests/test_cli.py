@@ -527,6 +527,17 @@ def test_main_exit_one_on_domain_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, key", [
+    ("pendulum-kink", "chain.dt"), ("single-chain", "evolver.dt")])
+def test_main_infinite_dt_is_domain_error(tmp_path, capsys, experiment, key):
+    # both integrators reject an infinite step before the first one
+    cfg = write_cfg(tmp_path, "experiment = %s\n" % experiment)
+    out = tmp_path / "dt.csv"
+    assert cli.main([cfg, "--output", str(out), "--set", key + "=inf"]) == 1
+    assert capsys.readouterr().err == "error: domain: dt must be positive\n"
+    assert not out.exists()
+
+
 def test_main_chain_overflow_names_the_step(tmp_path, capsys):
     # dt = 1 is far beyond the RK4 stability limit of the default chain
     cfg = write_cfg(tmp_path, "experiment = pendulum-kink\n")

@@ -83,6 +83,12 @@ def test_gaussian_norm_closed_values():
         gaussian_norm_constant(1.0, 0.0)
 
 
+def test_gaussian_norm_constant_huge_finite_upper():
+    # a finite limit whose erf argument overflows is the infinite limit
+    assert gaussian_norm_constant(1.0, 1.7e308) == gaussian_norm_constant(
+        1.0, math.inf)
+
+
 def test_gaussian_norm_round_trip():
     # C^2 * integral_0^upper exp(-2 a phi^2) dphi = 1 against Simpson
     rng = np.random.default_rng(42)

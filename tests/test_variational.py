@@ -17,7 +17,6 @@ from cdwlab.variational import (
     SweepRow,
     count_local_minima,
     energy_expectation,
-    norm_squared,
     phase_expectation,
     phase_jumps,
     sweep_theta,
@@ -246,37 +245,12 @@ def test_ansatz_coeffs_validation():
         AnsatzCoeffs((0.0,) * 5, E2ONLY, 1.0).projected()
 
 
-def test_norm_squared_single_gaussian():
-    # (integral of e^{-2 phi^2})^2 = pi/2 on the eta=20 box
-    a = AnsatzCoeffs(E2ONLY, E2ONLY, 1.0)
-    assert abs(norm_squared(a, QF) - math.pi / 2.0) < 1e-10
-
-
-def test_norm_squared_scaling():
-    rng = np.random.default_rng(52)
-    b = tuple(rng.normal(size=5))
-    c = tuple(rng.normal(size=5))
-    a = AnsatzCoeffs(b, c, 0.4)
-    doubled = AnsatzCoeffs(tuple(2 * v for v in b), tuple(2 * v for v in c),
-                           0.4)
-    assert norm_squared(doubled, Q) == pytest.approx(
-        16.0 * norm_squared(a, Q), rel=1e-13)
-
-
-def test_norm_squared_large_alpha_orthogonal():
-    # well-separated teeth: norm -> (sum b^2)(sum c^2) * pi/(2 alpha)
-    alpha = 10.0
-    a = AnsatzCoeffs((0.1, 0.2, 0.9, 0.3, 0.2), (0.5, 0.1, 0.8, 0.2, 0.1),
-                     alpha).projected()
-    assert norm_squared(a, QF) == pytest.approx(math.pi / (2 * alpha),
-                                                rel=1e-10)
-
-
 def test_norm_squared_quadrature_failure():
-    # a comb far narrower than the node spacing underflows to zero
+    # a comb far narrower than the node spacing underflows to a zero
+    # ansatz norm
     a = AnsatzCoeffs(E2ONLY, E2ONLY, 1e12)
     with pytest.raises(QuadratureError):
-        norm_squared(a, Q)
+        energy_expectation(a, STD, 0.0, Q)
 
 
 def test_energy_kinetic_anchor():
