@@ -13,6 +13,8 @@ Each run writes exactly one CSV artifact, atomically, to the configured
 output path; a ``single-chain`` trajectory cut short by overflow also
 prints one ``warning: overflow:`` line to stderr, and one with recorded
 levels whose mean phase or norm is not finite prints one
+``warning: non-finite:`` line; an ``iv-curve`` with field points whose
+current could not be evaluated (a missing cell) prints one
 ``warning: non-finite:`` line; a ``variational-sweep`` with points whose
 minimization did not converge prints one ``warning: not converged:``
 line.  An output path that cannot be written (a missing directory, or a
@@ -251,7 +253,12 @@ def _run_iv_curve(cfg):
     top = o["iv.E_max_factor"] * cp.E_T * cp.c_v
     with np.errstate(over="ignore"):  # iv_curve rejects an overflowed grid
         grid = top * np.arange(1, n + 1) / n
-    return tunneling.iv_curve(grid, cp)
+    table = tunneling.iv_curve(grid, cp)
+    bad = np.count_nonzero(np.isnan(table.rows).any(axis=1))
+    if bad:
+        print("warning: non-finite: %d of %d field points have a current "
+              "that could not be evaluated" % (bad, n), file=sys.stderr)
+    return table
 
 
 def _run_fourier_check(cfg):
@@ -259,8 +266,7 @@ def _run_fourier_check(cfg):
     L = o["fourier.L"]
     if L <= 0:
         raise ConfigError("fourier.L must be positive")
-    geom = tunneling.PairGeometry(L=L, b=o["fourier.b_L"] / L,
-                                  x_a=-0.5 * L, x_b=0.5 * L)
+    geom = tunneling.PairGeometry(L=L, b=o["fourier.b_L"] / L)
     return tunneling.fourier_check_table(
         geom, o["fourier.n_modes"], o["fourier.box_factor"] * L)
 

@@ -207,14 +207,16 @@ def kink_velocity_estimate(snapshots, dx_lattice, dt_snapshot):
     return float(slope)
 
 
-def thin_wall_profile(x, b, x_a, x_b):
-    """Sharp-wall pair profile pi*(tanh(b*(x-x_a)) + tanh(b*(x_b-x)))."""
+def thin_wall_profile(x, b, L):
+    """Sharp-wall pair profile centred on 0, walls at -L/2 and L/2:
+    pi*(tanh(b*(x + L/2)) + tanh(b*(L/2 - x)))."""
     if not (math.isfinite(b) and b > 0):
         raise DomainError("steepness b must be positive")
-    if not x_a < x_b:
-        raise DomainError("wall centers must satisfy x_a < x_b")
+    if not (math.isfinite(L) and L > 0):
+        raise DomainError("separation L must be positive")
     x = np.asarray(x, dtype=float)
-    return math.pi * (np.tanh(b * (x - x_a)) + np.tanh(b * (x_b - x)))
+    h = 0.5 * L
+    return math.pi * (np.tanh(b * (x + h)) + np.tanh(b * (h - x)))
 
 
 def chain_trajectory_table(snapshots, dt_snapshot):

@@ -20,21 +20,17 @@ from .sinegordon import thin_wall_profile
 
 @dataclass(frozen=True)
 class PairGeometry:
-    """Soliton-antisoliton pair: wall separation, steepness and centers."""
+    """Soliton-antisoliton pair centred on 0: wall separation L (walls
+    at -L/2 and L/2) and wall steepness b."""
 
     L: float
     b: float
-    x_a: float
-    x_b: float
 
     def __post_init__(self):
         if not (math.isfinite(self.L) and self.L > 0):
             raise DomainError("separation L must be positive")
         if not (math.isfinite(self.b) and self.b > 0):
             raise DomainError("steepness b must be positive")
-        if not math.isclose(self.x_b - self.x_a, self.L,
-                            rel_tol=1e-12, abs_tol=1e-12):
-            raise DomainError("wall centers must satisfy x_b - x_a = L")
 
 
 @dataclass(frozen=True)
@@ -95,23 +91,32 @@ def _composite_gl(lo, hi, panels, order):
     return x, w
 
 
-def _fourier_modes(g, n_modes, box):
-    """Per-mode rows (k, numeric amplitude, closed form, relative
-    deviation or None for excluded near-zero reference modes)."""
+def fourier_check_table(g, n_modes, box):
+    """Mode-by-mode comparison (k, numeric amplitude, closed form,
+    relative deviation) of the numerically transformed tanh profile and
+    the sharp-wall closed form over the first n_modes box wavenumbers;
+    a near-zero reference mode's deviation is missing (NaN).
+
+    The profile is normalized by 2*pi; its transform splits into an
+    exact plateau integral plus a quadrature window around each wall, so
+    the comparison resolves deviations far below the sharp-wall
+    difference itself.
+    """
     if n_modes < 1:
         raise DomainError("need at least one mode")
     if g.b * g.L < 100.0:
         raise DomainError("sharp-wall regime needs b*L >= 100")
     if not 10.0 * g.L <= box < math.inf:
         raise DomainError("box must be finite and at least 10*L")
-    mid = 0.5 * (g.x_a + g.x_b)
     half_l = 0.5 * g.L
     # beyond w = 40/b both tanh factors are flat to ~e^{-80}, so the
     # plateau and tail integrate exactly; only the wall needs quadrature
     w = min(40.0 / g.b, g.L / 4.0)
     u, uw = _composite_gl(half_l - w, half_l + w, 40, 16)
-    f = thin_wall_profile(mid + u, g.b, g.x_a, g.x_b) / (2.0 * math.pi)
+    f = thin_wall_profile(u, g.b, g.L) / (2.0 * math.pi)
     scale = math.sqrt(2.0 / math.pi)
+    # box >= 10*L puts mode 1 at k*L/2 <= pi/10, where |ref| is at least
+    # 0.98 * scale * L/2: mode 1 is never excluded by this floor
     floor = 1e-8 * scale * g.L / 2.0
     rows = []
     for n in range(1, n_modes + 1):
@@ -122,30 +127,13 @@ def _fourier_modes(g, n_modes, box):
         num = scale * (plateau + window)
         dev = abs(num - ref) / abs(ref) if abs(ref) >= floor else None
         rows.append((k, num, ref, dev))
-    return rows
+    return CurveTable(("k", "numeric", "closed_form", "rel_deviation"), rows)
 
 
 def thin_wall_fourier_check(g, n_modes, box):
-    """Max relative deviation between the numerically transformed tanh
-    profile and the sharp-wall closed form over the first n_modes box
-    wavenumbers (near-zero reference modes excluded).
-
-    The profile is normalized by 2*pi and centered; its transform splits
-    into an exact plateau integral plus a quadrature window around each
-    wall, so the comparison resolves deviations far below the sharp-wall
-    difference itself.
-    """
-    devs = [r[3] for r in _fourier_modes(g, n_modes, box) if r[3] is not None]
-    if not devs:
-        raise DomainError("all requested modes have near-zero amplitude")
-    return max(devs)
-
-
-def fourier_check_table(g, n_modes, box):
-    """Mode-by-mode comparison table; excluded modes carry a missing
-    deviation entry."""
-    return CurveTable(("k", "numeric", "closed_form", "rel_deviation"),
-                      _fourier_modes(g, n_modes, box))
+    """Max relative deviation of fourier_check_table, near-zero
+    reference modes excluded."""
+    return float(np.nanmax(fourier_check_table(g, n_modes, box).rows[:, 3]))
 
 
 def current_beckwith(E, cp):

@@ -58,6 +58,8 @@ _INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
 # alternation stops once the energy falls by no more than _ETOL * |E|
 _ETOL = 1e-13
 _MAX_ALTERNATIONS = 500
+# phase_jumps counts a sweep step larger than this (in |.|) towards a jump
+_STEP_THRESHOLD = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -351,20 +353,20 @@ def count_local_minima(values):
     return count
 
 
-def phase_jumps(phases, step_threshold=0.5 * math.pi):
+def phase_jumps(phases):
     """Magnitudes of consecutive-run jumps in a plateau staircase.
 
     A jump is a maximal run of consecutive differences all exceeding
-    step_threshold in absolute value; its magnitude is the total phase
-    change across the run."""
+    _STEP_THRESHOLD (pi/2) in absolute value; its magnitude is the total
+    phase change across the run."""
     phases = np.asarray(phases, dtype=float)
     d = np.diff(phases)
     jumps = []
     i = 0
     while i < d.size:
-        if abs(d[i]) > step_threshold:
+        if abs(d[i]) > _STEP_THRESHOLD:
             j = i
-            while j + 1 < d.size and abs(d[j + 1]) > step_threshold:
+            while j + 1 < d.size and abs(d[j + 1]) > _STEP_THRESHOLD:
                 j += 1
             jumps.append(float(phases[j + 1] - phases[i]))
             i = j + 1

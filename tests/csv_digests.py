@@ -11,7 +11,8 @@ byte contract.  The runs are the five experiments at their defaults,
 the benchmark's invocations (``perfbench/workloads.py``), a driven
 ``single-chain`` per scheme (its V and, for cn-standard, its LU factors
 rebuilt every step) and edge cases with missing cells, excluded modes,
-a negative kink, an overflow and an all-zero field.
+a non-unit pair separation, a negative kink, an overflow and an
+all-zero field.
 """
 
 import hashlib
@@ -35,6 +36,8 @@ EDGE_CASES = [
     ("iv-curve", ["iv.E_max_factor=1e6", "iv.points=10"]),
     ("iv-curve", ["iv.E_max_factor=1e9", "iv.points=50"]),
     ("fourier-check", ["fourier.n_modes=40"]),
+    # a non-unit separation: the walls sit at -1.5 and 1.5
+    ("fourier-check", ["fourier.L=3", "fourier.b_L=1e3", "fourier.n_modes=12"]),
     ("pendulum-kink", ["chain.beta=-0.9", "chain.sign=-1", "chain.stride=7"]),
     ("pendulum-kink", ["chain.dt=1"]),  # overflows at step 55: exit 1
     # a packet far off the grid is all zeros: every level has zero norm

@@ -177,7 +177,7 @@ def test_criterion_08_current_positivity():
 
 
 def test_criterion_09_fourier_cross_check():
-    g = PairGeometry(L=1.0, b=1.0e4, x_a=-0.5, x_b=0.5)
+    g = PairGeometry(L=1.0, b=1.0e4)
     dev = thin_wall_fourier_check(g, 10, 16.0)
     verdict(9, "fourier cross-check", dev <= 0.01, "max_rel_dev=%.3e" % dev)
 

@@ -192,6 +192,24 @@ def test_main_iv_curve_artifact(tmp_path, capsys):
         assert float(fields[1]) > 0.0
 
 
+_IV_WARNING = ("warning: non-finite: %d of %d field points have a current "
+               "that could not be evaluated\n")
+
+
+def test_main_iv_curve_warns_on_missing_currents(tmp_path, capsys):
+    # the cosh form overflows at the top 8 of 10 fields: the CSV keeps
+    # the rows with nan cells, and stderr says how many there are
+    cfg = write_cfg(tmp_path, "experiment = iv-curve\n")
+    out = tmp_path / "iv.csv"
+    assert cli.main([cfg, "--output", str(out), "--set", "iv.points=10",
+                     "--set", "iv.E_max_factor=1e6"]) == 0
+    assert capsys.readouterr().err == _IV_WARNING % (8, 10)
+    cells = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+    assert cells.count("nan") == 8 and len(cells) == 10
+    assert cli.main([cfg, "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_main_fourier_check_artifact(tmp_path):
     cfg = write_cfg(tmp_path, "experiment = fourier-check\n"
                               "fourier.n_modes = 6\n")
@@ -594,7 +612,7 @@ def test_main_rerun_byte_identical(tmp_path):
 
 
 def _main_bytes(tmp_path, text):
-    """The CSV bytes cli.main writes for config text; stderr stays empty."""
+    """The CSV bytes cli.main writes for config text (exit status 0)."""
     out = tmp_path / "run.csv"
     assert cli.main([write_cfg(tmp_path, text), "--output", str(out)]) == 0
     return out.read_bytes()
@@ -639,14 +657,14 @@ def test_main_iv_curve_bytes_match_per_value_rule(tmp_path, capsys):
                                 "iv.E_max_factor = 1e6\niv.points = 10\n")
     assert got == _per_value_bytes(
         ["E", "I_beckwith", "I_zener_gated", "I_zener_ungated"], rows)
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == _IV_WARNING % (8, 10)
 
 
 def test_main_fourier_check_bytes_match_per_value_rule(tmp_path, capsys):
     # box = 16 L puts the excluded modes at 16 and 32
-    g = tunneling.PairGeometry(L=1.0, b=1e4, x_a=-0.5, x_b=0.5)
-    rows = [list(r) for r in tunneling._fourier_modes(g, 40, 16.0)]
-    assert [n + 1 for n, r in enumerate(rows) if r[3] is None] == [16, 32]
+    g = tunneling.PairGeometry(L=1.0, b=1e4)
+    rows = tunneling.fourier_check_table(g, 40, 16.0).rows
+    assert (np.flatnonzero(np.isnan(rows[:, 3])) + 1).tolist() == [16, 32]
     got = _main_bytes(tmp_path, "experiment = fourier-check\n"
                                 "fourier.n_modes = 40\n")
     assert got == _per_value_bytes(

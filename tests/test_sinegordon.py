@@ -385,7 +385,7 @@ def test_velocity_estimate_diagnostics():
         kink_velocity_estimate([flat, flat], 1.0, 1.0)
     # a bump crossing pi twice
     x = np.linspace(-6, 6, 200)
-    bump = thin_wall_profile(x, 2.0, -3.0, 3.0)
+    bump = thin_wall_profile(x, 2.0, 6.0)
     s = ChainState(bump, np.zeros(200))
     with pytest.raises(DiagnosticError):
         kink_velocity_estimate([s, s], 1.0, 1.0)
@@ -394,16 +394,22 @@ def test_velocity_estimate_diagnostics():
 
 
 def test_thin_wall_profile_anchors():
-    b, xa, xb = 3.0, -2.0, 2.0
-    assert thin_wall_profile(0.0, b, xa, xb) == pytest.approx(
-        2 * math.pi, abs=1e-4)
-    assert thin_wall_profile(-50.0, b, xa, xb) == pytest.approx(0.0, abs=1e-12)
-    expect = math.pi * math.tanh(b * (xb - xa))
-    assert thin_wall_profile(xa, b, xa, xb) == pytest.approx(expect, rel=1e-12)
+    b, L = 3.0, 4.0
+    assert thin_wall_profile(0.0, b, L) == pytest.approx(2 * math.pi, abs=1e-4)
+    assert thin_wall_profile(-50.0, b, L) == pytest.approx(0.0, abs=1e-12)
+    expect = math.pi * math.tanh(b * L)
+    assert thin_wall_profile(-0.5 * L, b, L) == pytest.approx(expect, rel=1e-12)
     with pytest.raises(DomainError):
-        thin_wall_profile(0.0, b, 2.0, -2.0)
+        thin_wall_profile(0.0, b, -4.0)
     with pytest.raises(DomainError):
-        thin_wall_profile(0.0, 0.0, -2.0, 2.0)
+        thin_wall_profile(0.0, 0.0, 4.0)
+
+
+def test_thin_wall_profile_is_centred():
+    x = np.linspace(-7.0, 7.0, 1001)
+    for b, L in [(3.0, 4.0), (1e4, 1.0), (250.0, 0.37)]:
+        assert np.array_equal(thin_wall_profile(-x, b, L),
+                              thin_wall_profile(x, b, L))
 
 
 def test_thin_wall_box_limit():
@@ -411,7 +417,7 @@ def test_thin_wall_box_limit():
     x = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
     inside = (x > -2.0) & (x < 2.0)
     for b in [5.0, 20.0, 80.0]:
-        prof = thin_wall_profile(x, b, -2.0, 2.0)
+        prof = thin_wall_profile(x, b, 4.0)
         target = np.where(inside, 2 * math.pi, 0.0)
         err = np.max(np.abs(prof - target))
         assert err < 4 * math.pi * math.exp(-2 * b * 1.0)

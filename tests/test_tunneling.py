@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdwlab.errors import DomainError
 from cdwlab.tunneling import (
@@ -28,13 +30,11 @@ def simpson(f, a, b, n=8001):
 
 
 def test_pair_geometry_validation():
-    PairGeometry(L=2.0, b=100.0, x_a=-1.0, x_b=1.0)
+    PairGeometry(L=2.0, b=100.0)
     with pytest.raises(DomainError):
-        PairGeometry(L=2.0, b=100.0, x_a=-1.0, x_b=0.5)
+        PairGeometry(L=0.0, b=100.0)
     with pytest.raises(DomainError):
-        PairGeometry(L=0.0, b=100.0, x_a=0.0, x_b=0.0)
-    with pytest.raises(DomainError):
-        PairGeometry(L=2.0, b=-1.0, x_a=-1.0, x_b=1.0)
+        PairGeometry(L=2.0, b=-1.0)
 
 
 def test_current_params_validation():
@@ -133,7 +133,7 @@ def test_thin_wall_fourier_deviation():
     box = 16.0 * L
     devs = []
     for b in [1e4, 1e5, 1e6]:
-        g = PairGeometry(L=L, b=b, x_a=-0.5, x_b=0.5)
+        g = PairGeometry(L=L, b=b)
         dev = thin_wall_fourier_check(g, 10, box)
         k_max = 2.0 * math.pi * 10 / box
         theory = (math.pi * k_max / (2.0 * b)) ** 2 / 6.0
@@ -144,10 +144,10 @@ def test_thin_wall_fourier_deviation():
 
 
 def test_thin_wall_fourier_preconditions():
-    g = PairGeometry(L=1.0, b=50.0, x_a=-0.5, x_b=0.5)
+    g = PairGeometry(L=1.0, b=50.0)
     with pytest.raises(DomainError):
         thin_wall_fourier_check(g, 10, 16.0)
-    g = PairGeometry(L=1.0, b=1e4, x_a=-0.5, x_b=0.5)
+    g = PairGeometry(L=1.0, b=1e4)
     with pytest.raises(DomainError):
         thin_wall_fourier_check(g, 10, 5.0)
 
@@ -155,12 +155,34 @@ def test_thin_wall_fourier_preconditions():
 def test_fourier_zero_modes_excluded():
     # box = 16*L puts the reference zeros at mode numbers 16, 32, ...;
     # a run out to 32 modes must mark them missing, not divide by zero
-    g = PairGeometry(L=1.0, b=1e4, x_a=-0.5, x_b=0.5)
+    g = PairGeometry(L=1.0, b=1e4)
     table = fourier_check_table(g, 32, 16.0)
     assert len(table) == 32
     assert math.isnan(table.rows[15, 3])
     assert math.isnan(table.rows[31, 3])
     assert np.isnan(table.rows).sum() == 2
+
+
+def test_fourier_check_is_the_tables_max_deviation():
+    g = PairGeometry(L=1.0, b=1e4)
+    devs = fourier_check_table(g, 32, 16.0).rows[:, 3]
+    assert thin_wall_fourier_check(g, 32, 16.0) == np.nanmax(devs)
+
+
+def _above_bound(bL):
+    # b = bL / L rounds, so b*L can land an ulp under the b*L >= 100 gate
+    return bL * (1.0 + 1e-12)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(L=st.floats(1e-3, 1e3), bL=st.floats(100.0, 1e6).map(_above_bound),
+       box_L=st.floats(10.0, 1000.0), n_modes=st.integers(1, 40))
+def test_fourier_first_mode_never_excluded(L, bL, box_L, n_modes):
+    # box >= 10*L keeps mode 1 far above the exclusion floor, so every
+    # valid check has at least one deviation to report
+    table = fourier_check_table(PairGeometry(L=L, b=bL / L), n_modes,
+                                box_L * L)
+    assert math.isfinite(table.rows[0, 3])
 
 
 def test_beckwith_anchor():
