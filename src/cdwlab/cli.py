@@ -203,9 +203,9 @@ def _run_pendulum_kink(cfg):
     m = o["chain.sites"]
     w0 = o["chain.omega0_sq"]
     w1 = o["chain.omega1_sq"]
-    if w0 <= 0 or w1 <= 0:
-        raise ConfigError("pendulum-kink needs positive omega0_sq and "
-                          "omega1_sq for the continuum mapping")
+    if not (0 < w0 < math.inf and 0 < w1 < math.inf):
+        raise ConfigError("pendulum-kink needs positive, finite omega0_sq "
+                          "and omega1_sq for the continuum mapping")
     center = o["chain.center"]
     if center is None:
         center = 0.6 * m
@@ -263,12 +263,9 @@ def _run_iv_curve(cfg):
 
 def _run_fourier_check(cfg):
     o = cfg.options
-    L = o["fourier.L"]
-    if L <= 0:
-        raise ConfigError("fourier.L must be positive")
-    geom = tunneling.PairGeometry(L=L, b=o["fourier.b_L"] / L)
     return tunneling.fourier_check_table(
-        geom, o["fourier.n_modes"], o["fourier.box_factor"] * L)
+        o["fourier.L"], o["fourier.b_L"], o["fourier.n_modes"],
+        o["fourier.box_factor"])
 
 
 _RUNNERS = {

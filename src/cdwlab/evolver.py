@@ -72,10 +72,12 @@ class Trajectory:
         return self.times.size
 
 
-def _check(dt):
+def _check(p, dx, dt):
     """Validate the step arguments."""
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError("dt must be positive")
+    if not p.D * dx * dx > 0:  # every plan divides by it
+        raise DomainError("D*dx^2 underflows to 0")
 
 
 def _lu(dl, d, du):
@@ -224,7 +226,7 @@ def _step(build, prev, curr, p, dt):
     if (prev.values.size != curr.values.size or prev.dx != curr.dx
             or prev.x0 != curr.x0):
         raise DomainError("prev and curr live on different grids")
-    _check(dt)
+    _check(p, curr.dx, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         step = build(washboard_potential(curr.grid(), p), p, curr.dx, dt)
         new = step(prev.values, curr.values, np.empty_like(curr.values))
@@ -321,7 +323,7 @@ def evolve(kind, init, p, drive, dt, steps):
     build = _PLANS.get(kind)
     if build is None:
         raise DomainError("unknown scheme kind %r" % (kind,))
-    _check(dt)
+    _check(p, init.dx, dt)
     x, dx = init.grid(), init.dx
 
     # V is the same at every step when its tilt term is +0.0 (mu_E = 0)

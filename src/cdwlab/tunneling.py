@@ -2,7 +2,7 @@
 
 Soliton-pair Fourier amplitudes, the erf-based wavefunctional
 normalization, the cosh-form current, the phenomenological Zener
-comparison and the pair-separation geometry.
+comparison.
 All closed-form (erf is ``math.erf``); the only numerics are one windowed
 quadrature cross-checking the sharp-wall Fourier amplitude against the
 smooth tanh profile.
@@ -17,21 +17,6 @@ import numpy as np
 from .curves import CurveTable
 from .errors import CdwError, DomainError
 from .sinegordon import thin_wall_profile
-
-@dataclass(frozen=True)
-class PairGeometry:
-    """Soliton-antisoliton pair centred on 0: wall separation L (walls
-    at -L/2 and L/2) and wall steepness b."""
-
-    L: float
-    b: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise DomainError("separation L must be positive")
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise DomainError("steepness b must be positive")
-
 
 @dataclass(frozen=True)
 class CurrentParams:
@@ -91,37 +76,45 @@ def _composite_gl(lo, hi, panels, order):
     return x, w
 
 
-def fourier_check_table(g, n_modes, box):
+def fourier_check_table(L, b_L, n_modes, box_factor):
     """Mode-by-mode comparison (k, numeric amplitude, closed form,
     relative deviation) of the numerically transformed tanh profile and
     the sharp-wall closed form over the first n_modes box wavenumbers;
     a near-zero reference mode's deviation is missing (NaN).
 
-    The profile is normalized by 2*pi; its transform splits into an
-    exact plateau integral plus a quadrature window around each wall, so
-    the comparison resolves deviations far below the sharp-wall
-    difference itself.
+    The soliton-antisoliton pair is centred on 0 with walls at -L/2 and
+    L/2, wall steepness b = b_L/L and a box box_factor*L long.  The
+    sharp-wall regime needs b_L >= 100 and box_factor >= 10, both
+    compared as given.  The profile is normalized by 2*pi; its transform
+    splits into an exact plateau integral plus a quadrature window
+    around each wall, so the comparison resolves deviations far below
+    the sharp-wall difference itself.
     """
+    if not (math.isfinite(L) and L > 0):
+        raise DomainError("separation L must be positive")
+    b, box = b_L / L, box_factor * L
+    if not (math.isfinite(b) and b > 0):
+        raise DomainError("steepness b must be positive")
     if n_modes < 1:
         raise DomainError("need at least one mode")
-    if g.b * g.L < 100.0:
+    if b_L < 100.0:
         raise DomainError("sharp-wall regime needs b*L >= 100")
-    if not 10.0 * g.L <= box < math.inf:
+    if not (10.0 <= box_factor and box < math.inf):
         raise DomainError("box must be finite and at least 10*L")
-    half_l = 0.5 * g.L
+    half_l = 0.5 * L
     # beyond w = 40/b both tanh factors are flat to ~e^{-80}, so the
     # plateau and tail integrate exactly; only the wall needs quadrature
-    w = min(40.0 / g.b, g.L / 4.0)
+    w = min(40.0 / b, L / 4.0)
     u, uw = _composite_gl(half_l - w, half_l + w, 40, 16)
-    f = thin_wall_profile(u, g.b, g.L) / (2.0 * math.pi)
+    f = thin_wall_profile(u, b, L) / (2.0 * math.pi)
     scale = math.sqrt(2.0 / math.pi)
     # box >= 10*L puts mode 1 at k*L/2 <= pi/10, where |ref| is at least
     # 0.98 * scale * L/2: mode 1 is never excluded by this floor
-    floor = 1e-8 * scale * g.L / 2.0
+    floor = 1e-8 * scale * L / 2.0
     rows = []
     for n in range(1, n_modes + 1):
         k = 2.0 * math.pi * n / box
-        ref = soliton_fourier(k, g.L)
+        ref = soliton_fourier(k, L)
         plateau = math.sin(k * (half_l - w)) / k
         window = float(np.sum(uw * f * np.cos(k * u)))
         num = scale * (plateau + window)
@@ -130,10 +123,11 @@ def fourier_check_table(g, n_modes, box):
     return CurveTable(("k", "numeric", "closed_form", "rel_deviation"), rows)
 
 
-def thin_wall_fourier_check(g, n_modes, box):
+def thin_wall_fourier_check(L, b_L, n_modes, box_factor):
     """Max relative deviation of fourier_check_table, near-zero
     reference modes excluded."""
-    return float(np.nanmax(fourier_check_table(g, n_modes, box).rows[:, 3]))
+    return float(np.nanmax(
+        fourier_check_table(L, b_L, n_modes, box_factor).rows[:, 3]))
 
 
 def current_beckwith(E, cp):

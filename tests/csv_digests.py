@@ -11,8 +11,9 @@ byte contract.  The runs are the five experiments at their defaults,
 the benchmark's invocations (``perfbench/workloads.py``), a driven
 ``single-chain`` per scheme (its V and, for cn-standard, its LU factors
 rebuilt every step) and edge cases with missing cells, excluded modes,
-a non-unit pair separation, a negative kink, an overflow and an
-all-zero field.
+a non-unit pair separation, every ``fourier-check`` error line, a
+negative kink, an overflow, non-finite chain frequencies, an
+underflowing grid step and an all-zero field.
 """
 
 import hashlib
@@ -38,8 +39,20 @@ EDGE_CASES = [
     ("fourier-check", ["fourier.n_modes=40"]),
     # a non-unit separation: the walls sit at -1.5 and 1.5
     ("fourier-check", ["fourier.L=3", "fourier.b_L=1e3", "fourier.n_modes=12"]),
+    # the lowest b*L at a separation where b_L/L*L rounds below it
+    ("fourier-check", ["fourier.L=97", "fourier.b_L=100"]),
+    ("fourier-check", ["fourier.box_factor=1e13", "fourier.n_modes=2"]),
+    # one run per fourier-check error line
+    ("fourier-check", ["fourier.L=0"]),
+    ("fourier-check", ["fourier.L=1e-308"]),  # b = b_L/L overflows
+    ("fourier-check", ["fourier.b_L=-1"]),
+    ("fourier-check", ["fourier.n_modes=0"]),
+    ("fourier-check", ["fourier.b_L=99"]),
+    ("fourier-check", ["fourier.L=1e308"]),  # box = 16*L overflows
     ("pendulum-kink", ["chain.beta=-0.9", "chain.sign=-1", "chain.stride=7"]),
     ("pendulum-kink", ["chain.dt=1"]),  # overflows at step 55: exit 1
+    ("pendulum-kink", ["chain.omega1_sq=inf"]),
+    ("single-chain", ["evolver.dx=1e-308"]),  # D*dx^2 underflows to 0
     # a packet far off the grid is all zeros: every level has zero norm
     ("single-chain", ["evolver.x_c=1000", "evolver.steps=5"]),
 ]

@@ -25,7 +25,6 @@ from cdwlab.sinegordon import (
 )
 from cdwlab.tunneling import (
     CurrentParams,
-    PairGeometry,
     current_beckwith,
     current_zener,
     erf,
@@ -177,8 +176,7 @@ def test_criterion_08_current_positivity():
 
 
 def test_criterion_09_fourier_cross_check():
-    g = PairGeometry(L=1.0, b=1.0e4)
-    dev = thin_wall_fourier_check(g, 10, 16.0)
+    dev = thin_wall_fourier_check(1.0, 1.0e4, 10, 16.0)
     verdict(9, "fourier cross-check", dev <= 0.01, "max_rel_dev=%.3e" % dev)
 
 

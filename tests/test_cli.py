@@ -353,6 +353,29 @@ def test_main_non_finite_fourier_box_is_domain_error(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_main_non_positive_fourier_separation_is_domain_error(tmp_path, capsys,
+                                                            value):
+    cfg = write_cfg(tmp_path, "experiment = fourier-check\n")
+    out = tmp_path / "fc.csv"
+    assert cli.main([cfg, "--output", str(out),
+                     "--set", "fourier.L=" + value]) == 1
+    assert capsys.readouterr().err == (
+        "error: domain: separation L must be positive\n")
+    assert not out.exists()
+
+
+def test_main_fourier_check_takes_lowest_b_L_at_any_separation(tmp_path,
+                                                              capsys):
+    # 100/97*97 rounds below 100: the gate compares the configured b_L
+    cfg = write_cfg(tmp_path, "experiment = fourier-check\n")
+    out = tmp_path / "fc.csv"
+    assert cli.main([cfg, "--output", str(out), "--set", "fourier.L=97",
+                     "--set", "fourier.b_L=100"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(out.read_text().splitlines()) == 11
+
+
 def test_main_exit_two_on_bad_override(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "experiment = iv-curve\n")
     assert cli.main([cfg, "--set", "iv.points=zero"]) == 2
@@ -487,9 +510,16 @@ def test_every_key_changes_an_artifact(reach_run, key):
     (["experiment=iv-curve", "iv.E_max_factor=inf"], 1,
      "error: domain: field grid must be strictly increasing\n"),
     (["experiment=variational-sweep", "variational.theta_max=inf"], 2,
-     "error: config: variational.theta_max must be finite\n")],
+     "error: config: variational.theta_max must be finite\n"),
+    # D*dx^2 underflows to 0, and every scheme divides by it
+    (["evolver.dx=1e-308"], 1, "error: domain: D*dx^2 underflows to 0\n"),
+    (["model.D=5e-324"], 1, "error: domain: D*dx^2 underflows to 0\n"),
+    (["experiment=pendulum-kink", "chain.omega1_sq=inf"], 2,
+     "error: config: pendulum-kink needs positive, finite omega0_sq and "
+     "omega1_sq for the continuum mapping\n")],
     ids=["mu_E", "alpha0", "kink-beta", "kink-width", "dx-inf-grid",
-         "alpha0-inf", "iv-overflow", "iv-inf", "theta-inf"])
+         "alpha0-inf", "iv-overflow", "iv-inf", "theta-inf", "dx-underflow",
+         "D-underflow", "kink-omega-inf"])
 def test_main_overflow_reports_no_numpy_warning(tmp_path, overrides, code,
                                                 stderr):
     # a separate interpreter, so numpy's warnings reach stderr unfiltered
@@ -662,8 +692,7 @@ def test_main_iv_curve_bytes_match_per_value_rule(tmp_path, capsys):
 
 def test_main_fourier_check_bytes_match_per_value_rule(tmp_path, capsys):
     # box = 16 L puts the excluded modes at 16 and 32
-    g = tunneling.PairGeometry(L=1.0, b=1e4)
-    rows = tunneling.fourier_check_table(g, 40, 16.0).rows
+    rows = tunneling.fourier_check_table(1.0, 1e4, 40, 16.0).rows
     assert (np.flatnonzero(np.isnan(rows[:, 3])) + 1).tolist() == [16, 32]
     got = _main_bytes(tmp_path, "experiment = fourier-check\n"
                                 "fourier.n_modes = 40\n")

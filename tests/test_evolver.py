@@ -331,6 +331,17 @@ def test_evolve_rejects_bad_arguments():
         evolve("cn-standard", f, FREE, drive, 0.0, 10)
 
 
+def test_evolve_rejects_underflowing_grid_step():
+    # D*dx^2 = 2e-616 rounds to 0, and every plan divides by it
+    f = gaussian_packet(11, 1e-308)
+    drive = FieldDriveParams(a_D=0.0)
+    for kind in evolver._PLANS:
+        with pytest.raises(DomainError, match="D\\*dx\\^2 underflows"):
+            evolve(kind, f, FREE, drive, 1e-3, 1)
+    with pytest.raises(DomainError, match="D\\*dx\\^2 underflows"):
+        step_crank_nicolson_standard(f, f, FREE, 1e-3)
+
+
 def assert_evolve_matches_steppers(p, drive):
     # the recorded run must equal, bit for bit, stepping by hand through
     # the checked steppers with theta_n = theta0 + a_D*(n*dt)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cdwlab.errors import DomainError
 from cdwlab.tunneling import (
     CurrentParams,
-    PairGeometry,
     current_beckwith,
     current_zener,
     erf,
@@ -30,11 +29,11 @@ def simpson(f, a, b, n=8001):
 
 
 def test_pair_geometry_validation():
-    PairGeometry(L=2.0, b=100.0)
-    with pytest.raises(DomainError):
-        PairGeometry(L=0.0, b=100.0)
-    with pytest.raises(DomainError):
-        PairGeometry(L=2.0, b=-1.0)
+    fourier_check_table(2.0, 200.0, 1, 16.0)
+    with pytest.raises(DomainError, match="separation L must be positive"):
+        fourier_check_table(0.0, 200.0, 1, 16.0)
+    with pytest.raises(DomainError, match="steepness b must be positive"):
+        fourier_check_table(2.0, -2.0, 1, 16.0)
 
 
 def test_current_params_validation():
@@ -133,8 +132,7 @@ def test_thin_wall_fourier_deviation():
     box = 16.0 * L
     devs = []
     for b in [1e4, 1e5, 1e6]:
-        g = PairGeometry(L=L, b=b)
-        dev = thin_wall_fourier_check(g, 10, box)
+        dev = thin_wall_fourier_check(L, b * L, 10, box / L)
         k_max = 2.0 * math.pi * 10 / box
         theory = (math.pi * k_max / (2.0 * b)) ** 2 / 6.0
         assert dev == pytest.approx(theory, rel=0.01)
@@ -144,19 +142,16 @@ def test_thin_wall_fourier_deviation():
 
 
 def test_thin_wall_fourier_preconditions():
-    g = PairGeometry(L=1.0, b=50.0)
     with pytest.raises(DomainError):
-        thin_wall_fourier_check(g, 10, 16.0)
-    g = PairGeometry(L=1.0, b=1e4)
+        thin_wall_fourier_check(1.0, 50.0, 10, 16.0)
     with pytest.raises(DomainError):
-        thin_wall_fourier_check(g, 10, 5.0)
+        thin_wall_fourier_check(1.0, 1e4, 10, 5.0)
 
 
 def test_fourier_zero_modes_excluded():
     # box = 16*L puts the reference zeros at mode numbers 16, 32, ...;
     # a run out to 32 modes must mark them missing, not divide by zero
-    g = PairGeometry(L=1.0, b=1e4)
-    table = fourier_check_table(g, 32, 16.0)
+    table = fourier_check_table(1.0, 1e4, 32, 16.0)
     assert len(table) == 32
     assert math.isnan(table.rows[15, 3])
     assert math.isnan(table.rows[31, 3])
@@ -164,24 +159,17 @@ def test_fourier_zero_modes_excluded():
 
 
 def test_fourier_check_is_the_tables_max_deviation():
-    g = PairGeometry(L=1.0, b=1e4)
-    devs = fourier_check_table(g, 32, 16.0).rows[:, 3]
-    assert thin_wall_fourier_check(g, 32, 16.0) == np.nanmax(devs)
-
-
-def _above_bound(bL):
-    # b = bL / L rounds, so b*L can land an ulp under the b*L >= 100 gate
-    return bL * (1.0 + 1e-12)
+    devs = fourier_check_table(1.0, 1e4, 32, 16.0).rows[:, 3]
+    assert thin_wall_fourier_check(1.0, 1e4, 32, 16.0) == np.nanmax(devs)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
-@given(L=st.floats(1e-3, 1e3), bL=st.floats(100.0, 1e6).map(_above_bound),
+@given(L=st.floats(1e-3, 1e3), bL=st.floats(100.0, 1e6),
        box_L=st.floats(10.0, 1000.0), n_modes=st.integers(1, 40))
 def test_fourier_first_mode_never_excluded(L, bL, box_L, n_modes):
     # box >= 10*L keeps mode 1 far above the exclusion floor, so every
     # valid check has at least one deviation to report
-    table = fourier_check_table(PairGeometry(L=L, b=bL / L), n_modes,
-                                box_L * L)
+    table = fourier_check_table(L, bL, n_modes, box_L)
     assert math.isfinite(table.rows[0, 3])
 
 
