@@ -8,7 +8,9 @@ textbook-correct counterparts.  The governing equation is
 
 with V the washboard potential whose driving phase theta advances
 linearly in time at rate a_D.  Both grid end points are held at their
-current values (Dirichlet ends) in every scheme.
+current values (Dirichlet ends) in every scheme.  Each scheme's update
+is documented on its plan builder in `_PLANS`; `evolve` marches a run,
+and the `step_*` names take one checked single step.
 """
 
 import math
@@ -72,14 +74,6 @@ class Trajectory:
         return self.times.size
 
 
-def _check(p, dx, dt):
-    """Validate the step arguments."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise DomainError("dt must be positive")
-    if not p.D * dx * dx > 0:  # every plan divides by it
-        raise DomainError("D*dx^2 underflows to 0")
-
-
 def _lu(dl, d, du):
     """Solver b -> (x, info) by the LAPACK LU factors of the tridiagonal
     matrix (dl, d, du), from the same partial-pivoting elimination as
@@ -131,14 +125,20 @@ def _check_info(info):
 # 398-element rows (numpy 2.4) `out=` costs 0.04 us a call more, and a
 # Python float 0.23 us (complex128 row: 0.37 us).
 def _cn_printed(V, p, dx, dt):
+    """The printed Crank-Nicolson-like leapfrog:
+
+    new = prev + i*dt*( (hbar/D)*(lap(curr) + lap(new))/dx^2
+                        - (2*V/hbar)*curr )
+
+    with lap(new) taken at prev, the printed update.  The scheme is
+    unstable for every dt (kept deliberately)."""
     kappa, two, i_dt = (np.array(c, complex) for c in (
         p.hbar / (p.D * dx * dx), 2.0, 1j * dt))
     drift_v = ((2.0 / p.hbar) * V)[1:-1].astype(complex)
     lap, scratch = np.empty((2, V.size - 2), dtype=complex)
 
     def step(prev, curr, out):
-        # interior prev + 1j*dt*(kappa*(lap(curr) + lap(prev))
-        # - drift_v*curr), lap(a) = (a[j+1] - 2.0*a[j]) + a[j-1]
+        # lap(a) = (a[j+1] - 2.0*a[j]) + a[j-1], in that operand order
         for a, row in ((curr, lap), (prev, scratch)):
             _multiply(two, a[1:-1], row)
             _subtract(a[2:], row, row)
@@ -156,13 +156,21 @@ def _cn_printed(V, p, dx, dt):
 
 
 def _dufort_frankel(V, p, dx, dt, combine=np.add):
-    r2 = -1j * dt * p.hbar / (p.D * dx * dx)  # 2*R~
+    """DuFort-Frankel, with combine the neighbour sum (np.add) or the
+    printed neighbour difference (np.subtract):
+
+    new = (2R/(1+2R))*(curr_{j-1} +/- curr_{j+1}) + ((1-2R)/(1+2R))*prev
+          - i*dt*(V/hbar)*curr,   R = -i*dt*hbar/(2*D*dx^2)
+
+    The sum preserves constants exactly at V=0 and is marginally stable
+    (|g| = 1) for the free equation.  The printed difference, sign error
+    and all, does not preserve even a constant field."""
+    r2 = -1j * dt * p.hbar / (p.D * dx * dx)  # 2R
     a, b = map(np.array, (r2 / (1.0 + r2), (1.0 - r2) / (1.0 + r2)))
     pot = (1j * dt * (V / p.hbar))[1:-1]
     scratch = np.empty_like(pot)
 
     def step(prev, curr, out):
-        # interior a*(curr[j-1] +/- curr[j+1]) + b*prev[j] - pot[j]*curr[j]
         new = out[1:-1]
         combine(curr[:-2], curr[2:], new)
         _multiply(a, new, new)
@@ -180,6 +188,13 @@ _df_printed = partial(_dufort_frankel, combine=np.subtract)
 
 
 def _cn_standard(V, p, dx, dt):
+    """Textbook Crank-Nicolson (Cayley form), unconditionally stable.
+
+    (I - dt/2 M) psi_new = (I + dt/2 M) psi,
+    M = i*(hbar/D)*L/dx^2 - (i/hbar) diag(V)
+
+    The end rows are identity, so the held end points pass through.
+    prev is ignored."""
     koff = 1j * p.hbar / (p.D * dx * dx)
     diag_m = -2.0 * koff - 1j * V / p.hbar
     half = 0.5 * dt
@@ -187,7 +202,6 @@ def _cn_standard(V, p, dx, dt):
     off = -half * koff
     dl = np.full(V.size - 1, off)
     du = dl.copy()
-    # identity end rows pass the held end points through
     diag[0] = diag[-1] = 1.0
     du[0] = dl[-1] = 0.0
     solver = _lu(dl, diag, du)
@@ -196,7 +210,6 @@ def _cn_standard(V, p, dx, dt):
     koff, half = np.array(koff), np.array(half, complex)
 
     def step(prev, curr, out):
-        # curr + half*(koff*(neighbour sum) + diag_m*curr), solved in place
         if solver is None:
             out.fill(np.nan)
             return out
@@ -222,11 +235,26 @@ _PLANS = {
 }
 
 
-def _step(build, prev, curr, p, dt):
+def _check(kind, p, dx, dt):
+    """The plan builder of scheme `kind`, after checking the kind, dt
+    and D*dx^2, in that order."""
+    build = _PLANS.get(kind)
+    if build is None:
+        raise DomainError("unknown scheme kind %r" % (kind,))
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError("dt must be positive")
+    if not p.D * dx * dx > 0:  # every plan divides by it
+        raise DomainError("D*dx^2 underflows to 0")
+    return build
+
+
+def _step(kind, prev, curr, p, dt):
+    """One checked step of scheme `kind` from levels prev and curr, with
+    V built on curr's grid; the new level as a fresh ComplexField."""
     if (prev.values.size != curr.values.size or prev.dx != curr.dx
             or prev.x0 != curr.x0):
         raise DomainError("prev and curr live on different grids")
-    _check(p, curr.dx, dt)
+    build = _check(kind, p, curr.dx, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         step = build(washboard_potential(curr.grid(), p), p, curr.dx, dt)
         new = step(prev.values, curr.values, np.empty_like(curr.values))
@@ -235,44 +263,11 @@ def _step(build, prev, curr, p, dt):
     return ComplexField(new, curr.dx, curr.x0)
 
 
-def step_crank_nicolson_printed(prev, curr, p, dt):
-    """One step of the printed Crank-Nicolson-like leapfrog.
-
-    new = prev + i*dt*( (hbar/D)*(lap(curr) + lap(new))/dx^2
-                        - (2*V/hbar)*curr )
-
-    with lap(new) taken at prev, the printed update.  The scheme is
-    unstable for every dt (kept deliberately).
-    """
-    return _step(_cn_printed, prev, curr, p, dt)
-
-
-def step_dufort_frankel_printed(prev, curr, p, dt):
-    """The printed DuFort-Frankel-like update, sign error and all:
-
-    new = (2R/(1+2R))*(curr_{j-1} - curr_{j+1}) + ((1-2R)/(1+2R))*prev
-          - i*dt*(V/hbar)*curr,   R = -i*dt*hbar/(2*D*dx^2)
-
-    The neighbor difference (instead of sum) means even a constant field
-    is not preserved."""
-    return _step(_df_printed, prev, curr, p, dt)
-
-
-def step_dufort_frankel_standard(prev, curr, p, dt):
-    """DuFort-Frankel with the neighbor sum; preserves constants exactly
-    at V=0 and is marginally stable (|g| = 1) for the free equation."""
-    return _step(_dufort_frankel, prev, curr, p, dt)
-
-
-def step_crank_nicolson_standard(prev, curr, p, dt):
-    """Textbook Crank-Nicolson (Cayley form), unconditionally stable.
-
-    (I - dt/2 M) psi_new = (I + dt/2 M) psi,
-    M = i*(hbar/D)*L/dx^2 - (i/hbar) diag(V)
-
-    The end rows are identity, so the held end points pass through.
-    prev is accepted for signature uniformity and ignored."""
-    return _step(_cn_standard, prev, curr, p, dt)
+# the single-step names that perfbench/micro.py times
+step_crank_nicolson_printed = partial(_step, "cn-printed")
+step_dufort_frankel_printed = partial(_step, "df-printed")
+step_dufort_frankel_standard = partial(_step, "df-standard")
+step_crank_nicolson_standard = partial(_step, "cn-standard")
 
 
 def _phase_norm(block, x, dx):
@@ -291,13 +286,11 @@ def gaussian_packet(n, dx, x0=None, x_c=0.0, alpha0=1.0):
     """Unnormalized Gaussian exp(-alpha0*(x - x_c)^2) on an n-point grid.
 
     With x0 omitted the grid is centered on zero."""
-    if n < 3:
-        raise DomainError("field needs at least 3 grid points")
     if not (dx > 0 and alpha0 > 0):
         raise DomainError("dx and alpha0 must be positive")
     if x0 is None:
         x0 = -0.5 * dx * (n - 1)
-    # a huge exponent underflows to 0; ComplexField rejects non-finite values
+    # ComplexField rejects n < 3 and non-finite values; exp underflows to 0
     with np.errstate(over="ignore", invalid="ignore"):
         x = x0 + dx * np.arange(n)
         return ComplexField(np.exp(-alpha0 * (x - x_c) ** 2), dx, x0)
@@ -320,10 +313,7 @@ def evolve(kind, init, p, drive, dt, steps):
     phase/norm sums run once per block."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
-    build = _PLANS.get(kind)
-    if build is None:
-        raise DomainError("unknown scheme kind %r" % (kind,))
-    _check(p, init.dx, dt)
+    build = _check(kind, p, init.dx, dt)
     x, dx = init.grid(), init.dx
 
     # V is the same at every step when its tilt term is +0.0 (mu_E = 0)

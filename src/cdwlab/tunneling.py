@@ -48,8 +48,9 @@ def gaussian_norm_constant(a_exp, upper):
         raise DomainError("exponent a_exp must be positive")
     if math.isnan(upper) or upper <= 0:
         raise DomainError("upper limit must be positive")
-    e = math.erf(upper * math.sqrt(2.0 * a_exp))
-    integral = 0.5 * math.sqrt(math.pi / (2.0 * a_exp)) * e
+    s = math.sqrt(a_exp)  # so neither a huge nor a subnormal a_exp overflows
+    e = math.erf(upper * math.sqrt(2.0) * s)
+    integral = 0.5 * math.sqrt(math.pi / 2.0) / s * e
     return 1.0 / math.sqrt(integral)
 
 
@@ -132,13 +133,16 @@ def thin_wall_fourier_check(L, b_L, n_modes, box_factor):
 
 def current_beckwith(E, cp):
     """Tunneling current C~1 * cosh(sqrt(2E/(E_T c_v)) - sqrt(E_T c_v/E))
-    * exp(-E_T c_v/E); strictly positive for E > 0."""
+    * exp(-E_T c_v/E); strictly positive where E_T c_v/E is finite, and
+    DomainError for an E far enough below threshold to overflow it."""
     if not (math.isfinite(E) and E > 0):
         raise DomainError("field E must be positive")
     ecv = cp.E_T * cp.c_v
-    u = math.sqrt(2.0 * E / ecv)
-    v = math.sqrt(ecv / E)
-    return cp.C_tilde * math.cosh(u - v) * math.exp(-ecv / E)
+    r = ecv / E
+    if not math.isfinite(r):  # cosh(-inf)*exp(-inf) would be NaN
+        raise DomainError("E_T*c_v/E overflows")
+    return (cp.C_tilde * math.cosh(math.sqrt(2.0 * E / ecv) - math.sqrt(r))
+            * math.exp(-r))
 
 
 def current_zener(E, cp, gated=True):

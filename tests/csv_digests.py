@@ -12,8 +12,9 @@ the benchmark's invocations (``perfbench/workloads.py``), a driven
 ``single-chain`` per scheme (its V and, for cn-standard, its LU factors
 rebuilt every step) and edge cases with missing cells, excluded modes,
 a non-unit pair separation, every ``fourier-check`` error line, a
-negative kink, an overflow, non-finite chain frequencies, an
-underflowing grid step and an all-zero field.
+negative kink, an overflow, non-finite chain frequencies, every
+evolver argument error line (an underflowing grid step among them), a
+current field far below threshold and an all-zero field.
 """
 
 import hashlib
@@ -36,6 +37,8 @@ DRIVEN = ["model.mu_E=0.012", "model.theta=2", "drive.a_D=0.3"]
 EDGE_CASES = [
     ("iv-curve", ["iv.E_max_factor=1e6", "iv.points=10"]),
     ("iv-curve", ["iv.E_max_factor=1e9", "iv.points=50"]),
+    # far below threshold E_T*c_v/E overflows: every cosh-form cell is nan
+    ("iv-curve", ["iv.E_max_factor=1e-306", "iv.points=10"]),
     ("fourier-check", ["fourier.n_modes=40"]),
     # a non-unit separation: the walls sit at -1.5 and 1.5
     ("fourier-check", ["fourier.L=3", "fourier.b_L=1e3", "fourier.n_modes=12"]),
@@ -53,6 +56,12 @@ EDGE_CASES = [
     ("pendulum-kink", ["chain.dt=1"]),  # overflows at step 55: exit 1
     ("pendulum-kink", ["chain.omega1_sq=inf"]),
     ("single-chain", ["evolver.dx=1e-308"]),  # D*dx^2 underflows to 0
+    # one run per other evolver argument error line
+    ("single-chain", ["evolver.dt=0"]),
+    ("single-chain", ["evolver.steps=0"]),
+    ("single-chain", ["evolver.n=2"]),
+    ("single-chain", ["evolver.dx=0"]),
+    ("single-chain", ["evolver.alpha0=0"]),
     # a packet far off the grid is all zeros: every level has zero norm
     ("single-chain", ["evolver.x_c=1000", "evolver.steps=5"]),
 ]

@@ -27,6 +27,10 @@ from cdwlab.evolver import (
 from cdwlab.model import FieldDriveParams, PhysicalParams
 
 
+STEPPERS = {"cn-printed": step_crank_nicolson_printed,
+            "df-printed": step_dufort_frankel_printed,
+            "cn-standard": step_crank_nicolson_standard,
+            "df-standard": step_dufort_frankel_standard}
 FREE = PhysicalParams(D=2.0, omega_p_sq=0.0, mu_E=0.0, theta=0.0)
 WELL = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.012, theta=2.0)
 
@@ -232,9 +236,7 @@ def test_all_schemes_identity_as_dt_vanishes():
     rng = np.random.default_rng(35)
     vals = rng.normal(size=21) + 1j * rng.normal(size=21)
     f = ComplexField(vals, 0.2)
-    steppers = [step_crank_nicolson_printed, step_dufort_frankel_printed,
-                step_crank_nicolson_standard, step_dufort_frankel_standard]
-    for stepper in steppers:
+    for stepper in STEPPERS.values():
         devs = []
         for dt in [1e-6, 1e-7]:
             out = stepper(f, f, WELL, dt)
@@ -247,9 +249,7 @@ def test_all_schemes_identity_as_dt_vanishes():
 def test_all_schemes_hold_dirichlet_boundaries():
     rng = np.random.default_rng(36)
     prev, curr = random_pair(rng)
-    steppers = [step_crank_nicolson_printed, step_dufort_frankel_printed,
-                step_crank_nicolson_standard, step_dufort_frankel_standard]
-    for stepper in steppers:
+    for stepper in STEPPERS.values():
         out = stepper(prev, curr, WELL, 2e-3)
         assert out.values[0] == curr.values[0]
         assert out.values[-1] == curr.values[-1]
@@ -304,10 +304,12 @@ def test_gaussian_packet_layout():
     assert g.grid()[np.argmax(np.abs(g.values))] == pytest.approx(1.0)
     h = gaussian_packet(5, 0.1, x0=2.0)
     assert h.grid()[0] == 2.0
-    with pytest.raises(DomainError):
-        gaussian_packet(2, 0.1)
-    with pytest.raises(DomainError):
-        gaussian_packet(5, 0.1, alpha0=0.0)
+    for n in (2, 0, -1):  # ComplexField owns the size check
+        with pytest.raises(DomainError, match="at least 3 grid points"):
+            gaussian_packet(n, 0.1)
+    for n in (5, 2):  # a bad alpha0 is reported first
+        with pytest.raises(DomainError, match="dx and alpha0"):
+            gaussian_packet(n, 0.1, alpha0=0.0)
 
 
 def test_evolve_zero_field_single_step():
@@ -331,6 +333,27 @@ def test_evolve_rejects_bad_arguments():
         evolve("cn-standard", f, FREE, drive, 0.0, 10)
 
 
+def run_evolve(kind, f, dt):
+    return evolve(kind, f, FREE, FieldDriveParams(a_D=0.0), dt, 10)
+
+
+def run_step(kind, f, dt):
+    return evolver._step(kind, f, f, FREE, dt)
+
+
+@pytest.mark.parametrize("run", [run_evolve, run_step], ids=["evolve", "step"])
+def test_scheme_gate_reports_the_kind_first(run):
+    # evolve and the single step pass one gate: an unknown kind is
+    # reported, also together with a bad dt, before the dt check
+    f = gaussian_packet(11, 0.1)
+    for dt in (1e-3, 0.0):
+        with pytest.raises(DomainError,
+                           match="^unknown scheme kind 'no-such-scheme'$"):
+            run("no-such-scheme", f, dt)
+    with pytest.raises(DomainError, match="^dt must be positive$"):
+        run("cn-standard", f, 0.0)
+
+
 def test_evolve_rejects_underflowing_grid_step():
     # D*dx^2 = 2e-616 rounds to 0, and every plan divides by it
     f = gaussian_packet(11, 1e-308)
@@ -347,11 +370,7 @@ def assert_evolve_matches_steppers(p, drive):
     # the checked steppers with theta_n = theta0 + a_D*(n*dt)
     f = gaussian_packet(41, 0.1, x_c=0.5)
     dt, steps = 2e-3, 6
-    cases = [("cn-printed", step_crank_nicolson_printed),
-             ("df-printed", step_dufort_frankel_printed),
-             ("cn-standard", step_crank_nicolson_standard),
-             ("df-standard", step_dufort_frankel_standard)]
-    for kind, stepper in cases:
+    for kind, stepper in STEPPERS.items():
         t = evolve(kind, f, p, drive, dt, steps)
         prev = curr = f
         levels = [f]
@@ -906,15 +925,16 @@ def test_plan_step_allocates_less_than_a_level(kind):
 
 
 def test_steppers_return_fresh_fields():
-    # the public steppers allocate their result and leave both inputs
-    # as they were
+    # the public steppers are the checked step with the scheme fixed,
+    # allocate their result and leave both inputs as they were
     rng = np.random.default_rng(39)
     prev, curr = random_pair(rng)
     keep = prev.values.copy(), curr.values.copy()
-    steppers = [step_crank_nicolson_printed, step_dufort_frankel_printed,
-                step_crank_nicolson_standard, step_dufort_frankel_standard]
-    for stepper in steppers:
+    for kind, stepper in STEPPERS.items():
         out = stepper(prev, curr, WELL, 2e-3)
+        ref = evolver._step(kind, prev, curr, WELL, 2e-3)
+        np.testing.assert_array_equal(out.values.view(np.int64),
+                                      ref.values.view(np.int64))
         assert isinstance(out, ComplexField)
         assert out is not prev and out is not curr
         assert not np.shares_memory(out.values, prev.values)

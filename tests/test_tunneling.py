@@ -88,6 +88,16 @@ def test_gaussian_norm_constant_huge_finite_upper():
         1.0, math.inf)
 
 
+@pytest.mark.parametrize("a_exp, upper, expect", [
+    (5e-324, 1.0, 1.0),  # subnormal a: the integral is upper
+    (1e-310, 4.0, 0.5),
+    (1.7e308, 1.0, (8.0 / math.pi) ** 0.25 * 1.7e308 ** 0.25)])
+def test_gaussian_norm_constant_extreme_exponent(a_exp, upper, expect):
+    # pi/(2a) overflows for a subnormal a and underflows to 0 for a huge one
+    assert gaussian_norm_constant(a_exp, upper) == pytest.approx(
+        expect, rel=1e-15)
+
+
 def test_gaussian_norm_round_trip():
     # C^2 * integral_0^upper exp(-2 a phi^2) dphi = 1 against Simpson
     rng = np.random.default_rng(42)
@@ -197,6 +207,10 @@ def test_beckwith_limits_and_scaling():
         current_beckwith(0.0, cp)
     with pytest.raises(DomainError):
         current_beckwith(-1.0, cp)
+    # E_T*c_v/E overflows, where cosh(-inf)*exp(-inf) would be a silent NaN
+    for params in (cp, CurrentParams()):
+        with pytest.raises(DomainError, match="E_T\\*c_v/E overflows"):
+            current_beckwith(5e-324, params)
 
 
 def test_beckwith_monotone_past_threshold_scale():
@@ -256,9 +270,10 @@ def test_iv_curve_grid_validation():
 
 
 def test_iv_curve_records_missing_points():
-    # cosh overflows at absurd fields; the row stays, the cell is empty
+    # cosh overflows at absurd fields, and E_T*c_v/E at subnormal ones;
+    # the row stays, the cell is empty
     cp = CurrentParams(E_T=1.0, c_v=1.0)
-    table = iv_curve([1.0, 1e9], cp)
-    assert len(table) == 2
-    assert math.isnan(table.rows[1, 1])
-    assert np.isnan(table.rows).sum() == 1
+    table = iv_curve([5e-324, 1.0, 1e9], cp)
+    assert len(table) == 3
+    assert math.isnan(table.rows[0, 1]) and math.isnan(table.rows[2, 1])
+    assert np.isnan(table.rows).sum() == 2
