@@ -245,6 +245,8 @@ def _check(kind, p, dx, dt):
         raise DomainError("dt must be positive")
     if not p.D * dx * dx > 0:  # every plan divides by it
         raise DomainError("D*dx^2 underflows to 0")
+    if not math.isfinite(p.D * dx * dx):
+        raise DomainError("D*dx^2 overflows")
     return build
 
 
@@ -270,14 +272,18 @@ step_dufort_frankel_standard = partial(_step, "df-standard")
 step_crank_nicolson_standard = partial(_step, "cn-standard")
 
 
-def _phase_norm(block, x, dx):
+def _phase_norm(block, x, dx, w):
     """Per-row mean phase (0 at zero norm) and L2 norm of a C-contiguous
-    (k, n) block of fields on grid x, as two float64 arrays; call under
-    np.errstate(over="ignore", invalid="ignore").  Row sums of a
-    contiguous block equal the sums of each row alone, bit for bit."""
-    w = np.abs(block) ** 2
+    (k, n) block of fields on grid x, as two float64 arrays, summed in w,
+    float64 scratch of the block's shape; call under np.errstate(
+    over="ignore", invalid="ignore").  Row sums of a contiguous block
+    equal the sums of each row alone, bit for bit.  A row's norm is
+    non-finite if it holds a NaN or inf or if its |psi|^2 overflows."""
+    np.abs(block, w)
+    np.square(w, w)
     totals = w.sum(axis=1)
-    moments = (x * w).sum(axis=1)
+    np.multiply(w, x, w)
+    moments = w.sum(axis=1)
     return (moments / np.where(totals == 0.0, 1.0, totals),
             np.sqrt(totals * dx))
 
@@ -309,8 +315,10 @@ def evolve(kind, init, p, drive, dt, steps):
     step overflows, the trajectory is truncated at the last finite level
     and marked.  Zero-norm levels record mean phase 0.  The scheme
     plan's `step(prev, curr, out)` writes each level into the next
-    row of a preallocated block (out); the finiteness check and the
-    phase/norm sums run once per block."""
+    row of a preallocated block (out); the phase/norm sums run once per
+    block, in one reused scratch.  A non-finite level has a non-finite
+    norm, so only a block with a non-finite norm is checked level by
+    level for where to cut."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
     build = _check(kind, p, init.dx, dt)
@@ -322,17 +330,19 @@ def evolve(kind, init, p, drive, dt, steps):
     driven = p.mu_E != 0.0 and drive.a_D != 0.0
     rows = max(1, min(_BLOCK_ROWS, steps + 1, _BLOCK_BYTES // (16 * x.size)))
     block = np.empty((rows, x.size), dtype=complex)
+    w = np.empty(block.shape)
     block[0] = init.values
     prev = curr = block[0]
     filled = 1
     phases, norms = [], []
 
     def record():  # the block's levels before its first non-finite one
-        finite = np.isfinite(block[:filled]).all(axis=1)
-        end = filled if finite.all() else int(finite.argmin())
-        ph, nm = _phase_norm(block[:end], x, dx)
-        phases.append(ph)
-        norms.append(nm)
+        ph, nm = _phase_norm(block[:filled], x, dx, w[:filled])
+        finite = (np.isfinite(nm).all()
+                  or np.isfinite(block[:filled]).all(axis=1))
+        end = filled if np.all(finite) else int(finite.argmin())
+        phases.append(ph[:end])
+        norms.append(nm[:end])
         return end < filled
 
     with np.errstate(over="ignore", invalid="ignore"):

@@ -121,7 +121,9 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
     are held aside for the snapshots.  The returned list starts with a
     copy of the initial state, and every snapshot holds its own copies
     of the arrays.  A non-finite state aborts with the offending step.
-    """
+    It is checked at snapshots and the last step only: a non-finite
+    value stays so (the ends are clamped, and NaN and inf survive every
+    update y += k), so a failed check replays from the last snapshot."""
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError("dt must be positive")
     if steps < 1:
@@ -132,7 +134,7 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
     b[0, 0], b[0, 1, 1:-1] = s.phi, s.phi_dot[1:-1]
     y, (k1, k2, k3, k4) = b[0, :2], b[:, 1:]
     ends = s.phi_dot[::s.phi.size - 1] + 0.0  # as y += 0 leaves them
-    sin, finite = np.empty(s.phi.size - 2), np.empty(y.shape, dtype=bool)
+    sin = np.empty(s.phi.size - 2)
     w0, w1, half, full, sixth = map(
         np.array, (s.omega0_sq, s.omega1_sq, 0.5 * dt, dt, dt / 6.0))
 
@@ -141,24 +143,31 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
              b[j, 0, 2:], b[j, 0, :-2], b[j, 2, 1:-1])
             for j, h in enumerate((None, half, half, full))]
 
+    def step():
+        for k, h, stage, mid, right, left, acc in plan:
+            if k is not None:
+                _multiply(k, h, stage)
+                _add(y, stage, stage)
+            _force(mid, right, left, w0, w1, acc, sin)
+        # y += (dt/6)*(((k1 + 2 k2) + 2 k3) + k4), summed in k2
+        _add(k2, k2, k2)
+        _add(k1, k2, k2)
+        _add(k3, k3, k3)
+        _add(k2, k3, k2)
+        _add(k2, k4, k2)
+        _multiply(k2, sixth, k2)
+        _add(y, k2, y)
+
     snaps = [ChainState(s.phi, s.phi_dot, s.omega0_sq, s.omega1_sq)]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
-            for k, h, stage, mid, right, left, acc in plan:
-                if k is not None:
-                    _multiply(k, h, stage)
-                    _add(y, stage, stage)
-                _force(mid, right, left, w0, w1, acc, sin)
-            # y += (dt/6)*(((k1 + 2 k2) + 2 k3) + k4), summed in k2
-            _add(k2, k2, k2)
-            _add(k1, k2, k2)
-            _add(k3, k3, k3)
-            _add(k2, k3, k2)
-            _add(k2, k4, k2)
-            _multiply(k2, sixth, k2)
-            _add(y, k2, y)
-            np.isfinite(y, finite)
-            if not finite.all():
+            step()
+            if (n % stride == 0 or n == steps) and not np.isfinite(y).all():
+                y[0], y[1, 1:-1] = snaps[-1].phi, snaps[-1].phi_dot[1:-1]
+                n = (len(snaps) - 1) * stride
+                while np.isfinite(y).all():
+                    step()
+                    n += 1
                 raise FieldOverflowError(
                     "chain state became non-finite at step %d of %d"
                     % (n, steps), step=n)

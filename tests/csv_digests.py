@@ -12,9 +12,11 @@ the benchmark's invocations (``perfbench/workloads.py``), a driven
 ``single-chain`` per scheme (its V and, for cn-standard, its LU factors
 rebuilt every step) and edge cases with missing cells, excluded modes,
 a non-unit pair separation, every ``fourier-check`` error line, a
-negative kink, an overflow, non-finite chain frequencies, every
-evolver argument error line (an underflowing grid step among them), a
-current field far below threshold and an all-zero field.
+negative kink, a chain overflow found between snapshots, on a snapshot
+step, with no snapshot before it and on the last step, non-finite chain
+frequencies, every evolver argument error line (an underflowing and an
+overflowing grid step among them), a current field far below threshold
+and an all-zero field.
 """
 
 import hashlib
@@ -54,8 +56,16 @@ EDGE_CASES = [
     ("fourier-check", ["fourier.L=1e308"]),  # box = 16*L overflows
     ("pendulum-kink", ["chain.beta=-0.9", "chain.sign=-1", "chain.stride=7"]),
     ("pendulum-kink", ["chain.dt=1"]),  # overflows at step 55: exit 1
+    # the same overflow found with a check every step, on a snapshot
+    # step, with no snapshot before it and on the last step (the default
+    # stride of 50 finds it between snapshots)
+    ("pendulum-kink", ["chain.dt=1", "chain.stride=1"]),
+    ("pendulum-kink", ["chain.dt=1", "chain.stride=55"]),
+    ("pendulum-kink", ["chain.dt=1", "chain.stride=5000"]),
+    ("pendulum-kink", ["chain.dt=1", "chain.steps=55"]),
     ("pendulum-kink", ["chain.omega1_sq=inf"]),
     ("single-chain", ["evolver.dx=1e-308"]),  # D*dx^2 underflows to 0
+    ("single-chain", ["evolver.dx=1e200", "evolver.steps=20"]),  # overflows
     # one run per other evolver argument error line
     ("single-chain", ["evolver.dt=0"]),
     ("single-chain", ["evolver.steps=0"]),

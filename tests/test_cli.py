@@ -514,12 +514,16 @@ def test_every_key_changes_an_artifact(reach_run, key):
     # D*dx^2 underflows to 0, and every scheme divides by it
     (["evolver.dx=1e-308"], 1, "error: domain: D*dx^2 underflows to 0\n"),
     (["model.D=5e-324"], 1, "error: domain: D*dx^2 underflows to 0\n"),
+    # D*dx^2 overflows to inf, which would zero every scheme's kinetic term
+    (["evolver.dx=1e200"], 1, "error: domain: D*dx^2 overflows\n"),
+    (["model.D=1e300", "evolver.dx=1e5"], 1,
+     "error: domain: D*dx^2 overflows\n"),
     (["experiment=pendulum-kink", "chain.omega1_sq=inf"], 2,
      "error: config: pendulum-kink needs positive, finite omega0_sq and "
      "omega1_sq for the continuum mapping\n")],
     ids=["mu_E", "alpha0", "kink-beta", "kink-width", "dx-inf-grid",
          "alpha0-inf", "iv-overflow", "iv-inf", "theta-inf", "dx-underflow",
-         "D-underflow", "kink-omega-inf"])
+         "D-underflow", "dx-overflow", "D-overflow", "kink-omega-inf"])
 def test_main_overflow_reports_no_numpy_warning(tmp_path, overrides, code,
                                                 stderr):
     # a separate interpreter, so numpy's warnings reach stderr unfiltered

@@ -266,7 +266,8 @@ def phase_norm(values, x, dx):
 
 def evolver_phase_norm(f):
     # the block reduction evolve records, on a one-level block
-    phases, norms = evolver._phase_norm(f.values[None], f.grid(), f.dx)
+    phases, norms = evolver._phase_norm(f.values[None], f.grid(), f.dx,
+                                        np.empty((1, f.values.size)))
     return phases[0], norms[0]
 
 
@@ -363,6 +364,20 @@ def test_evolve_rejects_underflowing_grid_step():
             evolve(kind, f, FREE, drive, 1e-3, 1)
     with pytest.raises(DomainError, match="D\\*dx\\^2 underflows"):
         step_crank_nicolson_standard(f, f, FREE, 1e-3)
+
+
+@pytest.mark.parametrize("D, dx", [(2.0, 1e200), (1e300, 1e5)],
+                         ids=["dx", "D"])
+def test_evolve_rejects_overflowing_grid_step(D, dx):
+    # D*dx^2 rounds to inf, which would zero every plan's kinetic term
+    f = gaussian_packet(11, dx)
+    p = PhysicalParams(D=D, omega_p_sq=0.0, mu_E=0.0, theta=0.0)
+    drive = FieldDriveParams(a_D=0.0)
+    for kind in evolver._PLANS:
+        with pytest.raises(DomainError, match="^D\\*dx\\^2 overflows$"):
+            evolve(kind, f, p, drive, 1e-3, 1)
+    with pytest.raises(DomainError, match="^D\\*dx\\^2 overflows$"):
+        step_crank_nicolson_standard(f, f, p, 1e-3)
 
 
 def assert_evolve_matches_steppers(p, drive):
@@ -813,6 +828,20 @@ def poisoned(bad_level):
             return new
         return step
     return plan
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evolve_overflowing_norm_of_finite_field_is_not_truncated(kind):
+    # |psi|^2 of a 1e200 amplitude overflows: every norm is inf, but
+    # every level is finite, so the run is recorded whole
+    f = ComplexField(np.full(41, 1e200), 0.1)
+    drive = FieldDriveParams(a_D=0.0)
+    t = evolve(kind, f, FREE, drive, 2e-3, 70)
+    ref = reference_evolve(kind, f, FREE, drive, 2e-3, 70)
+    assert not t.truncated and not ref.truncated
+    assert len(t) == len(ref) == 71
+    assert np.isinf(t.norm).all() and np.isinf(ref.norm).all()
+    assert np.isnan(t.mean_phase).all() and np.isnan(ref.mean_phase).all()
 
 
 @pytest.mark.parametrize("bad_level", [1, 2, 40, 63, 64, 65, 100, 127, 128])

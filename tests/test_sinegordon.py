@@ -320,14 +320,23 @@ def test_rk4_snapshots_are_independent_copies():
             np.testing.assert_array_equal(snap.phi_dot, ref[i][1])
 
 
-def test_rk4_overflow_reports_step():
-    # far beyond the RK4 stability limit for the stiffest lattice mode
+@pytest.mark.parametrize("steps, stride", [
+    (2000, 1), (2000, 7), (2000, 107), (2000, 108), (2000, 109),
+    (2000, 5000), (108, 50)], ids=["stride-1", "stride-7", "stride-107",
+                                   "stride-108", "stride-109", "stride-5000",
+                                   "last-step"])
+def test_rk4_overflow_reports_step(steps, stride):
+    # far beyond the RK4 stability limit for the stiffest lattice mode:
+    # the state first leaves the finite range at step 108, which the
+    # run finds by replaying from its last snapshot (at the last step
+    # when steps = 108)
     s = make_kink_chain(64, 900.0, 1.0, 32, beta=0.0)
     with pytest.raises(FieldOverflowError) as exc:
-        integrate_chain_rk4(s, 0.2, 2000)
-    assert ("overflow", exc.value.step) == reference_rk4(s, 0.2, 2000, 1)
-    assert str(exc.value) == ("chain state became non-finite at step %d "
-                              "of 2000" % exc.value.step)
+        integrate_chain_rk4(s, 0.2, steps, stride=stride)
+    assert (("overflow", exc.value.step)
+            == reference_rk4(s, 0.2, steps, stride) == ("overflow", 108))
+    assert str(exc.value) == ("chain state became non-finite at step 108 "
+                              "of %d" % steps)
 
 
 def test_rk4_argument_validation():
