@@ -4,7 +4,7 @@ Four schemes: the two difference equations exactly as printed in the
 source material (kept for their instability phenomenology) and their
 textbook-correct counterparts.  The governing equation is
 
-    i*hbar*psi_t = -(hbar^2/D)*psi_xx + V(x, t)*psi
+    i*psi_t = -(1/D)*psi_xx + V(x, t)*psi
 
 with V the washboard potential whose driving phase theta advances
 linearly in time at rate a_D.  Both grid end points are held at their
@@ -127,14 +127,13 @@ def _check_info(info):
 def _cn_printed(V, p, dx, dt):
     """The printed Crank-Nicolson-like leapfrog:
 
-    new = prev + i*dt*( (hbar/D)*(lap(curr) + lap(new))/dx^2
-                        - (2*V/hbar)*curr )
+    new = prev + i*dt*( (1/D)*(lap(curr) + lap(new))/dx^2 - 2*V*curr )
 
     with lap(new) taken at prev, the printed update.  The scheme is
     unstable for every dt (kept deliberately)."""
     kappa, two, i_dt = (np.array(c, complex) for c in (
-        p.hbar / (p.D * dx * dx), 2.0, 1j * dt))
-    drift_v = ((2.0 / p.hbar) * V)[1:-1].astype(complex)
+        1.0 / (p.D * dx * dx), 2.0, 1j * dt))
+    drift_v = (2.0 * V)[1:-1].astype(complex)
     lap, scratch = np.empty((2, V.size - 2), dtype=complex)
 
     def step(prev, curr, out):
@@ -160,14 +159,14 @@ def _dufort_frankel(V, p, dx, dt, combine=np.add):
     printed neighbour difference (np.subtract):
 
     new = (2R/(1+2R))*(curr_{j-1} +/- curr_{j+1}) + ((1-2R)/(1+2R))*prev
-          - i*dt*(V/hbar)*curr,   R = -i*dt*hbar/(2*D*dx^2)
+          - i*dt*V*curr,   R = -i*dt/(2*D*dx^2)
 
     The sum preserves constants exactly at V=0 and is marginally stable
     (|g| = 1) for the free equation.  The printed difference, sign error
     and all, does not preserve even a constant field."""
-    r2 = -1j * dt * p.hbar / (p.D * dx * dx)  # 2R
+    r2 = -1j * dt / (p.D * dx * dx)  # 2R
     a, b = map(np.array, (r2 / (1.0 + r2), (1.0 - r2) / (1.0 + r2)))
-    pot = (1j * dt * (V / p.hbar))[1:-1]
+    pot = (1j * dt * V)[1:-1]
     scratch = np.empty_like(pot)
 
     def step(prev, curr, out):
@@ -191,12 +190,12 @@ def _cn_standard(V, p, dx, dt):
     """Textbook Crank-Nicolson (Cayley form), unconditionally stable.
 
     (I - dt/2 M) psi_new = (I + dt/2 M) psi,
-    M = i*(hbar/D)*L/dx^2 - (i/hbar) diag(V)
+    M = i*(1/D)*L/dx^2 - i diag(V)
 
     The end rows are identity, so the held end points pass through.
     prev is ignored."""
-    koff = 1j * p.hbar / (p.D * dx * dx)
-    diag_m = -2.0 * koff - 1j * V / p.hbar
+    koff = 1j / (p.D * dx * dx)
+    diag_m = -2.0 * koff - 1j * V
     half = 0.5 * dt
     diag = 1.0 - half * diag_m
     off = -half * koff

@@ -1,8 +1,9 @@
 """Model constants and potential-energy expressions.
 
 Everything here is a pure function of its inputs.  Units are
-dimensionless throughout with hbar carried explicitly (default 1), so
-all coefficients are plain numbers supplied by the caller.
+dimensionless with the reduced Planck constant h = 1; a run at another
+h is the run here with D/h and mu_E/h (single chain) or D1/h^2 (two
+chains) in place of D, mu_E and D1.
 """
 
 import math
@@ -31,15 +32,14 @@ class PhysicalParams:
     E1: float = 1.0e-5
     E2: float = 1.0e-6
     delta_prime: float = 0.005
-    hbar: float = 1.0
 
     def __post_init__(self):
         mags = (self.D, self.omega_p_sq, self.mu_E, self.theta,
-                self.D1, self.E1, self.E2, self.delta_prime, self.hbar)
+                self.D1, self.E1, self.E2, self.delta_prime)
         if not all(math.isfinite(v) for v in mags):
             raise DomainError("non-finite physical parameter")
-        if self.D <= 0 or self.D1 <= 0 or self.hbar <= 0:
-            raise DomainError("D, D1 and hbar must be positive")
+        if self.D <= 0 or self.D1 <= 0:
+            raise DomainError("D and D1 must be positive")
         if (self.omega_p_sq < 0 or self.mu_E < 0 or self.E1 < 0
                 or self.E2 < 0 or self.delta_prime < 0):
             raise DomainError("magnitude coefficients must be non-negative")

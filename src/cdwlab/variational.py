@@ -8,7 +8,7 @@ The trial state is a product of two five-tooth Gaussian combs,
 with unit-norm coefficient vectors and a shared width alpha.  The
 energy functional is the normalized expectation of
 
-    H = -hbar^2/(2 D1) (d^2/dphi1^2 + d^2/dphi2^2)
+    H = -1/(2 D1) (d^2/dphi1^2 + d^2/dphi2^2)
         + sum_n [E1 (1 - cos phi_n) + E2 (phi_n - theta)^2]
         + delta_prime (1 - cos(phi1 - phi2)).
 
@@ -144,7 +144,7 @@ def _chain_moments(coeff, alpha, theta, p, nd):
     """1-D moments of one comb factor u(phi):
 
     returns (norm, kinetic, pinning, charging, <cos>, <sin>)
-    where kinetic = -hbar^2/(2 D1) * int u u'' and the rest are plain
+    where kinetic = -1/(2 D1) * int u u'' and the rest are plain
     weighted moments of u^2."""
     x, w, cosx, sinx, d2 = nd
     g = np.exp(-alpha * d2)
@@ -152,7 +152,7 @@ def _chain_moments(coeff, alpha, theta, p, nd):
     u2w = u * u * w
     n = float(u2w.sum())
     upp = coeff @ (g * (4.0 * alpha * alpha * d2 - 2.0 * alpha))
-    kin = -(p.hbar * p.hbar / (2.0 * p.D1)) * float((w * u * upp).sum())
+    kin = -(1.0 / (2.0 * p.D1)) * float((w * u * upp).sum())
     pin = p.E1 * float((u2w * (1.0 - cosx)).sum())
     dphi = x - theta
     chg = p.E2 * float((u2w * dphi * dphi).sum())
@@ -210,7 +210,7 @@ def _chain_matrices(p, theta, alpha):
     a = alpha[:, None, None]
     s = np.sqrt(math.pi / (2.0 * a)) * np.exp(-0.5 * a * _DELTA2)
     c = _PARITY * np.exp(-0.125 / a) * s
-    kin = p.hbar * p.hbar / (2.0 * p.D1) * (a - a * a * _DELTA2)
+    kin = 1.0 / (2.0 * p.D1) * (a - a * a * _DELTA2)
     chg = p.E2 * ((_MU - theta[:, None, None]) ** 2 + 0.25 / a)
     h = (kin + p.E1 + chg) * s - p.E1 * c
     return np.stack((s, h, c, _MU * s))

@@ -15,8 +15,9 @@ a non-unit pair separation, every ``fourier-check`` error line, a
 negative kink, a chain overflow found between snapshots, on a snapshot
 step, with no snapshot before it and on the last step, non-finite chain
 frequencies, every evolver argument error line (an underflowing and an
-overflowing grid step among them), a current field far below threshold
-and an all-zero field.
+overflowing grid step among them), a current field far below threshold,
+an all-zero field and a ``model.hbar`` setting (an unknown key: units
+have the reduced Planck constant set to 1).
 """
 
 import hashlib
@@ -74,6 +75,7 @@ EDGE_CASES = [
     ("single-chain", ["evolver.alpha0=0"]),
     # a packet far off the grid is all zeros: every level has zero norm
     ("single-chain", ["evolver.x_c=1000", "evolver.steps=5"]),
+    ("single-chain", ["model.hbar=1"]),
 ]
 
 

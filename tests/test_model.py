@@ -29,8 +29,6 @@ def test_physical_params_validation():
     with pytest.raises(DomainError):
         PhysicalParams(delta_prime=-0.005)
     with pytest.raises(DomainError):
-        PhysicalParams(hbar=0.0)
-    with pytest.raises(DomainError):
         PhysicalParams(theta=math.inf)
 
 

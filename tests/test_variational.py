@@ -8,7 +8,8 @@ from scipy.linalg import eigh
 
 from cdwlab import variational
 from cdwlab.errors import DomainError, QuadratureError
-from cdwlab.model import PhysicalParams
+from cdwlab.evolver import ComplexField, step_crank_nicolson_printed
+from cdwlab.model import PhysicalParams, washboard_potential
 from cdwlab.variational import (
     CENTERS,
     AnsatzCoeffs,
@@ -79,7 +80,7 @@ def energy_2d_oracle(a, p, theta, q):
     t2 = comb_1d_ddot(x, a.c, a.alpha)
     W = np.outer(w, w)
     psi2 = np.outer(u1 * u1, u2 * u2)
-    kin = -(p.hbar ** 2 / (2 * p.D1)) * (
+    kin = -(1 / (2 * p.D1)) * (
         np.sum(W * np.outer(u1 * t1, u2 * u2))
         + np.sum(W * np.outer(u1 * u1, u2 * t2)))
     pot = (p.E1 * ((1 - np.cos(x))[:, None] + (1 - np.cos(x))[None, :])
@@ -97,7 +98,7 @@ def _ref_matrices(p, alpha, theta):
     s = math.sqrt(math.pi / (2.0 * alpha)) * np.exp(
         -0.5 * alpha * variational._DELTA2)
     c = variational._PARITY * math.exp(-0.125 / alpha) * s
-    kin = p.hbar * p.hbar / (2.0 * p.D1) * (
+    kin = 1.0 / (2.0 * p.D1) * (
         alpha - alpha * alpha * variational._DELTA2)
     chg = p.E2 * ((variational._MU - theta) ** 2 + 0.25 / alpha)
     h = (kin + p.E1 + chg) * s - p.E1 * c
@@ -254,13 +255,40 @@ def test_norm_squared_quadrature_failure():
 
 
 def test_energy_kinetic_anchor():
-    # decoupled chains, one centered Gaussian each: E = hbar^2*alpha/D1
+    # decoupled chains, one centered Gaussian each: E = alpha/D1
     a = AnsatzCoeffs(E2ONLY, E2ONLY, 1.0)
     e = energy_expectation(a, FREE, 0.0, QF)
     assert abs(e - 1.0 / 174.091) / (1.0 / 174.091) < 1e-8
     # default quadrature stays within a relaxed tolerance
     e0 = energy_expectation(a, FREE, 0.0, Q)
     assert abs(e0 - 1.0 / 174.091) / (1.0 / 174.091) < 1e-6
+
+
+@pytest.mark.parametrize("theta", [0.0, 2.0, math.pi])
+def test_single_chain_is_one_chain_of_the_pair(theta):
+    # with D = 2 D1, omega_p^2 = E1/D1 and mu_E = 2 E2 the evolver's
+    # washboard and kinetic term are one chain of the two-chain
+    # Hamiltonian, so at delta' = 0 the pair's ground energy is twice
+    # the single chain's
+    chain = PhysicalParams(D=2.0 * STD.D1, omega_p_sq=STD.E1 / STD.D1,
+                           mu_E=2.0 * STD.E2, theta=theta)
+    phi = np.linspace(-4 * math.pi, 4 * math.pi, 201)
+    one_chain = STD.E1 * (1.0 - np.cos(phi)) + STD.E2 * (phi - theta) ** 2
+    np.testing.assert_allclose(washboard_potential(phi, chain), one_chain,
+                               rtol=1e-15, atol=0)
+    # an impulse's first printed step puts i*dt*(1/D)/dx^2 on each
+    # neighbour; a comb tooth's kinetic moment is alpha/(2 D1)
+    dx, dt = 0.1, 1e-4
+    impulse = np.zeros(9, dtype=complex)
+    impulse[4] = 1.0
+    out = step_crank_nicolson_printed(ComplexField(np.zeros(9), dx),
+                                      ComplexField(impulse, dx), chain, dt)
+    s, h = variational._chain_matrices(
+        PhysicalParams(E1=0.0, E2=0.0), np.zeros(1), np.ones(1))[:2]
+    assert out.values[3] / (1j * dt / dx ** 2) == pytest.approx(
+        1.0 / chain.D, rel=1e-15)
+    assert h[0, 2, 2] / s[0, 2, 2] == pytest.approx(
+        1.0 / (2.0 * STD.D1), rel=1e-15)
 
 
 def test_energy_linear_in_potential_strength():
@@ -347,7 +375,7 @@ def test_energy_kinetic_matches_stencil():
                + 16 * comb_1d(x - h, coeff, a.alpha)
                - comb_1d(x - 2 * h, coeff, a.alpha)) / (12 * h * h)
         n = np.sum(w * u * u)
-        kin = -(STD.hbar ** 2 / (2 * STD.D1)) * np.sum(w * u * upp)
+        kin = -(1 / (2 * STD.D1)) * np.sum(w * u * upp)
         total.append(kin / n)
     ref = sum(total)
     e = energy_expectation(a, FREE, 0.0, Q)
@@ -355,7 +383,7 @@ def test_energy_kinetic_matches_stencil():
 
 
 def test_minimize_kinetic_only_runs_downhill():
-    # with no potential the energy is hbar^2 alpha / D1, which has no
+    # with no potential the energy is alpha / D1, which has no
     # minimum in alpha: the search runs down to its lower alpha limit
     # and reports no convergence, and its best point must still end at
     # least as low as a single alpha=1 tooth
@@ -371,7 +399,7 @@ def test_minimize_kinetic_only_runs_downhill():
 
 
 @pytest.mark.parametrize("p", [PhysicalParams(E1=1.0),
-                               PhysicalParams(hbar=1e-3)])
+                               PhysicalParams(D1=174.091 / 1e-3 ** 2)])
 def test_minimize_finds_alpha_beyond_the_scan(p):
     # both optima lie above the coarse scan's top alpha: the scan must be
     # extended until the energy rises, and alpha refined inside that
@@ -518,7 +546,8 @@ def test_sweep_matches_scalar_reference_on_acceptance_grid(grid_sweeps, p):
     # agree to better than about 1e-7 there (5e-8 measured)
     (FREE, 1e-6),
     (PhysicalParams(E1=1.0), 1e-14),
-    (PhysicalParams(hbar=1e-3), 1e-14)], ids=["free", "E1", "hbar"])
+    (PhysicalParams(D1=174.091 / 1e-3 ** 2), 1e-14)],
+    ids=["free", "E1", "D1"])
 def test_sweep_matches_scalar_reference_past_the_scan(p, e_rtol):
     # the scan is extended to one limit (free) or towards the other
     assert_matches_reference(sweep_theta(p, [0.0, 0.3]).rows, p, e_rtol)
