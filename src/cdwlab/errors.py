@@ -34,18 +34,6 @@ class FieldOverflowError(CdwError):
         self.step = step
 
 
-class QuadratureError(CdwError):
-    """Quadrature produced a non-positive or non-finite norm."""
-
-    code = "quadrature"
-
-
-class DiagnosticError(CdwError):
-    """A measurement could not be made (e.g. no unique kink crossing)."""
-
-    code = "diagnostic"
-
-
 class ConfigError(CdwError):
     """Malformed or inconsistent run configuration.
 

@@ -192,8 +192,8 @@ def _cn_standard(V, p, dx, dt):
     (I - dt/2 M) psi_new = (I + dt/2 M) psi,
     M = i*(1/D)*L/dx^2 - i diag(V)
 
-    The end rows are identity, so the held end points pass through.
-    prev is ignored."""
+    The end rows are identity; the ends are rewritten after the solve,
+    as zgttrf's row swap at |off| > 1 rounds one.  prev is ignored."""
     koff = 1j / (p.D * dx * dx)
     diag_m = -2.0 * koff - 1j * V
     half = 0.5 * dt
@@ -221,6 +221,7 @@ def _cn_standard(V, p, dx, dt):
         _add(curr[1:-1], rhs, rhs)
         out[0], out[-1] = curr[0], curr[-1]
         _check_info(solver(out, overwrite_b=1)[1])
+        out[0], out[-1] = curr[0], curr[-1]
         return out
 
     return step

@@ -15,7 +15,7 @@ import numpy as np
 from numpy import add as _add, multiply as _multiply, subtract as _subtract
 
 from .curves import CurveTable
-from .errors import DiagnosticError, DomainError, FieldOverflowError
+from .errors import DomainError, FieldOverflowError
 
 
 @dataclass
@@ -194,9 +194,9 @@ def _pi_crossing(phi, dx_lattice):
     exact = np.nonzero(d == 0.0)[0]
     count = len(hits) + len(exact)
     if count == 0:
-        raise DiagnosticError("no phi = pi crossing in snapshot")
+        raise DomainError("no phi = pi crossing in snapshot")
     if count > 1:
-        raise DiagnosticError("multiple phi = pi crossings in snapshot")
+        raise DomainError("multiple phi = pi crossings in snapshot")
     if len(exact):
         return float(exact[0]) * dx_lattice
     i = int(hits[0])

@@ -25,8 +25,8 @@ theta still sees the evaluations it would see alone, so its row is
 bit-identical whether it is swept alone or in a grid.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
-(``energy_expectation``, ``phase_expectation``) is kept as an
-independent oracle for the closed form.
+(``energy_expectation``) is kept as an independent oracle for the
+closed-form energy.
 """
 
 import math
@@ -36,7 +36,7 @@ from functools import cache
 import numpy as np
 
 from .curves import CurveTable
-from .errors import DomainError, FieldOverflowError, QuadratureError
+from .errors import DomainError, FieldOverflowError
 from .tunneling import _composite_gl
 
 CENTERS = 2.0 * math.pi * np.arange(-2, 3, dtype=float)
@@ -161,11 +161,6 @@ def _chain_moments(coeff, alpha, theta, p, nd):
     return n, kin, pin, chg, mcos, msin
 
 
-def _comb_on(nd, coeff, alpha):
-    d2 = nd[4]
-    return np.asarray(coeff) @ np.exp(-alpha * d2)
-
-
 def energy_expectation(a, p, theta, q):
     """Normalized energy <Psi|H|Psi>/<Psi|Psi> at driving phase theta."""
     nd = _nodes(q)
@@ -174,30 +169,15 @@ def energy_expectation(a, p, theta, q):
     n1, k1, p1, q1, mc1, ms1 = _chain_moments(b, a.alpha, theta, p, nd)
     n2, k2, p2, q2, mc2, ms2 = _chain_moments(c, a.alpha, theta, p, nd)
     if not (math.isfinite(n1) and math.isfinite(n2) and n1 > 0 and n2 > 0):
-        raise QuadratureError("ansatz norm is not positive")
+        raise DomainError("ansatz norm is not positive")
     e = (k1 * n2 + n1 * k2
          + p1 * n2 + n1 * p2
          + q1 * n2 + n1 * q2
          + p.delta_prime * (n1 * n2 - mc1 * mc2 - ms1 * ms2))
     e /= n1 * n2
     if not math.isfinite(e):
-        raise QuadratureError("energy expectation is not finite")
+        raise DomainError("energy expectation is not finite")
     return e
-
-
-def phase_expectation(a, q):
-    """Mean joint phase <(phi1 + phi2)/2> under |Psi|^2."""
-    nd = _nodes(q)
-    x, w = nd[0], nd[1]
-    u1 = _comb_on(nd, a.b, a.alpha)
-    u2 = _comb_on(nd, a.c, a.alpha)
-    n1 = float((u1 * u1 * w).sum())
-    n2 = float((u2 * u2 * w).sum())
-    if not (n1 > 0 and n2 > 0):
-        raise QuadratureError("ansatz norm is not positive")
-    m1 = float((u1 * u1 * w * x).sum())
-    m2 = float((u2 * u2 * w * x).sum())
-    return 0.5 * (m1 / n1 + m2 / n2)
 
 
 def _chain_matrices(p, theta, alpha):

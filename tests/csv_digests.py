@@ -16,8 +16,10 @@ negative kink, a chain overflow found between snapshots, on a snapshot
 step, with no snapshot before it and on the last step, non-finite chain
 frequencies, every evolver argument error line (an underflowing and an
 overflowing grid step among them), a current field far below threshold,
-an all-zero field and a ``model.hbar`` setting (an unknown key: units
-have the reduced Planck constant set to 1).
+an all-zero field, a ``model.hbar`` setting (an unknown key: units have
+the reduced Planck constant set to 1) and a cn-standard run whose
+dt/(2*D*dx^2) exceeds 1 with the packet on the left end, where the
+tridiagonal solve pivots and the held end points must be restored.
 """
 
 import hashlib
@@ -76,6 +78,9 @@ EDGE_CASES = [
     # a packet far off the grid is all zeros: every level has zero norm
     ("single-chain", ["evolver.x_c=1000", "evolver.steps=5"]),
     ("single-chain", ["model.hbar=1"]),
+    # |dt/(2*D*dx^2)| = 4 with a non-zero left end: the solve pivots
+    ("single-chain", ["evolver.scheme=cn-standard", "evolver.dt=0.02",
+                      "evolver.x_c=-12", "evolver.steps=200"]),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from cdwlab import cli, sinegordon
 from cdwlab.curves import format_number
-from cdwlab.errors import DiagnosticError, DomainError, FieldOverflowError
+from cdwlab.errors import DomainError, FieldOverflowError
 from cdwlab.sinegordon import (
     ChainState,
     KinkSpec,
@@ -358,6 +358,38 @@ def test_chain_energy_conserved():
     assert abs(e1 - e0) / e0 < 1e-6
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9])
+def test_kink_energy_saturates_the_bogomolnyi_bound(beta):
+    # the default chain as pendulum-kink launches it: its energy over
+    # the static bound 8*omega0*omega1*|Q| is the kink's gamma
+    # (deviations 3.4e-3, 1.7e-3 and 1.8e-4)
+    s = make_kink_chain(400, 900.0, 1.0, 240.0, beta=beta)
+    q = (s.phi[-1] - s.phi[0]) / (2 * math.pi)
+    ratio = chain_energy(s) / (8 * 30.0 * 1.0 * abs(q))
+    assert abs(ratio - 1.0 / math.sqrt(1.0 - beta * beta)) < 1e-2
+
+
+def test_kink_antikink_pair_energy_against_separation():
+    # a kink at z = -d/2 and an antikink at z = d/2, at rest and
+    # unrelaxed, on 2001 sites of width ell = omega0/omega1 = 30: the
+    # energy in units of two kinks rises towards 1 as 1 - 2 e^(-d)
+    # (Perring & Skyrme 1962)
+    ell = 30.0
+    z = (np.arange(2001) - 1000.0) / ell
+    k = KinkSpec()
+    seps = [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
+    pair = []
+    for d in seps:
+        phi = (kink_phase(z + 0.5 * d, 0.0, k)
+               + kink_phase(-(z - 0.5 * d), 0.0, k) - 2 * math.pi)
+        s = ChainState(phi, np.zeros_like(phi), ell * ell, 1.0)
+        pair.append(chain_energy(s) / (16 * ell))
+    assert np.all(np.diff(pair) > 0) and pair[-1] < 1.0
+    for d, e in zip(seps, pair):
+        if d >= 4:
+            assert abs(e - (1.0 - 2.0 * math.exp(-d))) < 1e-2
+
+
 def test_velocity_estimate_exact_shift():
     # profile moving one lattice site per snapshot
     k = KinkSpec(beta=0.0, sign=1)
@@ -390,13 +422,13 @@ def test_velocity_estimate_traveling_kink():
 
 def test_velocity_estimate_diagnostics():
     flat = ChainState(np.zeros(10), np.zeros(10))
-    with pytest.raises(DiagnosticError):
+    with pytest.raises(DomainError, match="no phi = pi crossing"):
         kink_velocity_estimate([flat, flat], 1.0, 1.0)
     # a bump crossing pi twice
     x = np.linspace(-6, 6, 200)
     bump = thin_wall_profile(x, 2.0, 6.0)
     s = ChainState(bump, np.zeros(200))
-    with pytest.raises(DiagnosticError):
+    with pytest.raises(DomainError, match="multiple phi = pi crossings"):
         kink_velocity_estimate([s, s], 1.0, 1.0)
     with pytest.raises(DomainError):
         kink_velocity_estimate([flat], 1.0, 1.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from cdwlab import variational
-from cdwlab.errors import DomainError, QuadratureError
+from cdwlab.errors import DomainError
 from cdwlab.evolver import ComplexField, step_crank_nicolson_printed
 from cdwlab.model import PhysicalParams, washboard_potential
 from cdwlab.variational import (
@@ -18,7 +18,6 @@ from cdwlab.variational import (
     SweepRow,
     count_local_minima,
     energy_expectation,
-    phase_expectation,
     phase_jumps,
     sweep_theta,
 )
@@ -68,6 +67,13 @@ def gl_points(q):
     x = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     w = (half[:, None] * base_w[None, :]).ravel()
     return x, w
+
+
+def phase_oracle(a, q):
+    # mean joint phase <(phi1 + phi2)/2> under |Psi|^2 by quadrature
+    x, w = gl_points(q)
+    u2 = [comb_1d(x, coeff, a.alpha) ** 2 * w for coeff in (a.b, a.c)]
+    return 0.5 * sum(np.sum(u * x) / np.sum(u) for u in u2)
 
 
 def energy_2d_oracle(a, p, theta, q):
@@ -250,7 +256,7 @@ def test_norm_squared_quadrature_failure():
     # a comb far narrower than the node spacing underflows to a zero
     # ansatz norm
     a = AnsatzCoeffs(E2ONLY, E2ONLY, 1e12)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(DomainError, match="ansatz norm is not positive"):
         energy_expectation(a, STD, 0.0, Q)
 
 
@@ -419,7 +425,7 @@ def test_minimize_theta_zero_symmetric_and_near_grid_scan():
     coeffs, e = row.coeffs, row.e_min
     b = np.array(coeffs.b)
     assert np.max(np.abs(b - b[::-1])) < 0.02
-    assert abs(phase_expectation(coeffs, Q)) < 0.05
+    assert abs(phase_oracle(coeffs, Q)) < 0.05
 
     best = math.inf
     for b0 in np.linspace(0.5, 1.0, 11):
@@ -458,30 +464,27 @@ def test_closed_form_matches_quadrature_oracle(b, c, alpha, theta):
     ref = energy_expectation(a, STD, theta, QF)
     assert abs(e - ref) <= rtol * abs(ref)
     phi = 0.5 * (qb[2] + qc[2])
-    ref = phase_expectation(a, QF)
+    ref = phase_oracle(a, QF)
     assert abs(phi - ref) <= rtol * abs(ref) + atol_phase
+
+
+def closed_form_phase(a):
+    # the sweep's mean phase: half the sum of the two combs' <phi>
+    mats = variational._chain_matrices(STD, np.zeros(1), np.array([a.alpha]))
+    return 0.5 * sum(variational._quotients(mats, np.array([v]))[2, 0]
+                     for v in (a.b, a.c))
 
 
 def test_phase_expectation_anchors():
     # mirror-symmetric combs put the mean at zero
     sym = AnsatzCoeffs((0.2, 0.3, 0.8, 0.3, 0.2), (0.1, 0.5, 0.7, 0.5, 0.1),
                        0.4).projected()
-    assert phase_expectation(sym, Q) == pytest.approx(0.0, abs=1e-12)
+    assert closed_form_phase(sym) == pytest.approx(0.0, abs=1e-12)
     m1 = (0.0, 0.0, 0.0, 1.0, 0.0)
     both = AnsatzCoeffs(m1, m1, 1.0)
-    assert phase_expectation(both, Q) == pytest.approx(2 * math.pi,
-                                                       rel=1e-12)
+    assert closed_form_phase(both) == pytest.approx(2 * math.pi, rel=1e-12)
     mixed = AnsatzCoeffs(m1, E2ONLY, 1.0)
-    assert phase_expectation(mixed, Q) == pytest.approx(math.pi, rel=1e-12)
-
-
-def test_phase_expectation_bounded_by_box():
-    rng = np.random.default_rng(53)
-    for _ in range(10):
-        a = AnsatzCoeffs(tuple(rng.normal(size=5)), tuple(rng.normal(size=5)),
-                         rng.uniform(0.1, 2.0)).projected()
-        phi = phase_expectation(a, Q)
-        assert -Q.eta * math.pi <= phi <= Q.eta * math.pi
+    assert closed_form_phase(mixed) == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_sweep_single_point_composes():
@@ -496,7 +499,7 @@ def test_sweep_single_point_composes():
         assert row.converged
         assert_unit_combs(row.coeffs, 1e-10)
         assert row.mean_phi == pytest.approx(
-            phase_expectation(row.coeffs, Q), rel=1e-10, abs=1e-12)
+            phase_oracle(row.coeffs, Q), rel=1e-10, abs=1e-12)
 
 
 def test_sweep_grid_validation():
