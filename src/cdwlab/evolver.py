@@ -116,14 +116,22 @@ def _check_info(info):
 
 
 # A plan builder takes (V, p, dx, dt), computes what depends only on
-# them, and returns step(prev, curr, out) -> out on plain arrays,
-# writing the new level into out, which must alias neither prev nor
-# curr.  Steps check nothing and hold the end points at curr's.  Each
-# ufunc call keeps the operand order of the allocating expression it
-# replaces, takes `out` positionally and gets every scalar (as a 0-d
-# array) and coefficient row in the other operand's dtype: on
-# 398-element rows (numpy 2.4) `out=` costs 0.04 us a call more, and a
-# Python float 0.23 us (complex128 row: 0.37 us).
+# them, and returns step(prev, curr, out), which writes the new level
+# into out.  Each argument is the `_views` tuple of one row, built once
+# per run; out aliases neither prev nor curr and already holds curr's
+# end points, which a step leaves as they are (cn-standard's solve
+# overwrites the whole row and writes them back).  Steps check nothing
+# and write only the interior.  Each ufunc call keeps the operand order
+# of the allocating expression it replaces, takes `out` positionally and
+# gets every scalar (as a 0-d array) and coefficient row in the other
+# operand's dtype: on 398-element rows (numpy 2.4) `out=` costs 0.04 us
+# a call more, and a Python float 0.23 us (complex128 row: 0.37 us).
+def _views(row):
+    """The views of a row that a plan step reads: the row, its interior
+    and the interior shifted one point left and one point right."""
+    return row, row[1:-1], row[:-2], row[2:]
+
+
 def _cn_printed(V, p, dx, dt):
     """The printed Crank-Nicolson-like leapfrog:
 
@@ -138,18 +146,16 @@ def _cn_printed(V, p, dx, dt):
 
     def step(prev, curr, out):
         # lap(a) = (a[j+1] - 2.0*a[j]) + a[j-1], in that operand order
-        for a, row in ((curr, lap), (prev, scratch)):
-            _multiply(two, a[1:-1], row)
-            _subtract(a[2:], row, row)
-            _add(row, a[:-2], row)
+        for (_, mid, left, right), row in ((curr, lap), (prev, scratch)):
+            _multiply(two, mid, row)
+            _subtract(right, row, row)
+            _add(row, left, row)
         _add(lap, scratch, lap)
         _multiply(kappa, lap, lap)
-        _multiply(drift_v, curr[1:-1], scratch)
+        _multiply(drift_v, curr[1], scratch)
         _subtract(lap, scratch, lap)
         _multiply(i_dt, lap, lap)
-        _add(prev[1:-1], lap, out[1:-1])
-        out[0], out[-1] = curr[0], curr[-1]
-        return out
+        _add(prev[1], lap, out[1])
 
     return step
 
@@ -170,15 +176,14 @@ def _dufort_frankel(V, p, dx, dt, combine=np.add):
     scratch = np.empty_like(pot)
 
     def step(prev, curr, out):
-        new = out[1:-1]
-        combine(curr[:-2], curr[2:], new)
+        _, mid, left, right = curr
+        new = out[1]
+        combine(left, right, new)
         _multiply(a, new, new)
-        _multiply(b, prev[1:-1], scratch)
+        _multiply(b, prev[1], scratch)
         _add(new, scratch, new)
-        _multiply(pot, curr[1:-1], scratch)
+        _multiply(pot, mid, scratch)
         _subtract(new, scratch, new)
-        out[0], out[-1] = curr[0], curr[-1]
-        return out
 
     return step
 
@@ -209,20 +214,19 @@ def _cn_standard(V, p, dx, dt):
     koff, half = np.array(koff), np.array(half, complex)
 
     def step(prev, curr, out):
+        row, rhs = out[:2]
         if solver is None:
-            out.fill(np.nan)
-            return out
-        rhs = out[1:-1]
-        _add(curr[:-2], curr[2:], rhs)
+            rhs.fill(np.nan)
+            return
+        _, mid, left, right = curr
+        _add(left, right, rhs)
         _multiply(koff, rhs, rhs)
-        _multiply(diag_m, curr[1:-1], scratch)
+        _multiply(diag_m, mid, scratch)
         _add(rhs, scratch, rhs)
         _multiply(half, rhs, rhs)
-        _add(curr[1:-1], rhs, rhs)
-        out[0], out[-1] = curr[0], curr[-1]
-        _check_info(solver(out, overwrite_b=1)[1])
-        out[0], out[-1] = curr[0], curr[-1]
-        return out
+        _add(mid, rhs, rhs)
+        _check_info(solver(row, overwrite_b=1)[1])
+        row[0], row[-1] = curr[0][0], curr[0][-1]
 
     return step
 
@@ -259,7 +263,8 @@ def _step(kind, prev, curr, p, dt):
     build = _check(kind, p, curr.dx, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         step = build(washboard_potential(curr.grid(), p), p, curr.dx, dt)
-        new = step(prev.values, curr.values, np.empty_like(curr.values))
+        new = curr.values.copy()
+        step(_views(prev.values), _views(curr.values), _views(new))
     if not np.isfinite(new).all():
         raise FieldOverflowError("field left the finite range")
     return ComplexField(new, curr.dx, curr.x0)
@@ -313,9 +318,12 @@ def evolve(kind, init, p, drive, dt, steps):
 
     The driving phase at step n is p.theta + drive.a_D*(n*dt).  If a
     step overflows, the trajectory is truncated at the last finite level
-    and marked.  Zero-norm levels record mean phase 0.  The scheme
-    plan's `step(prev, curr, out)` writes each level into the next
-    row of a preallocated block (out); the phase/norm sums run once per
+    and marked.  Zero-norm levels record mean phase 0.  The levels live
+    in a preallocated ring block of rows + 2 rows whose end points are
+    written once: level 0 goes into row 1 and each step writes the next
+    row (out) from the `_views` of every row, built once; when the block
+    is full its last two levels are copied into rows 0 and 1 and the
+    next levels overwrite rows 2 on.  The phase/norm sums run once per
     block, in one reused scratch.  A non-finite level has a non-finite
     norm, so only a block with a non-finite norm is checked level by
     level for where to cut."""
@@ -328,22 +336,24 @@ def evolve(kind, init, p, drive, dt, steps):
     # or theta_n is theta (a_D = 0); only a driven V is rebuilt per step,
     # from a pinning term computed once.
     driven = p.mu_E != 0.0 and drive.a_D != 0.0
-    rows = max(1, min(_BLOCK_ROWS, steps + 1, _BLOCK_BYTES // (16 * x.size)))
-    block = np.empty((rows, x.size), dtype=complex)
+    rows = max(1, min(_BLOCK_ROWS, steps, _BLOCK_BYTES // (16 * x.size)))
+    block = np.empty((rows + 2, x.size), dtype=complex)
     w = np.empty(block.shape)
-    block[0] = init.values
-    prev = curr = block[0]
-    filled = 1
+    block[1] = init.values
+    block[:, 0], block[:, -1] = block[1, 0], block[1, -1]
+    views = [_views(row) for row in block]
+    prev = curr = views[1]
+    first, filled = 1, 2  # the block's levels are rows first:filled
     phases, norms = [], []
 
     def record():  # the block's levels before its first non-finite one
-        ph, nm = _phase_norm(block[:filled], x, dx, w[:filled])
-        finite = (np.isfinite(nm).all()
-                  or np.isfinite(block[:filled]).all(axis=1))
-        end = filled if np.all(finite) else int(finite.argmin())
+        levels = block[first:filled]
+        ph, nm = _phase_norm(levels, x, dx, w[first:filled])
+        finite = np.isfinite(nm).all() or np.isfinite(levels).all(axis=1)
+        end = nm.size if np.all(finite) else int(finite.argmin())
         phases.append(ph[:end])
         norms.append(nm[:end])
-        return end < filled
+        return end < nm.size
 
     with np.errstate(over="ignore", invalid="ignore"):
         step = build(washboard_potential(x, p), p, dx, dt)
@@ -357,13 +367,16 @@ def evolve(kind, init, p, drive, dt, steps):
                         break
                     raise DomainError("non-finite physical parameter")
                 step = build(_washboard(x, p, theta_n, pin), p, dx, dt)
-            if filled == rows:
+            if filled == rows + 2:
                 if record():
                     break
-                # the next rows overwrite the block: keep the last two
-                prev, curr = prev.copy(), curr.copy()
-                filled = 0
-            prev, curr = curr, step(prev, curr, block[filled])
+                # carry the last two levels into rows 0 and 1
+                block[:2] = block[-2:]
+                prev, curr = views[:2]
+                first = filled = 2
+            out = views[filled]
+            step(prev, curr, out)
+            prev, curr = curr, out
             filled += 1
         else:
             record()

@@ -233,10 +233,12 @@ def _alternate(p, theta, log_alpha):
     """Alternating exact minimization over the two combs at each (theta,
     log alpha) pair, each from its uncoupled ground state until its
     energy stops changing; every half step is one eigh over the members
-    still alternating, so no energy rises.  Returns a row per member:
-    energy, converged, the eigen-gap of the problem for b given c, the
-    mean joint phase <(phi1 + phi2)/2>, alpha, b (the last comb solved)
-    and c."""
+    still alternating, so no energy rises.  A half step that returns
+    its input comb bit for bit is a fixed point: every later one repeats
+    it, so the member stops there with what the next would record.
+    Returns a row per member: energy, converged, the eigen-gap of the
+    problem for b given c, the mean joint phase <(phi1 + phi2)/2>,
+    alpha, b (the last comb solved) and c."""
     alpha = np.exp(log_alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         mats = _chain_matrices(p, theta, alpha)
@@ -247,19 +249,25 @@ def _alternate(p, theta, log_alpha):
     live = np.arange(alpha.size)
     c = _reduced(w, white, np.zeros(alpha.size))[0]
     qc, e_prev = _quotients(mats, c), np.inf
-    for _ in range(_MAX_ALTERNATIONS):
+    for i in range(_MAX_ALTERNATIONS):
         b, gap = _reduced(w, white, p.delta_prime * qc[1])
         qb = _quotients(mats, b)
         e = _energy(qb, qc, p.delta_prime)
         done = e_prev - e <= _ETOL * np.abs(e)
-        rows[live] = np.column_stack(
-            (e, done, gap, 0.5 * (qb[2] + qc[2]), alpha[live], b, c))
-        keep = ~done
-        live, mats, w, white = (live[keep], mats[:, keep], w[keep],
-                                white[:, keep])
-        if not live.size:
-            break
-        c, qc, e_prev = b[keep], qb[:, keep], e[keep]
+        fixed = (b.view(np.int64) == c.view(np.int64)).all(axis=1)
+        done |= fixed & (e - e <= _ETOL * np.abs(e))
+        stop = done | fixed | (i + 1 == _MAX_ALTERNATIONS)
+        if stop.any():
+            rows[live[stop]] = np.column_stack(
+                (e, done, gap, 0.5 * (qb[2] + qc[2]), alpha[live], b,
+                 c))[stop]
+            keep = ~stop
+            live, mats, w, white, b, qb, e = (
+                live[keep], mats[:, keep], w[keep], white[:, keep],
+                b[keep], qb[:, keep], e[keep])
+            if not live.size:
+                break
+        c, qc, e_prev = b, qb, e
     return rows
 
 

@@ -17,9 +17,14 @@ step, with no snapshot before it and on the last step, non-finite chain
 frequencies, every evolver argument error line (an underflowing and an
 overflowing grid step among them), a current field far below threshold,
 an all-zero field, a ``model.hbar`` setting (an unknown key: units have
-the reduced Planck constant set to 1) and a cn-standard run whose
+the reduced Planck constant set to 1), a cn-standard run whose
 dt/(2*D*dx^2) exceeds 1 with the packet on the left end, where the
-tridiagonal solve pivots and the held end points must be restored.
+tridiagonal solve pivots and the held end points must be restored, the
+edges of the evolver's ring block for cn-standard and df-standard (one
+block exactly full at 63 and 64 steps, the first wrap at 65, a second
+block one level short of full at 127 and the second wrap at 129), a
+grid whose ring holds one level between wraps, and the decoupled
+``variational-sweep`` on its default 81 points.
 """
 
 import hashlib
@@ -81,6 +86,15 @@ EDGE_CASES = [
     # |dt/(2*D*dx^2)| = 4 with a non-zero left end: the solve pivots
     ("single-chain", ["evolver.scheme=cn-standard", "evolver.dt=0.02",
                       "evolver.x_c=-12", "evolver.steps=200"]),
+] + [
+    ("single-chain", ["evolver.scheme=" + scheme, "evolver.steps=%d" % steps])
+    for scheme in ("cn-standard", "df-standard")
+    for steps in (63, 64, 65, 127, 129)
+] + [
+    # two levels exceed the block's 1 MiB
+    ("single-chain", ["evolver.n=40001", "evolver.dx=0.001",
+                      "evolver.dt=1e-6", "evolver.steps=3"]),
+    ("variational-sweep", ["model.delta_prime=0"]),
 ]
 
 

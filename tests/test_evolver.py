@@ -554,9 +554,18 @@ def cn_standard_banded_reference(curr, V, p, dx, dt):
     return solve_banded((1, 1), ab, rhs, check_finite=False)
 
 
+def plan_step(step, prev, curr, out=None):
+    # one plan step on the row views that evolve builds, into out (by
+    # default a copy of curr, which holds curr's end points); returns out
+    if out is None:
+        out = curr.copy()
+    step(*(evolver._views(a) for a in (prev, curr, out)))
+    return out
+
+
 def cn_standard_plan_step(curr, V, p, dx, dt):
     build = evolver._PLANS["cn-standard"]
-    return build(V, p, dx, dt)(curr, curr, np.empty_like(curr))
+    return plan_step(build(V, p, dx, dt), curr, curr)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -791,13 +800,29 @@ KINDS = tuple(evolver._PLANS)
 @pytest.mark.parametrize("a_D", [0.0, 0.3], ids=["static", "driven"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_evolve_matches_reference_bitwise(kind, a_D, steps):
-    # block edges at 64 levels: runs of 2, 64, 65, 66 and 131 levels
+    # the ring block of 64 rows holds levels 0-64, then 64 levels a wrap:
+    # runs of 2, 64, 65 (one full block), 66 and 131 levels
     f = gaussian_packet(41, 0.1, x_c=0.5)
     drive = FieldDriveParams(a_D=a_D)
     t = evolve(kind, f, DRIVEN, drive, 2e-3, steps)
     ref = reference_evolve(kind, f, DRIVEN, drive, 2e-3, steps)
     assert not ref.truncated
     assert_trajectories_bitwise(t, ref)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evolve_matches_reference_at_block_edges(kind):
+    # a block's last level is 64k and the first after a wrap 64k + 1:
+    # runs that end one short of, on and one past each of the first
+    # two wraps
+    f = gaussian_packet(41, 0.1, x_c=0.5)
+    for a_D in (0.0, 0.3):
+        drive = FieldDriveParams(a_D=a_D)
+        for steps in (62, 63, 64, 65, 127, 128, 129):
+            t = evolve(kind, f, DRIVEN, drive, 2e-3, steps)
+            ref = reference_evolve(kind, f, DRIVEN, drive, 2e-3, steps)
+            assert not ref.truncated
+            assert_trajectories_bitwise(t, ref)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -816,15 +841,18 @@ def test_evolve_matches_reference_on_overflow(kind):
 def poisoned(bad_level):
     # a plan whose step writing level `bad_level` leaves one NaN in it
     # (counted over every plan built, so also for a driven V); evolve
-    # passes out, reference_evolve does not
+    # passes the views of out, reference_evolve plain prev and curr
     calls = [0]
 
     def plan(kind, V, p, dx, dt):
         inner = evolver._PLANS[kind](V, p, dx, dt)
 
         def step(prev, curr, out=None):
-            new = inner(prev, curr,
-                        np.empty_like(curr) if out is None else out)
+            if out is None:
+                new = plan_step(inner, prev, curr)
+            else:
+                inner(prev, curr, out)
+                new = out[0]
             calls[0] += 1
             if calls[0] == bad_level:
                 new[3] = np.nan
@@ -847,11 +875,13 @@ def test_evolve_overflowing_norm_of_finite_field_is_not_truncated(kind):
     assert np.isnan(t.mean_phase).all() and np.isnan(ref.mean_phase).all()
 
 
-@pytest.mark.parametrize("bad_level", [1, 2, 40, 63, 64, 65, 100, 127, 128])
+@pytest.mark.parametrize("bad_level",
+                         [1, 2, 40, 63, 64, 65, 100, 127, 128, 129])
 @pytest.mark.parametrize("a_D", [0.0, 0.3], ids=["static", "driven"])
 def test_evolve_truncation_lands_on_any_block_row(bad_level, a_D,
                                                   monkeypatch):
-    # level 64k is the first row of a block and 64k - 1 its last
+    # level 64k is the last row of a block and 64k + 1 the first after
+    # a wrap
     f = gaussian_packet(41, 0.1, x_c=0.5)
     drive = FieldDriveParams(a_D=a_D)
     for kind in KINDS:
@@ -867,7 +897,7 @@ def test_evolve_truncation_lands_on_any_block_row(bad_level, a_D,
 
 
 # at dt = 1e-3 theta_n = theta + a_D*(n*dt) first overflows at n = 70,
-# after the first block of 64 levels is recorded; a tilt of 5e-324
+# after the first block of 65 levels is recorded; a tilt of 5e-324
 # rounds 0.5*mu_E to zero, so V stays finite (and equal to the static
 # well) up to that step
 TINY_TILT = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=5e-324,
@@ -906,8 +936,9 @@ def test_evolve_truncation_before_late_phase_overflow(bad_level,
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_evolve_one_row_block_matches_reference(kind):
-    # two levels of this grid exceed the block's 1 MiB, so every level
-    # is a block of its own
+    # two levels of this grid exceed the block's 1 MiB, so the ring has
+    # one row besides the two carried levels and every level after the
+    # first step is a block of its own
     n = 40001
     assert 2 * 16 * n > evolver._BLOCK_BYTES
     f = gaussian_packet(n, 1e-3)
@@ -921,20 +952,30 @@ def test_evolve_one_row_block_matches_reference(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_plan_step_writes_into_out(kind):
-    # the step fills and returns out, bit for bit the allocating
-    # expressions, and leaves both inputs as they were
+    # the step fills out's interior, bit for bit the allocating
+    # expressions, and leaves both inputs as they were; the explicit
+    # schemes leave out's ends untouched and cn-standard, whose solve
+    # overwrites them (and at dt = 0.2 pivots and rounds the left one),
+    # writes curr's back
     rng = np.random.default_rng(38)
     prev, curr = random_pair(rng, n=17)
     V = potential_on_grid(curr, WELL)
     keep = prev.values.copy(), curr.values.copy()
-    step = evolver._PLANS[kind](V, WELL, curr.dx, 2e-3)
-    ref = reference_plan(kind, V, WELL, curr.dx, 2e-3)(
-        prev.values.copy(), curr.values.copy())
-    out = np.full(17, np.nan, dtype=complex)
-    assert step(prev.values, curr.values, out) is out
-    np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
-    np.testing.assert_array_equal(prev.values, keep[0])
-    np.testing.assert_array_equal(curr.values, keep[1])
+    for dt in (2e-3, 0.2):
+        step = evolver._PLANS[kind](V, WELL, curr.dx, dt)
+        ref = reference_plan(kind, V, WELL, curr.dx, dt)(
+            prev.values.copy(), curr.values.copy())
+        out = np.full(17, np.nan, dtype=complex)
+        if kind == "cn-standard":
+            out[0], out[-1] = curr.values[0], curr.values[-1]
+        ends = out[[0, -1]]
+        assert plan_step(step, prev.values, curr.values, out) is out
+        np.testing.assert_array_equal(out[1:-1].view(np.int64),
+                                      ref[1:-1].view(np.int64))
+        np.testing.assert_array_equal(out[[0, -1]].view(np.int64),
+                                      ends.view(np.int64))
+        np.testing.assert_array_equal(prev.values, keep[0])
+        np.testing.assert_array_equal(curr.values, keep[1])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -944,12 +985,13 @@ def test_plan_step_allocates_less_than_a_level(kind):
     f = gaussian_packet(501, 0.05)
     step = evolver._PLANS[kind](potential_on_grid(f, WELL), WELL, f.dx,
                                 2e-3)
-    prev, curr, out = f.values.copy(), f.values * 0.5, np.empty_like(f.values)
-    step(prev, curr, out)
+    rows = f.values.copy(), f.values * 0.5, f.values * 0.5
+    views = [evolver._views(row) for row in rows]
+    step(*views)
     tracemalloc.start()
     try:
         for _ in range(100):
-            step(prev, curr, out)
+            step(*views)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

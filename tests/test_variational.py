@@ -509,6 +509,67 @@ def test_sweep_grid_validation():
         sweep_theta(STD, [0.2, 0.1])
 
 
+def energy_criterion_alternate(p, theta, log_alpha):
+    # _alternate without its fixed-point stop: each member alternates
+    # until its energy stops changing, its row rewritten every half step
+    alpha = np.exp(log_alpha)
+    mats = variational._chain_matrices(p, theta, alpha)
+    w, white = variational._whiten(mats)
+    rows = np.empty((alpha.size, 15))
+    live = np.arange(alpha.size)
+    c = variational._reduced(w, white, np.zeros(alpha.size))[0]
+    qc, e_prev = variational._quotients(mats, c), math.inf
+    for _ in range(variational._MAX_ALTERNATIONS):
+        b, gap = variational._reduced(w, white, p.delta_prime * qc[1])
+        qb = variational._quotients(mats, b)
+        e = variational._energy(qb, qc, p.delta_prime)
+        done = e_prev - e <= variational._ETOL * np.abs(e)
+        rows[live] = np.column_stack(
+            (e, done, gap, 0.5 * (qb[2] + qc[2]), alpha[live], b, c))
+        keep = ~done
+        live, mats, w, white = (live[keep], mats[:, keep], w[keep],
+                                white[:, keep])
+        if not live.size:
+            break
+        c, qc, e_prev = b[keep], qb[:, keep], e[keep]
+    return rows
+
+
+@pytest.mark.parametrize("p", [STD, DECOUPLED,
+                               PhysicalParams(delta_prime=1e-9),
+                               PhysicalParams(delta_prime=1.0)],
+                         ids=["coupled", "decoupled", "weak", "strong"])
+def test_alternation_fixed_point_stop_keeps_rows(p):
+    # a member whose half step returns its input comb bit for bit stops
+    # there; its row is bit for bit the one the energy criterion alone
+    # ends on, over the alpha scan at every acceptance-grid theta
+    scan = variational._LOG_ALPHA_SCAN
+    theta, las = np.repeat(GRID, scan.size), np.tile(scan, GRID.size)
+    rows = variational._alternate(p, theta, las)
+    ref = energy_criterion_alternate(p, theta, las)
+    np.testing.assert_array_equal(rows.view(np.int64), ref.view(np.int64))
+
+
+def test_decoupled_alternation_stops_after_one_half_step(monkeypatch):
+    # at delta' = 0 the problem for b is the uncoupled one that gave c:
+    # one eigh for c and one for b
+    calls = []
+    reduced = variational._reduced
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return reduced(*args)
+
+    monkeypatch.setattr(variational, "_reduced", counted)
+    for theta in (0.0, 1.3):
+        del calls[:]
+        las = variational._LOG_ALPHA_SCAN
+        rows = variational._alternate(DECOUPLED, np.full(las.size, theta),
+                                      las)
+        assert calls == [las.size, las.size]
+        assert rows[:, variational._CONV].all()
+
+
 def test_sweep_rows_record_eigen_gap():
     # each row's energy, mean phase and gap are those of its own (b, c,
     # alpha, theta), bit for bit: the gap of the reduced problem for b
