@@ -50,13 +50,47 @@ def format_number(x):
     return "nan" if x is None else "%.15g" % float(x)
 
 
+def _block_length(rows):
+    """L >= 2 when the first column is constant on each of the n/L
+    blocks of L rows and the second repeats its first block's L values
+    in every block (a long-format table), else 0.  Values are compared
+    by their bits, so -0.0 and 0.0 are told apart."""
+    n, arity = rows.shape
+    if n < 2 or arity < 2:
+        return 0
+    bits = rows.view(np.int64)
+    length = int(np.argmax(bits[:, 0] != bits[0, 0])) or n
+    if length < 2 or n % length:
+        return 0
+    block = bits[:, :2].reshape(n // length, length, 2)
+    if ((block[:, :, 0] == block[:, :1, 0]).all()
+            and (block[:, :, 1] == block[0, :, 1]).all()):
+        return length
+    return 0
+
+
 def to_csv_text(table):
-    """The table as CSV text, each value as format_number renders it
-    (one format call for the whole table)."""
-    line = ",".join(["%.15g"] * len(table.columns)) + "\n"
+    """The table as CSV text, each value as format_number renders it.
+
+    A table is one format call over its values.  A long-format table
+    (see _block_length) formats each of its first column's keys and its
+    second column's L values once: one L-line template, which holds the
+    second column's text and a format for the other columns, is written
+    out once per key, and one format call over the other columns'
+    values fills them in."""
+    rows = table.rows
     # the header stays out of the format string: a name may hold a '%'
-    return ",".join(table.columns) + "\n" + (line * len(table)) % tuple(
-        table.rows.ravel().tolist())
+    head = ",".join(table.columns) + "\n"
+    length = _block_length(rows)
+    if not length:
+        line = ",".join(["%.15g"] * len(table.columns)) + "\n"
+        return head + (line * len(table)) % tuple(rows.ravel().tolist())
+    # "%.15g" text holds no '%' and no NUL, the key's placeholder
+    rest = ",%.15g" * (len(table.columns) - 2) + "\n"
+    block = "".join(["\0,%.15g" % v + rest for v in rows[:length, 1].tolist()])
+    keys = ["%.15g" % v for v in rows[::length, 0].tolist()]
+    return head + "".join([block.replace("\0", key) for key in keys]) % tuple(
+        rows[:, 2:].ravel().tolist())
 
 
 def write_csv(table, path):

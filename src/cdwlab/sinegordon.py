@@ -99,13 +99,16 @@ def _force(mid, right, left, omega0_sq, omega1_sq, out, sin):
     """Write omega0_sq*(right - 2 mid + left) - omega1_sq*sin(mid) into
     out, where mid, right and left are the interior sites of a chain's
     angles and their right and left neighbours (phi[1:-1], phi[2:],
-    phi[:-2]); sin is scratch of out's size.  mid + mid is 2*mid."""
+    phi[:-2]); sin is scratch of out's size.  mid + mid is 2*mid.
+    omega1_sq None stands for 1 and skips its multiply, which would
+    leave every value bit for bit as it is (-0.0, inf and NaN too)."""
     _add(mid, mid, out)
     _subtract(right, out, out)
     _add(out, left, out)
     _multiply(out, omega0_sq, out)
     np.sin(mid, sin)
-    _multiply(sin, omega1_sq, sin)
+    if omega1_sq is not None:
+        _multiply(sin, omega1_sq, sin)
     _subtract(out, sin, out)
 
 
@@ -115,7 +118,8 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
     The stages live in one (4, 3, m) block b with rows phi, phi_dot and
     phi_ddot: stage j is b[j, :2] (stage 0 is the state y) and its
     derivative b[j, 1:].  b and the views each stage reads and writes
-    are built once per run, so a step slices and allocates nothing.
+    are built once per run, so a step slices and allocates nothing,
+    and at omega1_sq = 1 the force skips its identity multiply.
     Both end sites are clamped: their angles never change, their
     phi_dot and phi_ddot columns in b stay 0, and their own velocities
     are held aside for the snapshots.  The returned list starts with a
@@ -135,8 +139,9 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
     y, (k1, k2, k3, k4) = b[0, :2], b[:, 1:]
     ends = s.phi_dot[::s.phi.size - 1] + 0.0  # as y += 0 leaves them
     sin = np.empty(s.phi.size - 2)
-    w0, w1, half, full, sixth = map(
-        np.array, (s.omega0_sq, s.omega1_sq, 0.5 * dt, dt, dt / 6.0))
+    w0, half, full, sixth = map(
+        np.array, (s.omega0_sq, 0.5 * dt, dt, dt / 6.0))
+    w1 = None if s.omega1_sq == 1.0 else np.array(s.omega1_sq)
 
     # stage j: k, h with b[j, :2] = y + h*k (k None at j = 0), its views
     plan = [(b[j - 1, 1:] if j else None, h, b[j, :2], b[j, 0, 1:-1],

@@ -14,7 +14,9 @@ rebuilt every step) and edge cases with missing cells, excluded modes,
 a non-unit pair separation, every ``fourier-check`` error line, a
 negative kink, a chain overflow found between snapshots, on a snapshot
 step, with no snapshot before it and on the last step, non-finite chain
-frequencies, every evolver argument error line (an underflowing and an
+frequencies, a chain at omega1_sq != 1 (the only runs whose force
+multiplies by it), the shortest chain (3 sites, so the long-format CSV's
+blocks are 3 rows), every evolver argument error line (an underflowing and an
 overflowing grid step among them), a current field far below threshold,
 an all-zero field, a ``model.hbar`` setting (an unknown key: units have
 the reduced Planck constant set to 1), a cn-standard run whose
@@ -72,6 +74,10 @@ EDGE_CASES = [
     ("pendulum-kink", ["chain.dt=1", "chain.stride=5000"]),
     ("pendulum-kink", ["chain.dt=1", "chain.steps=55"]),
     ("pendulum-kink", ["chain.omega1_sq=inf"]),
+    # omega1_sq != 1: the chain force's multiply by it
+    ("pendulum-kink", ["chain.omega1_sq=2.25", "chain.steps=200"]),
+    # the shortest chain: long-format CSV blocks of 3 rows
+    ("pendulum-kink", ["chain.sites=3"]),
     ("single-chain", ["evolver.dx=1e-308"]),  # D*dx^2 underflows to 0
     ("single-chain", ["evolver.dx=1e200", "evolver.steps=20"]),  # overflows
     # one run per other evolver argument error line

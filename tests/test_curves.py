@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdwlab.curves import CurveTable, format_number, to_csv_text, write_csv
+from cdwlab.curves import (
+    CurveTable,
+    _block_length,
+    format_number,
+    to_csv_text,
+    write_csv,
+)
 from cdwlab.errors import DomainError
 
 
@@ -111,6 +117,99 @@ def test_csv_round_trip(table):
                 assert math.isnan(got)
             else:
                 assert got == float("%.15g" % v)
+
+
+def _value_by_value(table):
+    return "".join(",".join(format_number(v) for v in row) + "\n"
+                   for row in table.rows.tolist())
+
+
+def _long(keys, sites, *rest):
+    """Long-format rows: every key with every site, then the columns of
+    rest in row order."""
+    rows = [(k, s) for k in keys for s in sites]
+    return [row + tuple(col[i] for col in rest)
+            for i, row in enumerate(rows)]
+
+
+_NEG_NAN = -math.nan
+_LONG_TABLES = [
+    # -0.0 next to 0.0 in both the key and the site column
+    (_long([0.0, -0.0, 0.0], [-0.0, 0.0], range(6)), 2),
+    # non-finite keys and sites
+    (_long([math.nan, math.inf, -math.inf, _NEG_NAN],
+           [math.inf, math.nan, -math.inf], range(12), [0.1] * 12), 3),
+    # a single block
+    (_long([0.25], [3.0, 1.0, 2.0], [1e-300, 5e-324, -1.5]), 3),
+    # two columns: nothing but keys and sites
+    (_long([0.1, 0.2, 0.30000000000000004], [0.0, 1.0]), 2),
+    # the default pendulum-kink layout in small
+    (_long([k * 0.2 for k in range(4)], [0.0, 1.0, 2.0],
+           [math.sin(i) for i in range(12)], [math.cos(i) for i in range(12)]),
+     3),
+]
+
+_FALLBACKS = [
+    # the first run is 3 rows, the second 1: not equal blocks, although
+    # the sites repeat with period 2
+    [(1.0, 5.0, 0.3), (1.0, 6.0, 0.4), (1.0, 5.0, 0.5), (2.0, 6.0, 0.6)],
+    # equal runs whose second column differs in one block
+    [(1.0, 5.0, 0.3), (1.0, 6.0, 0.4), (2.0, 5.0, 0.5), (2.0, -6.0, 0.6)],
+    # and in the sign of a zero only
+    [(1.0, 0.0, 0.3), (1.0, 6.0, 0.4), (2.0, -0.0, 0.5), (2.0, 6.0, 0.6)],
+    # a key that changes inside a later block
+    [(1.0, 5.0), (1.0, 6.0), (2.0, 5.0), (3.0, 6.0)],
+    # runs of length 1
+    [(1.0, 5.0, 0.3), (2.0, 5.0, 0.4), (3.0, 5.0, 0.5)],
+    # one column
+    [(1.0,), (1.0,), (2.0,), (2.0,)],
+    # zero rows
+    [],
+]
+
+
+@pytest.mark.parametrize("rows, length", _LONG_TABLES)
+def test_long_format_table_matches_format_number(rows, length):
+    # each key and each site formatted once writes what format_number
+    # writes per value
+    columns = ["k", "s", "a", "b"][:len(rows[0])]
+    table = CurveTable(columns, rows)
+    assert _block_length(table.rows) == length
+    assert to_csv_text(table) == (",".join(columns) + "\n"
+                                  + _value_by_value(table))
+
+
+@pytest.mark.parametrize("rows", _FALLBACKS)
+def test_near_long_format_tables_fall_back(rows):
+    arity = len(rows[0]) if rows else 2
+    table = CurveTable(["c%d" % i for i in range(arity)], rows)
+    assert _block_length(table.rows) == 0
+    assert to_csv_text(table).split("\n", 1)[1] == _value_by_value(table)
+
+
+_POOL = st.sampled_from([0.0, -0.0, 1.0, 0.1, -2.5, 1e-300, math.inf,
+                         -math.inf, math.nan, _NEG_NAN])
+
+
+@st.composite
+def _near_long_tables(draw):
+    # keys and sites from a small pool, so equal runs and repeated
+    # blocks are common; a cell of the first two columns may be redrawn
+    keys = draw(st.lists(_POOL, min_size=1, max_size=4))
+    sites = draw(st.lists(_POOL, min_size=1, max_size=4))
+    arity = draw(st.integers(2, 4))
+    rows = [[k, s] + [draw(_CELL) for _ in range(arity - 2)]
+            for k in keys for s in sites]
+    if draw(st.booleans()):
+        row = draw(st.integers(0, len(rows) - 1))
+        rows[row][draw(st.integers(0, 1))] = draw(_POOL)
+    return CurveTable(["c%d" % i for i in range(arity)], rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(table=_near_long_tables())
+def test_near_long_tables_match_format_number(table):
+    assert to_csv_text(table).split("\n", 1)[1] == _value_by_value(table)
 
 
 def test_write_csv_atomic(tmp_path):

@@ -98,3 +98,28 @@ def test_tunnelling_splitting_matches_instanton_law(E1):
            * q ** 0.75 * math.exp(-4.0 * math.sqrt(q))
            * (1.0 - 7.0 / (32.0 * math.sqrt(q))))
     assert abs((e1 - e0) / law - 1.0) < 1e-2
+
+
+@pytest.mark.parametrize("theta", [math.pi / 2, math.pi])
+def test_pinning_enters_at_first_order_at_default_constants(theta):
+    # one chain of the two-chain Hamiltonian at the default constants
+    # (D = 2 D1, omega_p^2 = E1/D1, mu_E = 2 E2): the E2 oscillator
+    # spreads the chain over sigma^2 = 1/(2 sqrt(2 D1 E2)) = 26.8 rad^2,
+    # so the pinning's first order, E1*exp(-sigma^2/2)*(1 - cos theta)
+    # with amplitude 1.5e-11, is all of E0(theta) - E0(0): E0 has minima
+    # only at theta = 2 pi m (criterion 5 finds 3, not 5) and the ground
+    # state follows theta with no 2 pi jump (criterion 6).  Sinc-DVR at
+    # h = 0.2 on theta +- 50 reads 1.85e-4 and 1.90e-4 above it; that
+    # residual grows as E1^2 (4.8e-5 at E1/2, 7.6e-4 at 2 E1), the next
+    # order
+    base = PhysicalParams()
+
+    def e0(at):
+        p = PhysicalParams(D=2.0 * base.D1, omega_p_sq=base.E1 / base.D1,
+                           mu_E=2.0 * base.E2, theta=at)
+        x = at + 0.2 * np.arange(-250, 251)
+        return lowest_levels(x, washboard_potential(x, p), p.D, 1)[0]
+
+    sigma_sq = 1.0 / (2.0 * math.sqrt(2.0 * base.D1 * base.E2))
+    first = base.E1 * math.exp(-0.5 * sigma_sq) * (1.0 - math.cos(theta))
+    assert abs((e0(theta) - e0(0.0)) / first - 1.0) < 2e-4

@@ -390,6 +390,48 @@ def test_kink_antikink_pair_energy_against_separation():
             assert abs(e - (1.0 - 2.0 * math.exp(-d))) < 1e-2
 
 
+def _right_pi_crossing(phi, x):
+    # the one |phi| = pi crossing on x >= 0, linearly interpolated
+    half = x.size // 2
+    d = np.abs(phi[half:]) - math.pi
+    hits = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
+    assert len(hits) == 1
+    i = int(hits[0])
+    return x[half + i] + d[i] / (d[i] - d[i + 1]) * (x[1] - x[0])
+
+
+@pytest.mark.parametrize("beta", [0.2, 0.6])
+def test_kink_antikink_pass_through_shift(beta):
+    # the Perring-Skyrme solution 4*arctan(sinh(g*beta*t)/(beta*cosh(g*x))),
+    # g = 1/sqrt(1 - beta^2), is a kink and an antikink that pass through
+    # each other: far from t = 0 its |phi| = pi crossings sit at
+    # +-(beta*|t| + shift/2), so each kink comes out shift =
+    # 2*sqrt(1 - beta^2)*ln(1/beta) widths ahead of its incoming line.
+    # Launched from it 30 widths apart on a chain whose kink is 10 sites
+    # wide (omega1_sq = 1), the lattice reads 1.00022 and 1.00007 of it
+    ell, dt, stride = 10, 0.02, 50
+    g = 1.0 / math.sqrt(1.0 - beta * beta)
+    shift = 2.0 * math.sqrt(1.0 - beta * beta) * math.log(1.0 / beta)
+    t0 = -(15.0 - 0.5 * shift) / beta
+    x = np.arange(-30 * ell, 30 * ell + 1) / ell
+    u = math.sinh(g * beta * t0) / (beta * np.cosh(g * x))
+    rate = 4.0 / (1.0 + u * u) * g * math.cosh(g * beta * t0) / np.cosh(g * x)
+    steps = round(-2.0 * t0 / (dt * stride)) * stride
+    snaps = integrate_chain_rk4(
+        ChainState(4.0 * np.arctan(u), rate, ell * ell, 1.0), dt, steps,
+        stride)
+    t = t0 + np.arange(len(snaps)) * (dt * stride)
+    # the lines of the crossing in the first and last quarter of the run,
+    # both read off at the collision, t = 0
+    q = len(snaps) // 4
+    lines = [np.polyfit(t[part], [_right_pi_crossing(sn.phi, x)
+                                  for sn in snaps[part]], 1)
+             for part in (slice(None, q), slice(-q, None))]
+    assert lines[0][0] == pytest.approx(-beta, rel=1e-3)
+    assert lines[1][0] == pytest.approx(beta, rel=1e-3)
+    assert abs((lines[0][1] + lines[1][1]) / shift - 1.0) < 2e-3
+
+
 def test_velocity_estimate_exact_shift():
     # profile moving one lattice site per snapshot
     k = KinkSpec(beta=0.0, sign=1)
