@@ -98,17 +98,21 @@ def energy_2d_oracle(a, p, theta, q):
 
 # The scalar minimizer the stacked one replaced, kept as its oracle: one
 # (theta, alpha) point at a time, scipy's generalized eigh (LAPACK sygvx)
-# for every half step, and a scalar golden-section search per theta.
+# for every half step, and a scalar Brent search per theta.  The
+# golden-section search that Brent's replaced stays as a bound on it.
 
 def _ref_matrices(p, alpha, theta):
     s = math.sqrt(math.pi / (2.0 * alpha)) * np.exp(
         -0.5 * alpha * variational._DELTA2)
-    c = variational._PARITY * math.exp(-0.125 / alpha) * s
+    # 1 - cos: 1 - exp(-1/(8 alpha)) on even and 1 + exp(...) on odd
+    # offsets, the first by expm1
+    y = math.expm1(-0.125 / alpha)
+    v = np.where(variational._PARITY > 0, -y, 2.0 + y) * s
     kin = 1.0 / (2.0 * p.D1) * (
         alpha - alpha * alpha * variational._DELTA2)
     chg = p.E2 * ((variational._MU - theta) ** 2 + 0.25 / alpha)
-    h = (kin + p.E1 + chg) * s - p.E1 * c
-    return s, h, c, variational._MU * s
+    h = (kin + chg) * s + p.E1 * v
+    return s, h, v, variational._MU * s
 
 
 def _ref_ground(a, s):
@@ -122,15 +126,16 @@ def _ref_quotient(m, s, v):
 
 
 def _ref_energy(mats, dp, b, c):
-    s, h, cos, _ = mats
+    # 1 - <cos><cos> = 1 - (1 - vb)(1 - vc) from the 1 - cos quotients
+    s, h, v, _ = mats
+    vb, vc = _ref_quotient(v, s, b), _ref_quotient(v, s, c)
     return (_ref_quotient(h, s, b) + _ref_quotient(h, s, c)
-            + dp * (1.0 - _ref_quotient(cos, s, b)
-                    * _ref_quotient(cos, s, c)))
+            + dp * (vb + vc - vb * vc))
 
 
 def _ref_reduced(mats, dp, c):
-    s, h, cos, _ = mats
-    return _ref_ground(h - dp * _ref_quotient(cos, s, c) * cos, s)
+    s, h, v, _ = mats
+    return _ref_ground(h + dp * (1.0 - _ref_quotient(v, s, c)) * v, s)
 
 
 def reference_alternate(p, theta, log_alpha):
@@ -149,8 +154,59 @@ def reference_alternate(p, theta, log_alpha):
     return e, conv, b, c, gap, alpha, mats
 
 
-def _ref_golden(f, lo, hi):
+def _ref_brent(f, las, es, i):
+    # Brent's method (Brent 1973, ch. 5; the Numerical Recipes form)
+    # from the scan's best point las[i] and its two neighbours, whose
+    # energies es the scan already holds, down to the sweep's bracket
+    tol = variational._LOG_ALPHA_TOL / 3.0
+    cgold = 1.0 - variational._INVPHI
+    a, b = las[i - 1], las[i + 1]
+    (fx, x), (fw, w), (fv, v) = sorted(zip(es[i - 1:i + 2], las[i - 1:i + 2]))
+    d = e = b - a
+    while b - a > variational._LOG_ALPHA_TOL:
+        xm = 0.5 * (a + b)
+        golden = True
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            etemp, e = e, d
+            if (abs(p) < abs(0.5 * q * etemp) and p > q * (a - x)
+                    and p < q * (b - x)):
+                golden = False
+                d = p / q
+                u = x + d
+                if u - a < 2 * tol or b - u < 2 * tol:
+                    d = math.copysign(tol, xm - x)
+        if golden:
+            e = a - x if x >= xm else b - x
+            d = cgold * e
+        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _ref_golden(f, las, es, i):
     invphi = variational._INVPHI
+    lo, hi = las[i - 1], las[i + 1]
     x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
     while hi - lo > variational._LOG_ALPHA_TOL:
@@ -164,7 +220,7 @@ def _ref_golden(f, lo, hi):
             f2 = f(x2)
 
 
-def reference_minimize(p, theta):
+def reference_minimize(p, theta, refine=_ref_brent):
     seen = []
 
     def run(la):
@@ -184,7 +240,7 @@ def reference_minimize(p, theta):
     i = int(np.argmin(es))
     interior = 0 < i < len(las) - 1
     if interior:
-        _ref_golden(run, las[i - 1], las[i + 1])
+        refine(run, las, es, i)
     e, conv, b, c, gap, alpha, mats = min(seen, key=lambda r: r[0])
     phi = 0.5 * (_ref_quotient(mats[3], mats[0], b)
                  + _ref_quotient(mats[3], mats[0], c))
@@ -520,7 +576,8 @@ def energy_criterion_alternate(p, theta, log_alpha):
     c = variational._reduced(w, white, np.zeros(alpha.size))[0]
     qc, e_prev = variational._quotients(mats, c), math.inf
     for _ in range(variational._MAX_ALTERNATIONS):
-        b, gap = variational._reduced(w, white, p.delta_prime * qc[1])
+        b, gap = variational._reduced(w, white,
+                                      p.delta_prime * (1.0 - qc[1]))
         qb = variational._quotients(mats, b)
         e = variational._energy(qb, qc, p.delta_prime)
         done = e_prev - e <= variational._ETOL * np.abs(e)
@@ -550,17 +607,23 @@ def test_alternation_fixed_point_stop_keeps_rows(p):
     np.testing.assert_array_equal(rows.view(np.int64), ref.view(np.int64))
 
 
+def count_calls(monkeypatch, name):
+    # record the member count of every call to variational.<name>, whose
+    # last argument has one entry per member
+    calls, orig = [], getattr(variational, name)
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return orig(*args)
+
+    monkeypatch.setattr(variational, name, counted)
+    return calls
+
+
 def test_decoupled_alternation_stops_after_one_half_step(monkeypatch):
     # at delta' = 0 the problem for b is the uncoupled one that gave c:
     # one eigh for c and one for b
-    calls = []
-    reduced = variational._reduced
-
-    def counted(*args):
-        calls.append(args[0].shape[0])
-        return reduced(*args)
-
-    monkeypatch.setattr(variational, "_reduced", counted)
+    calls = count_calls(monkeypatch, "_reduced")
     for theta in (0.0, 1.3):
         del calls[:]
         las = variational._LOG_ALPHA_SCAN
@@ -583,7 +646,8 @@ def test_sweep_rows_record_eigen_gap():
             qb = variational._quotients(mats, np.array([a.b]))
             qc = variational._quotients(mats, np.array([a.c]))
             w, white = variational._whiten(mats)
-            b, gap = variational._reduced(w, white, p.delta_prime * qc[1])
+            b, gap = variational._reduced(w, white,
+                                          p.delta_prime * (1.0 - qc[1]))
             assert row.converged
             assert row.e_min == variational._energy(qb, qc,
                                                     p.delta_prime)[0]
@@ -615,6 +679,48 @@ def test_sweep_matches_scalar_reference_on_acceptance_grid(grid_sweeps, p):
 def test_sweep_matches_scalar_reference_past_the_scan(p, e_rtol):
     # the scan is extended to one limit (free) or towards the other
     assert_matches_reference(sweep_theta(p, [0.0, 0.3]).rows, p, e_rtol)
+
+
+@pytest.mark.parametrize("p", [STD, DECOUPLED, FREE, PhysicalParams(E1=1.0),
+                               PhysicalParams(D1=174.091 / 1e-3 ** 2)],
+                         ids=["coupled", "decoupled", "free", "E1", "D1"])
+def test_brent_ends_no_higher_than_golden_section(p):
+    # the golden-section search that Brent's method replaced, from the
+    # same bracket to the same width, bounds each row's energy from above
+    grid = SLICE if p in (STD, DECOUPLED) else [0.0, 0.3]
+    for row in sweep_theta(p, grid).rows:
+        golden = reference_minimize(p, row.theta, _ref_golden)
+        assert row.e_min <= golden.e_min + 1e-14 * abs(golden.e_min)
+
+
+@pytest.mark.parametrize("p, cap", [(STD, 10), (DECOUPLED, 20)],
+                         ids=["coupled", "decoupled"])
+def test_brent_refines_the_slice_in_few_rounds(monkeypatch, p, cap):
+    # the scan is one call and each refinement round one more; the
+    # golden-section search made 29 calls on either slice
+    calls = count_calls(monkeypatch, "_alternate")
+    sweep_theta(p, SLICE)
+    assert calls[0] == SLICE.size * variational._LOG_ALPHA_SCAN.size
+    assert len(calls) <= cap
+
+
+def test_sweep_without_an_interior_point_makes_no_empty_call(monkeypatch):
+    # the free chain's energy falls all the way to the lower alpha
+    # limit, so no theta refines alpha and no eigh runs on an empty
+    # stack; the row is pinned bit for bit
+    calls = count_calls(monkeypatch, "_reduced")
+    rows = variational._alternate(FREE, np.empty(0), np.empty(0))
+    assert rows.shape == (0, 15) and not calls
+    row = sweep_theta(FREE, [0.0]).rows[0]
+    # at delta' = 0 each _alternate call is two half steps: the scan and
+    # the 15 steps out to alpha = 1e-4
+    assert len(calls) == 2 * 16 and min(calls) > 0
+    comb = (0.12163546002457923, -0.47911941764671934, 0.7150516044841633,
+            -0.4791194175741898, 0.12163545998791005)
+    assert row == SweepRow(0.0, 2.317217865204866e-07, -1.081530476896589e-07,
+                           False, AnsatzCoeffs(comb, comb,
+                                               0.00010636591793889921),
+                           4.431917844805827e-07)
 
 
 @pytest.mark.parametrize("p", [STD, DECOUPLED], ids=["coupled", "decoupled"])
