@@ -10,9 +10,11 @@ class CdwError(Exception):
     """Base class for all lab errors."""
 
     code = "error"
+    line = None
 
     def oneline(self):
-        return "error: %s: %s" % (self.code, self)
+        at = "" if self.line is None else "line %d: " % self.line
+        return "error: %s: %s%s" % (self.code, at, self)
 
 
 class DomainError(CdwError):
@@ -45,8 +47,3 @@ class ConfigError(CdwError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
-
-    def oneline(self):
-        if self.line is not None:
-            return "error: %s: line %d: %s" % (self.code, self.line, self)
-        return "error: %s: %s" % (self.code, self)

@@ -410,8 +410,6 @@ def detect_resonance(t, window):
     d = np.diff(seg)
     signs = np.sign(d)
     signs = signs[signs != 0.0]
-    if signs.size < 2:
-        return False
     extrema = int(np.sum(signs[1:] * signs[:-1] < 0))
     return extrema >= 2
 

@@ -16,16 +16,17 @@ Because all teeth share one width, every 1-D moment of g_m g_n has a
 closed form (Gaussian product theorem; Boys 1950, Proc. R. Soc. A 200,
 542), so the energy is 5x5 matrix algebra.  The minimizer is
 Rayleigh-Ritz: alternating generalized eigenproblems for b and c at
-fixed alpha, and a log-alpha scan (extended outward while the energy
-still falls at an end) refined by Brent's method from the best scan
-point and its neighbours: on the three acceptance-grid points around
-theta = 0 that is 8 stacked evaluations coupled and 19 decoupled, where
-golden-section search took 29 on either.  It runs on
-stacks: each (theta, alpha) member's overlap is whitened once by its
-Cholesky factor, each half step is one numpy ``eigh`` over the members
-still alternating, and all thetas scan and refine in lockstep.  Every
-theta still sees the evaluations it would see alone, so its row is
-bit-identical whether it is swept alone or in a grid.
+fixed alpha, from the uncoupled pair, until a half step lowers the
+energy by no more than _ETOL relative; and a log-alpha scan (extended
+outward while the energy still falls at an end) refined by Brent's
+method from the best scan point and its neighbours: on the three
+acceptance-grid points around theta = 0 that is 8 stacked evaluations
+coupled and 19 decoupled.  It runs on stacks: each (theta, alpha)
+member's overlap is whitened once by its Cholesky factor, each half
+step is one numpy ``eigh`` over the members still alternating, and all
+thetas scan and refine in lockstep.  Every theta still sees the
+evaluations it would see alone, so its row is bit-identical whether it
+is swept alone or in a grid.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
 (``energy_expectation``) is kept as an independent oracle for the
@@ -233,14 +234,14 @@ _B, _C = slice(5, 10), slice(10, 15)
 
 def _alternate(p, theta, log_alpha):
     """Alternating exact minimization over the two combs at each (theta,
-    log alpha) pair, each from its uncoupled ground state until its
-    energy stops changing; every half step is one eigh over the members
-    still alternating, so no energy rises.  A half step that returns
-    its input comb bit for bit is a fixed point: every later one repeats
-    it, so the member stops there with what the next would record.
-    Returns a row per member: energy, converged, the eigen-gap of the
-    problem for b given c, the mean joint phase <(phi1 + phi2)/2>,
-    alpha, b (the last comb solved) and c."""
+    log alpha) pair, each a descent from the uncoupled pair (c, c): a
+    member stops on the first half step that lowers its energy by no
+    more than _ETOL * |E|, or at _MAX_ALTERNATIONS.  At delta' = 0 the
+    first half step re-solves c's own problem, so it stops there.  Every
+    half step is one eigh over the members still alternating, so no
+    energy rises.  Returns a row per member: energy, converged, the
+    eigen-gap of the problem for b given c, the mean joint phase
+    <(phi1 + phi2)/2>, alpha, b (the last comb solved) and c."""
     alpha = np.exp(log_alpha)
     if not alpha.size:
         return np.empty((0, 15))
@@ -252,15 +253,14 @@ def _alternate(p, theta, log_alpha):
     rows = np.empty((alpha.size, 15))
     live = np.arange(alpha.size)
     c = _reduced(w, white, np.zeros(alpha.size))[0]
-    qc, e_prev = _quotients(mats, c), np.inf
+    qc = _quotients(mats, c)
+    e_prev = _energy(qc, qc, p.delta_prime)
     for i in range(_MAX_ALTERNATIONS):
         b, gap = _reduced(w, white, p.delta_prime * (1.0 - qc[1]))
         qb = _quotients(mats, b)
         e = _energy(qb, qc, p.delta_prime)
         done = e_prev - e <= _ETOL * np.abs(e)
-        fixed = (b.view(np.int64) == c.view(np.int64)).all(axis=1)
-        done |= fixed & (e - e <= _ETOL * np.abs(e))
-        stop = done | fixed | (i + 1 == _MAX_ALTERNATIONS)
+        stop = done | (i + 1 == _MAX_ALTERNATIONS)
         if stop.any():
             rows[live[stop]] = np.column_stack(
                 (e, done, gap, 0.5 * (qb[2] + qc[2]), alpha[live], b,

@@ -29,8 +29,10 @@ grid whose ring holds one level between wraps, the decoupled
 ``variational-sweep`` on its default 81 points, a free two-point sweep
 (no pinning, charging or coupling), whose energy falls down to the
 lower alpha limit at both points, so neither refines alpha and both
-rows read not converged, and a two-point sweep at E1 = 1, whose alpha
-scan is extended past alpha = 5 and refined around alpha = 6.55.
+rows read not converged, a two-point sweep at E1 = 1, whose alpha
+scan is extended past alpha = 5 and refined around alpha = 6.55, and a
+three-point sweep at delta' = 1, where every member of the alpha scan
+alternates for several half steps before its energy stops falling.
 """
 
 import hashlib
@@ -108,6 +110,9 @@ EDGE_CASES = [
     ("variational-sweep", ["model.E1=0", "model.E2=0", "model.delta_prime=0",
                            "variational.theta_points=2"]),
     ("variational-sweep", ["model.E1=1", "variational.theta_points=2"]),
+    # strong coupling: every scan member alternates for several half steps
+    ("variational-sweep", ["model.delta_prime=1",
+                           "variational.theta_points=3"]),
 ]
 
 

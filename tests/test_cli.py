@@ -778,3 +778,16 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("variational-sweep", "variational.theta_points"),
+    ("iv-curve", "iv.points")], ids=["sweep", "iv"])
+def test_main_non_positive_point_count_is_config_error(tmp_path, capsys,
+                                                       experiment, key):
+    cfg = write_cfg(tmp_path, "experiment = %s\n" % experiment)
+    out = tmp_path / "out.csv"
+    assert cli.main([cfg, "--output", str(out), "--set", key + "=0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: %s must be >= 1\n" % key)
+    assert not out.exists()

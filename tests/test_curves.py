@@ -231,3 +231,9 @@ def test_write_csv_byte_identical(tmp_path):
     write_csv(t, str(p1))
     write_csv(t, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("columns", [(), ""], ids=["tuple", "string"])
+def test_table_without_columns_is_domain_error(columns):
+    with pytest.raises(DomainError, match="at least one column"):
+        CurveTable(columns)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
 
 from cdwlab import evolver, model
-from cdwlab.errors import DomainError
+from cdwlab.errors import DomainError, FieldOverflowError
 from cdwlab.evolver import (
     ComplexField,
     Trajectory,
@@ -1017,3 +1017,17 @@ def test_steppers_return_fresh_fields():
                                       keep[0].view(np.int64))
         np.testing.assert_array_equal(curr.values.view(np.int64),
                                       keep[1].view(np.int64))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ComplexField(np.zeros(5), 1.0, math.inf), DomainError,
+     "grid origin must be finite"),
+    # the printed leapfrog doubles the middle level, which overflows
+    (lambda: step_crank_nicolson_printed(
+        ComplexField(np.full(5, 1e308), 1.0),
+        ComplexField(np.full(5, 1e308), 1.0), PhysicalParams(), 0.01),
+     FieldOverflowError, "field left the finite range")],
+    ids=["origin", "cn-printed-overflow"])
+def test_field_input_checks(make, error, message):
+    with pytest.raises(error, match=message):
+        make()

@@ -9,6 +9,7 @@ from cdwlab.model import (
     PhysicalParams,
     washboard_potential,
 )
+from cdwlab.variational import count_local_minima
 from spectral import lowest_levels
 
 
@@ -123,3 +124,31 @@ def test_pinning_enters_at_first_order_at_default_constants(theta):
     sigma_sq = 1.0 / (2.0 * math.sqrt(2.0 * base.D1 * base.E2))
     first = base.E1 * math.exp(-0.5 * sigma_sq) * (1.0 - math.cos(theta))
     assert abs((e0(theta) - e0(0.0)) / first - 1.0) < 2e-4
+
+
+def test_period_20_sequence_gives_criterion_5_three_minima():
+    # shifting every phase by 2 pi maps H(theta) onto H(theta + 2 pi),
+    # and phi -> -phi maps it onto H(-theta), so the exact E0 is even and
+    # 2 pi-periodic: its values at offsets 0..pi fix the whole 81-point
+    # acceptance curve on [-4 pi, 4 pi] (20 points per period, both ends
+    # at theta = 0 mod 2 pi).  A periodic curve with r minima per period
+    # has 4r strict interior minima there, or 4r - 1 if one sits at
+    # theta = 0: here r = 1 at theta = 2 pi m, so criterion 5 finds 3.
+    # Sinc-DVR at h = 0.4 on theta +- 50 reads the symmetry to 2.8e-13
+    # and the period exactly; h = 0.2 agrees to 6e-13 in E0 and 1.1e-6
+    # in E0(pi) - E0(0), both at the level of the solver's rounding
+    base = PhysicalParams()
+
+    def e0(at):
+        p = PhysicalParams(D=2.0 * base.D1, omega_p_sq=base.E1 / base.D1,
+                           mu_E=2.0 * base.E2, theta=at)
+        x = at + 0.4 * np.arange(-125, 126)
+        return lowest_levels(x, washboard_potential(x, p), p.D, 1)[0]
+
+    offsets = math.pi / 10 * np.arange(11)
+    e = np.array([e0(t) for t in offsets])
+    assert abs(e0(2.0 * math.pi) / e[0] - 1.0) <= 1e-12
+    for t, et in zip(offsets[1:], e[1:]):
+        assert abs(e0(-t) / et - 1.0) <= 1e-12
+    k = np.arange(-40, 41) % 20
+    assert count_local_minima(e[np.minimum(k, 20 - k)]) == 3

@@ -432,6 +432,34 @@ def test_kink_antikink_pass_through_shift(beta):
     assert abs((lines[0][1] + lines[1][1]) / shift - 1.0) < 2e-3
 
 
+@pytest.mark.parametrize("omega", [0.6, 0.9])
+def test_bound_pair_is_a_breather(omega):
+    # the sine-Gordon breather 4*arctan(k/omega * sin(omega*t)/cosh(k*z)),
+    # k = sqrt(1 - omega^2), is a kink and an antikink bound to each
+    # other; it passes phi = 0 with phi_t = 4k/cosh(k z) and has energy
+    # 16k in the chain's units (two kink masses of 8, times k).  Launched
+    # from there on a chain whose kink is 10 sites wide, the middle site
+    # crosses 0 every pi/omega: over three periods the lattice reads the
+    # frequency 3.1e-4 and 3.0e-5 below omega, and the energy of 16 ell k
+    # holds to 2.0e-10 and 9.3e-11
+    ell, dt, stride = 10, 0.01, 5
+    k = math.sqrt(1.0 - omega * omega)
+    z = np.arange(-30 * ell, 30 * ell + 1) / ell
+    steps = round(6.0 * math.pi / omega / (dt * stride)) * stride
+    snaps = integrate_chain_rk4(
+        ChainState(np.zeros(z.size), 4.0 * k / np.cosh(k * z), ell * ell,
+                   1.0), dt, steps, stride)
+    mid = np.array([sn.phi[z.size // 2] for sn in snaps])
+    i = np.nonzero(mid[:-1] * mid[1:] < 0.0)[0]
+    zeros = (i + mid[i] / (mid[i] - mid[i + 1])) * (dt * stride)
+    assert len(zeros) >= 5
+    freq = math.pi * (len(zeros) - 1) / (zeros[-1] - zeros[0])
+    assert abs(freq - omega) < 5e-3
+    law = 16.0 * ell * k
+    for sn in snaps:
+        assert abs(chain_energy(sn) / law - 1.0) < 1e-4
+
+
 def test_velocity_estimate_exact_shift():
     # profile moving one lattice site per snapshot
     k = KinkSpec(beta=0.0, sign=1)
@@ -516,3 +544,20 @@ def test_trajectory_table_layout():
     assert t == (0.0, 0.0, 0.0, 0.5, 0.5, 0.5)
     assert site[:3] == (0.0, 1.0, 2.0)
     assert phi[4] == 1.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ChainState(np.zeros((2, 3)), np.zeros((2, 3))),
+     "chain state must be 1-D"),
+    (lambda: ChainState(np.zeros(3), np.zeros(3), 1.0, -1.0),
+     "omega1_sq must be finite and >= 0"),
+    (lambda: kink_velocity_estimate([ChainState(np.zeros(3), np.zeros(3))]
+                                    * 2, 0.0, 1.0),
+     "spacings must be positive"),
+    (lambda: kink_velocity_estimate([ChainState(np.zeros(3), np.zeros(3))]
+                                    * 2, 1.0, -1.0),
+     "spacings must be positive")],
+    ids=["not-1d", "omega1-negative", "dx-zero", "dt-negative"])
+def test_chain_input_checks(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()

@@ -277,3 +277,13 @@ def test_iv_curve_records_missing_points():
     assert len(table) == 3
     assert math.isnan(table.rows[0, 1]) and math.isnan(table.rows[2, 1])
     assert np.isnan(table.rows).sum() == 2
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: soliton_fourier(1.0, 0.0), "separation L must be positive"),
+    (lambda: soliton_fourier(1.0, -2.0), "separation L must be positive"),
+    (lambda: fourier_check_table(1.0, 100.0, 0, 10.0),
+     "need at least one mode")], ids=["L-zero", "L-negative", "no-modes"])
+def test_fourier_input_checks(make, message):
+    with pytest.raises(DomainError, match=message):
+        make()

@@ -316,6 +316,17 @@ def test_norm_squared_quadrature_failure():
         energy_expectation(a, STD, 0.0, Q)
 
 
+@pytest.mark.parametrize("p, theta", [
+    (PhysicalParams(E2=1e308), 10.0),
+    (PhysicalParams(D1=1e-308, E2=1e308), 0.0)], ids=["charging", "both"])
+def test_energy_overflow_is_domain_error(p, theta):
+    # finite moments whose weighted sum overflows the energy to inf
+    a = AnsatzCoeffs(E2ONLY, E2ONLY, 1.0)
+    with pytest.raises(DomainError,
+                       match="energy expectation is not finite"):
+        energy_expectation(a, p, theta, Q)
+
+
 def test_energy_kinetic_anchor():
     # decoupled chains, one centered Gaussian each: E = alpha/D1
     a = AnsatzCoeffs(E2ONLY, E2ONLY, 1.0)
@@ -566,15 +577,17 @@ def test_sweep_grid_validation():
 
 
 def energy_criterion_alternate(p, theta, log_alpha):
-    # _alternate without its fixed-point stop: each member alternates
-    # until its energy stops changing, its row rewritten every half step
+    # _alternate written plainly: each member descends from the uncoupled
+    # pair (c, c) until its energy stops falling, its row rewritten every
+    # half step
     alpha = np.exp(log_alpha)
     mats = variational._chain_matrices(p, theta, alpha)
     w, white = variational._whiten(mats)
     rows = np.empty((alpha.size, 15))
     live = np.arange(alpha.size)
     c = variational._reduced(w, white, np.zeros(alpha.size))[0]
-    qc, e_prev = variational._quotients(mats, c), math.inf
+    qc = variational._quotients(mats, c)
+    e_prev = variational._energy(qc, qc, p.delta_prime)
     for _ in range(variational._MAX_ALTERNATIONS):
         b, gap = variational._reduced(w, white,
                                       p.delta_prime * (1.0 - qc[1]))
@@ -596,9 +609,8 @@ def energy_criterion_alternate(p, theta, log_alpha):
                                PhysicalParams(delta_prime=1e-9),
                                PhysicalParams(delta_prime=1.0)],
                          ids=["coupled", "decoupled", "weak", "strong"])
-def test_alternation_fixed_point_stop_keeps_rows(p):
-    # a member whose half step returns its input comb bit for bit stops
-    # there; its row is bit for bit the one the energy criterion alone
+def test_alternation_rows_match_the_energy_descent(p):
+    # each member's row is bit for bit the one the plain energy descent
     # ends on, over the alpha scan at every acceptance-grid theta
     scan = variational._LOG_ALPHA_SCAN
     theta, las = np.repeat(GRID, scan.size), np.tile(scan, GRID.size)
