@@ -279,7 +279,7 @@ def sweep_theta(p, theta_grid):
     """Minimize the energy over (b, c, alpha) at each theta of a strictly
     increasing grid: the combs by ``_alternate``, alpha by a log-alpha
     scan, extended outward while the energy still falls at an end, and
-    Brent's method.  A row keeps the best point its theta saw
+    Brent's method.  A row keeps the first lowest point its theta saw
     and reads converged=False if that point's alternation hit the cap or
     the energy still falls at a scan limit."""
     grid = np.asarray(theta_grid, dtype=float)
@@ -288,15 +288,17 @@ def sweep_theta(p, theta_grid):
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("theta grid must be strictly increasing")
     n, scan = grid.size, _LOG_ALPHA_SCAN.size
-    seen = []
+    rows = _alternate(p, np.repeat(grid, scan), np.tile(_LOG_ALPHA_SCAN, n))
+    es = rows[:, _E].reshape(n, scan)
+    rows = rows[np.arange(n) * scan + np.argmin(es, axis=1)]
 
-    def run(idx, las):
-        seen.append((idx, _alternate(p, grid[idx], np.asarray(las))))
-        return seen[-1][1][:, _E]
+    def run(idx, las):  # idx holds each theta at most once
+        new = _alternate(p, grid[idx], np.asarray(las))
+        better = new[:, _E] < rows[idx, _E]
+        rows[idx[better]] = new[better]
+        return new[:, _E]
 
-    es = run(np.repeat(np.arange(n), scan), np.tile(_LOG_ALPHA_SCAN, n))
-    es = [list(e) for e in es.reshape(n, scan)]
-    las = [list(_LOG_ALPHA_SCAN) for _ in es]
+    es, las = [list(e) for e in es], [list(_LOG_ALPHA_SCAN) for _ in es]
     lo, hi = _LOG_ALPHA_LIMITS
     for end, step in ((0, -_LOG_ALPHA_STEP), (-1, _LOG_ALPHA_STEP)):
         while grow := [j for j in range(n) if es[j][end] == min(es[j])
@@ -349,10 +351,6 @@ def sweep_theta(p, theta_grid):
         w, fw = (np.where(lower, edge, np.where(to_w, u, w)),
                  np.where(lower, fx, np.where(to_w, fu, fw)))
         fx = np.where(lower, fu, fx)
-    # each theta's first lowest point, in the order it saw them
-    idx, rows = (np.concatenate(v) for v in zip(*seen))
-    order = np.lexsort((np.arange(idx.size), rows[:, _E], idx))
-    rows = rows[order[np.r_[True, np.diff(idx[order]) != 0]]]
     return SweepResult([
         SweepRow(t, r[_E], r[_PHI], bool(inner and r[_CONV]),
                  AnsatzCoeffs(r[_B], r[_C], r[_ALPHA]), r[_GAP])

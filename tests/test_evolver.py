@@ -493,6 +493,38 @@ def test_evolve_df_standard_resonance():
     assert detect_resonance(t, 10000)
 
 
+def pinned_hamiltonian(f, p):
+    # the evolver's finite-difference H, -(1/D) L/dx^2 + V, on the
+    # interior points of f's grid (its ends held at 0)
+    lap = lap_matrix(f.values.size)[1:-1, 1:-1] / (f.dx * f.dx)
+    return np.diag(potential_on_grid(f, p)[1:-1]) - lap / p.D
+
+
+def test_drive_through_pi_is_a_landau_zener_transfer():
+    # sweeping theta through pi crosses the levels of the wells at 0 and
+    # 2 pi, whose energies part at rate 2 pi mu_E a_D, so a packet that
+    # starts in the ground state ends in the next well with probability
+    # P = 1 - exp(-gap^2/(4 mu_E a_D)) (Landau 1932; Zener 1932), the gap
+    # being the splitting at theta = pi.  Swept from 12 gaps before the
+    # crossing to 12 after, the mean phase reads P = 0.1678 against 0.1554
+    f = ComplexField(np.zeros(501), 0.05, -8.0)
+    p = PhysicalParams(D=1.0, omega_p_sq=2.0, mu_E=0.012, theta=math.pi)
+    levels = np.linalg.eigvalsh(pinned_hamiltonian(f, p))
+    gap = levels[1] - levels[0]
+    assert gap == pytest.approx(1.80081e-2, rel=1e-5)
+    half = 12.0 * gap / (2.0 * math.pi * p.mu_E)
+    p = replace(p, theta=math.pi - half)
+    ground = np.linalg.eigh(pinned_hamiltonian(f, p))[1][:, 0]
+    f = ComplexField(np.r_[0.0, ground, 0.0], f.dx, f.x0)
+    drive, dt = FieldDriveParams(a_D=4e-2), 0.01
+    t = evolve("cn-standard", f, p, drive, dt,
+               round(2.0 * half / (drive.a_D * dt)))
+    assert not t.truncated
+    transfer = t.mean_phase[-(len(t) // 20):].mean() / (2.0 * math.pi)
+    law = 1.0 - math.exp(-gap * gap / (4.0 * p.mu_E * drive.a_D))
+    assert abs(transfer - law) <= 0.03
+
+
 def test_evolve_cn_printed_blows_up():
     # calibrated run: the printed scheme leaves the finite range and
     # the norm passes 10x its initial value near 100 steps

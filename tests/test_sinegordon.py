@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from cdwlab import cli, sinegordon
 from cdwlab.curves import format_number
@@ -430,6 +431,81 @@ def test_kink_antikink_pass_through_shift(beta):
     assert lines[0][0] == pytest.approx(-beta, rel=1e-3)
     assert lines[1][0] == pytest.approx(beta, rel=1e-3)
     assert abs((lines[0][1] + lines[1][1]) / shift - 1.0) < 2e-3
+
+
+def static_kink(ell, centre):
+    # the clamped chain of 40 ell + 41 sites at rest with a kink from 0
+    # to 2 pi, Newton-solved for force 0 from the continuum kink centred
+    # at site `centre`: each step is one tridiagonal solve of the force's
+    # Jacobian, and the start's symmetry about its centre is kept
+    sites, w = 40 * ell + 41, float(ell * ell)
+    phi = 4.0 * np.arctan(np.exp((np.arange(sites) - centre) / ell))
+    phi[0], phi[-1] = 0.0, 2.0 * math.pi
+    jac = np.full((3, sites - 2), w)
+    for _ in range(8):
+        mid = phi[1:-1]
+        force = w * (phi[2:] - 2.0 * mid + phi[:-2]) - np.sin(mid)
+        jac[1] = -2.0 * w - np.cos(mid)
+        phi[1:-1] -= solve_banded((1, 1), jac, force)
+    mid = phi[1:-1]
+    force = w * (phi[2:] - 2.0 * mid + phi[:-2]) - np.sin(mid)
+    assert np.abs(force).max() <= 2e-14
+    return chain_energy(ChainState(phi, np.zeros(sites), w, 1.0))
+
+
+def test_peierls_nabarro_barrier_falls_as_exp_minus_pi_squared_ell():
+    # a kink centred on a site is the saddle between two centred on
+    # bonds, and the barrier between them falls as e^(-pi^2 ell) with the
+    # kink's width ell (Peyrard & Kruskal, Physica D 14, 88, 1984).  The
+    # prefactor 64 pi^2 ell^2 is a fit to these three widths, which read
+    # 0.7763, 0.9249 and 0.9860 of it
+    ratios = []
+    for ell, ratio in ((1, 0.7763), (2, 0.9249), (3, 0.9860)):
+        centre = 20.0 * ell + 20.0
+        barrier = static_kink(ell, centre) - static_kink(ell, centre + 0.5)
+        ratios.append(barrier * math.exp(math.pi ** 2 * ell)
+                      / (64.0 * math.pi ** 2 * ell * ell))
+        assert ratios[-1] == pytest.approx(ratio, rel=1e-3)
+    assert 0.0 < ratios[0] < ratios[1] < ratios[2] < 1.0
+
+
+def pair_spans(beta, d, sites, ell=1.5, dt=0.02, stride=50):
+    # a kink and an antikink d widths apart on a chain whose kink is ell
+    # sites wide, closing at beta each, run to twice the time they take
+    # to meet plus 40: the span in sites between the outermost
+    # |phi| = pi crossings at each snapshot (0 when there is none)
+    z = (np.arange(sites) - 0.5 * (sites - 1)) / ell
+    kink, anti = KinkSpec(-beta, 1), KinkSpec(beta, -1)
+    phi = (kink_phase(z + 0.5 * d, 0.0, kink)
+           + kink_phase(z - 0.5 * d, 0.0, anti) - 2.0 * math.pi)
+    rate = (kink_phase_rate(z + 0.5 * d, 0.0, kink)
+            + kink_phase_rate(z - 0.5 * d, 0.0, anti))
+    steps = round((d / beta + 40.0) / (dt * stride)) * stride
+    snaps = integrate_chain_rk4(ChainState(phi, rate, ell * ell, 1.0), dt,
+                                steps, stride)
+    spans = []
+    for sn in snaps:
+        a = np.abs(sn.phi) - math.pi
+        i = np.nonzero(a[:-1] * a[1:] < 0.0)[0]
+        x = i + a[i] / (a[i] - a[i + 1])
+        spans.append(x[-1] - x[0] if i.size else 0.0)
+    return np.array(spans)
+
+
+@pytest.mark.parametrize("beta, captured", [(0.05, True), (0.12, False)])
+def test_kink_antikink_capture_on_the_lattice(beta, captured):
+    # the continuum pair passes through itself; the lattice radiates, and
+    # below a critical speed the pair is captured into a bound S-S' pair
+    # (Peyrard & Campbell, Physica D 9, 33, 1983).  20 widths apart at
+    # ell = 1.5, the last ten snapshots read spans of at most 6.3 sites at
+    # beta = 0.05 and at least 42 at beta = 0.12
+    ell = 1.5
+    spans = pair_spans(beta, 20.0, 300, ell)
+    assert spans[0] == pytest.approx(20.0 * ell, rel=1e-2)
+    if captured:
+        assert spans[-10:].max() < 5.0 * ell
+    else:
+        assert spans[-10:].min() > 20.0 * ell
 
 
 @pytest.mark.parametrize("omega", [0.6, 0.9])

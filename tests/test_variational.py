@@ -745,6 +745,34 @@ def test_sweep_row_does_not_depend_on_the_grid(grid_sweeps, p):
         assert sweep_theta(p, [GRID[j]]).rows[0] == rows[j]
 
 
+def test_sweep_row_keeps_the_first_of_tied_minima(monkeypatch):
+    # an energy that is exactly 0.5 wherever log alpha is within 0.5 of
+    # theta: the scan and Brent's method both evaluate ties there, and
+    # each row keeps the first alpha its theta evaluated on the plateau
+    # (a row replaced on an equal energy would hold a later one)
+    evaluated = []
+
+    def flat(p, theta, log_alpha):
+        e = np.maximum(np.abs(log_alpha - theta), 0.5)
+        rows = np.zeros((e.size, 15))
+        rows[:, variational._E] = e
+        rows[:, variational._CONV] = 1.0
+        rows[:, variational._ALPHA] = np.exp(log_alpha)
+        evaluated.extend(zip(theta.tolist(), log_alpha.tolist(),
+                             rows.tolist()))
+        return rows
+
+    monkeypatch.setattr(variational, "_alternate", flat)
+    grid = [-3.0, -2.0, -0.5]
+    for row in sweep_theta(STD, grid).rows:
+        ties = [(la, r[variational._ALPHA]) for t, la, r in evaluated
+                if t == row.theta and r[variational._E] == 0.5]
+        # the refinement evaluates ties of its own after the scan's
+        assert {la for la, _ in ties} - set(variational._LOG_ALPHA_SCAN)
+        assert row.e_min == 0.5 and row.converged
+        assert row.coeffs.alpha == ties[0][1]
+
+
 def test_nonconverged_point_kept_in_row(monkeypatch):
     # one alternation step can never show that the energy stopped changing
     monkeypatch.setattr(variational, "_MAX_ALTERNATIONS", 1)
