@@ -19,14 +19,15 @@ Rayleigh-Ritz: alternating generalized eigenproblems for b and c at
 fixed alpha, from the uncoupled pair, until a half step lowers the
 energy by no more than _ETOL relative; and a log-alpha scan (extended
 outward while the energy still falls at an end) refined by Brent's
-method from the best scan point and its neighbours: on the three
-acceptance-grid points around theta = 0 that is 8 stacked evaluations
-coupled and 19 decoupled.  It runs on stacks: each (theta, alpha)
-member's overlap is whitened once by its Cholesky factor, each half
-step is one numpy ``eigh`` over the members still alternating, and all
-thetas scan and refine in lockstep.  Every theta still sees the
-evaluations it would see alone, so its row is bit-identical whether it
-is swept alone or in a grid.
+method from the best scan point and its neighbours until the bracket is
+1e-6 wide or the three best energies agree to _ETOL, so a flat energy
+(delta' at or near 0) fixes alpha and the combs only as finely as it
+resolves them; 8 stacked evaluations coupled and 11 decoupled on the
+three acceptance-grid points around theta = 0.  It runs on stacks: each
+(theta, alpha) member's overlap is whitened once by its Cholesky factor,
+each half step is one numpy ``eigh`` over the members still alternating,
+and all thetas scan and refine in lockstep, yet each theta's row is
+bit-identical whether it is swept alone or in a grid.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
 (``energy_expectation``) is kept as an independent oracle for the
@@ -277,11 +278,11 @@ def _alternate(p, theta, log_alpha):
 
 def sweep_theta(p, theta_grid):
     """Minimize the energy over (b, c, alpha) at each theta of a strictly
-    increasing grid: the combs by ``_alternate``, alpha by a log-alpha
-    scan, extended outward while the energy still falls at an end, and
-    Brent's method.  A row keeps the first lowest point its theta saw
-    and reads converged=False if that point's alternation hit the cap or
-    the energy still falls at a scan limit."""
+    increasing grid: the combs by ``_alternate``, alpha by a log-alpha scan,
+    extended outward while the energy still falls at an end, and Brent's
+    method, to a _LOG_ALPHA_TOL bracket or three energies within _ETOL.  A
+    row keeps the first lowest point its theta saw, converged=False if that
+    point hit the alternation cap or the energy falls at a scan limit."""
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D sequence")
@@ -315,7 +316,8 @@ def sweep_theta(p, theta_grid):
     # the third v (its two neighbours): the first step is the parabola
     # through them.  d is the last step and e the one before; no step is
     # shorter than tol, a third of the final width, so a step of tol to
-    # each side of x closes the bracket
+    # each side of x closes the bracket.  A theta stops there, or once fx,
+    # fw and fv agree to _ETOL, where its steps would chase rounding noise
     idx = np.flatnonzero(interior)
     trio = [sorted(zip(es[j][best[j] - 1:best[j] + 2],
                        las[j][best[j] - 1:best[j] + 2])) for j in idx]
@@ -323,7 +325,8 @@ def sweep_theta(p, theta_grid):
     a, b = np.min((x, w, v), axis=0), np.max((x, w, v), axis=0)
     d = e = b - a
     tol = _LOG_ALPHA_TOL / 3.0
-    while (keep := b - a > _LOG_ALPHA_TOL).any():
+    while (keep := (b - a > _LOG_ALPHA_TOL)
+           & (np.maximum(fw, fv) - fx > _ETOL * np.abs(fx))).any():
         idx, a, b, x, w, v, fx, fw, fv, d, e = (
             m[keep] for m in (idx, a, b, x, w, v, fx, fw, fv, d, e))
         r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)

@@ -26,13 +26,15 @@ edges of the evolver's ring block for cn-standard and df-standard (one
 block exactly full at 63 and 64 steps, the first wrap at 65, a second
 block one level short of full at 127 and the second wrap at 129), a
 grid whose ring holds one level between wraps, the decoupled
-``variational-sweep`` on its default 81 points, a free two-point sweep
-(no pinning, charging or coupling), whose energy falls down to the
-lower alpha limit at both points, so neither refines alpha and both
-rows read not converged, a two-point sweep at E1 = 1, whose alpha
-scan is extended past alpha = 5 and refined around alpha = 6.55, and a
-three-point sweep at delta' = 1, where every member of the alpha scan
-alternates for several half steps before its energy stops falling.
+``variational-sweep`` on its default 81 points and the same sweep at
+weak coupling (delta' = 1e-9), whose energy is as flat in log alpha, a
+free two-point sweep (no pinning, charging or coupling), whose energy
+falls down to the lower alpha limit at both points, so neither refines
+alpha and both rows read not converged, a two-point sweep at E1 = 1,
+whose alpha scan is extended past alpha = 5 and refined around alpha =
+6.55, and a three-point sweep at delta' = 1, where every member of the
+alpha scan alternates for several half steps before its energy stops
+falling.
 """
 
 import hashlib
@@ -107,6 +109,9 @@ EDGE_CASES = [
     ("single-chain", ["evolver.n=40001", "evolver.dx=0.001",
                       "evolver.dt=1e-6", "evolver.steps=3"]),
     ("variational-sweep", ["model.delta_prime=0"]),
+    # weak coupling: alpha and the combs are as flat in log alpha as at
+    # delta' = 0, so these rows show where the refinement stops
+    ("variational-sweep", ["model.delta_prime=1e-9"]),
     ("variational-sweep", ["model.E1=0", "model.E2=0", "model.delta_prime=0",
                            "variational.theta_points=2"]),
     ("variational-sweep", ["model.E1=1", "variational.theta_points=2"]),

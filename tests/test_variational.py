@@ -705,11 +705,13 @@ def test_brent_ends_no_higher_than_golden_section(p):
         assert row.e_min <= golden.e_min + 1e-14 * abs(golden.e_min)
 
 
-@pytest.mark.parametrize("p, cap", [(STD, 10), (DECOUPLED, 20)],
+@pytest.mark.parametrize("p, cap", [(STD, 10), (DECOUPLED, 12)],
                          ids=["coupled", "decoupled"])
 def test_brent_refines_the_slice_in_few_rounds(monkeypatch, p, cap):
-    # the scan is one call and each refinement round one more; the
-    # golden-section search made 29 calls on either slice
+    # the scan is one call and each refinement round one more: 8 calls
+    # coupled and 11 decoupled, where the flat energy stops each theta
+    # once its three best energies agree to _ETOL, before its bracket is
+    # 1e-6 wide; the golden-section search made 29 calls on either slice
     calls = count_calls(monkeypatch, "_alternate")
     sweep_theta(p, SLICE)
     assert calls[0] == SLICE.size * variational._LOG_ALPHA_SCAN.size
@@ -771,6 +773,40 @@ def test_sweep_row_keeps_the_first_of_tied_minima(monkeypatch):
         assert {la for la, _ in ties} - set(variational._LOG_ALPHA_SCAN)
         assert row.e_min == 0.5 and row.converged
         assert row.coeffs.alpha == ties[0][1]
+
+
+def test_brent_stops_once_its_energies_agree(monkeypatch):
+    # an energy exactly flat where log alpha is within 0.05 of theta, a
+    # window narrower than a scan step and far wider than the bracket
+    # Brent's method would refine: each theta stops once its three best
+    # energies agree, after the scan and at most 3 rounds (26 calls when
+    # only the 1e-6 bracket stops it), and keeps its first plateau point
+    evaluated, calls = [], []
+
+    def plateau(p, theta, log_alpha):
+        e = 1.0 + np.maximum(np.abs(log_alpha - theta) - 0.05, 0.0) ** 2
+        rows = np.zeros((e.size, 15))
+        rows[:, variational._E] = e
+        rows[:, variational._CONV] = 1.0
+        rows[:, variational._ALPHA] = np.exp(log_alpha)
+        calls.append(e.size)
+        evaluated.extend(zip(theta.tolist(), log_alpha.tolist(),
+                             rows.tolist()))
+        return rows
+
+    monkeypatch.setattr(variational, "_alternate", plateau)
+    grid = [-3.0, -2.0, -0.5]
+    rows = sweep_theta(STD, grid).rows
+    assert len(calls) <= 4
+    for row in rows:
+        las = sorted(la for t, la, _ in evaluated if t == row.theta)
+        # the bracket's ends are two distinct evaluated points, so it is
+        # at least as wide as the closest pair of them
+        assert np.diff(las).min() > variational._LOG_ALPHA_TOL
+        ties = [r[variational._ALPHA] for t, _, r in evaluated
+                if t == row.theta and r[variational._E] == 1.0]
+        assert row.e_min == 1.0 and row.converged
+        assert row.coeffs.alpha == ties[0]
 
 
 def test_nonconverged_point_kept_in_row(monkeypatch):
