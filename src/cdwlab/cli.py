@@ -234,8 +234,10 @@ def _run_variational_sweep(cfg):
         if not math.isfinite(o[key]):
             raise ConfigError("%s must be finite" % key)
     from . import variational  # no other experiment needs it
-    grid = np.linspace(o["variational.theta_min"],
-                       o["variational.theta_max"], npts)
+    # an overflowing span gives inf and nan points, which sweep_theta rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(o["variational.theta_min"],
+                           o["variational.theta_max"], npts)
     result = variational.sweep_theta(_params(o, "model"), grid)
     missed = sum(not r.converged for r in result.rows)
     if missed:

@@ -17,17 +17,17 @@ closed form (Gaussian product theorem; Boys 1950, Proc. R. Soc. A 200,
 542), so the energy is 5x5 matrix algebra.  The minimizer is
 Rayleigh-Ritz: alternating generalized eigenproblems for b and c at
 fixed alpha, from the uncoupled pair, until a half step lowers the
-energy by no more than _ETOL relative; and a log-alpha scan (extended
-outward while the energy still falls at an end) refined by Brent's
-method from the best scan point and its neighbours until the bracket is
-1e-6 wide or the three best energies agree to _ETOL, so a flat energy
-(delta' at or near 0) fixes alpha and the combs only as finely as it
-resolves them; 8 stacked evaluations coupled and 11 decoupled on the
-three acceptance-grid points around theta = 0.  It runs on stacks: each
-(theta, alpha) member's overlap is whitened once by its Cholesky factor,
-each half step is one numpy ``eigh`` over the members still alternating,
-and all thetas scan and refine in lockstep, yet each theta's row is
-bit-identical whether it is swept alone or in a grid.
+energy by no more than _ETOL relative.  Each theta runs its own alpha
+search: a log-alpha scan, extended outward while the energy still falls
+at an end, refined by Brent's method to a 1e-6 bracket or until its
+three best energies agree to _ETOL, so a flat energy (delta' near 0)
+fixes alpha and the combs only as finely as it resolves them.  Each
+round is one batched evaluation of every searching theta's points; a
+(theta, alpha) member's overlap is whitened once by its Cholesky factor
+and each half step is one numpy ``eigh`` over the members still
+alternating: 8 rounds coupled and 11 decoupled on the three
+acceptance-grid points around theta = 0.  A theta's row is bit-identical
+whether it is swept alone or in a grid.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
 (``energy_expectation``) is kept as an independent oracle for the
@@ -276,84 +276,84 @@ def _alternate(p, theta, log_alpha):
     return rows
 
 
+def _search():
+    """One theta's alpha search: a generator that yields the log alphas it
+    needs evaluated, is sent their energies, and returns whether its best
+    point is interior.  It asks for the scan, then one point at a time: the
+    scan extended by its step while the energy still falls at an end, then
+    Brent's method (Brent 1973, ch. 5) from the best point x, the next
+    lowest w and the third v (its neighbours).  d is the last step and e
+    the one before; no step is shorter than tol, a third of the final
+    width, so a step of tol to each side of x closes the bracket (a, b)."""
+    las = _LOG_ALPHA_SCAN.tolist()
+    es = yield las
+    step, (lo, hi) = _LOG_ALPHA_STEP, _LOG_ALPHA_LIMITS
+    while es[0] == min(es) and (la := las[0] - step) >= lo:
+        las, es = [la] + las, (yield [la]) + es
+    while es[-1] == min(es) and (la := las[-1] + step) <= hi:
+        las, es = las + [la], es + (yield [la])
+    i = int(np.argmin(es))
+    if not 0 < i < len(es) - 1:
+        return False
+    (fx, x), (fw, w), (fv, v) = sorted(zip(es[i - 1:i + 2], las[i - 1:i + 2]))
+    a, b, tol = las[i - 1], las[i + 1], _LOG_ALPHA_TOL / 3.0
+    d = e = b - a
+    while b - a > _LOG_ALPHA_TOL and max(fw, fv) - fx > _ETOL * abs(fx):
+        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+        s, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+        s, q = -s if q > 0 else s, abs(q)
+        # the parabola's step s / q is taken if it is under half of e and
+        # lands inside (a, b); else a golden step into the larger part
+        if (abs(e) > tol and abs(s) < abs(0.5 * q * e)
+                and q * (a - x) < s < q * (b - x)):
+            d, e = s / q, d
+            if x + d - a < 2 * tol or b - (x + d) < 2 * tol:
+                d = math.copysign(tol, a + b - 2 * x)
+        else:
+            e = a - x if x >= 0.5 * (a + b) else b - x
+            d = (1.0 - _INVPHI) * e
+        u = x + d if abs(d) >= tol else x + math.copysign(tol, d)
+        [fu] = yield [u]
+        # x keeps the lower of x and u, and the other, u, ends the bracket
+        if fu <= fx:
+            v, w, x, u, fv, fw, fx = w, x, u, x, fw, fx, fu
+        elif fu <= fw:
+            v, w, fv, fw = w, u, fw, fu
+        elif fu <= fv:
+            v, fv = u, fu
+        a, b = (u, b) if u < x else (a, u)
+    return True
+
+
 def sweep_theta(p, theta_grid):
-    """Minimize the energy over (b, c, alpha) at each theta of a strictly
-    increasing grid: the combs by ``_alternate``, alpha by a log-alpha scan,
-    extended outward while the energy still falls at an end, and Brent's
-    method, to a _LOG_ALPHA_TOL bracket or three energies within _ETOL.  A
-    row keeps the first lowest point its theta saw, converged=False if that
-    point hit the alternation cap or the energy falls at a scan limit."""
+    """Minimize the energy over (b, c, alpha) at each theta of a finite,
+    strictly increasing grid: the combs by ``_alternate``, alpha by one
+    ``_search`` per theta, each round one ``_alternate`` call on all their
+    points.  A row keeps the first lowest point its theta saw, unconverged
+    if that hit the alternation cap or the energy falls at a scan limit."""
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D sequence")
+    if not np.isfinite(grid).all():
+        raise DomainError("theta grid must be finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("theta grid must be strictly increasing")
-    n, scan = grid.size, _LOG_ALPHA_SCAN.size
-    rows = _alternate(p, np.repeat(grid, scan), np.tile(_LOG_ALPHA_SCAN, n))
-    es = rows[:, _E].reshape(n, scan)
-    rows = rows[np.arange(n) * scan + np.argmin(es, axis=1)]
-
-    def run(idx, las):  # idx holds each theta at most once
-        new = _alternate(p, grid[idx], np.asarray(las))
-        better = new[:, _E] < rows[idx, _E]
-        rows[idx[better]] = new[better]
-        return new[:, _E]
-
-    es, las = [list(e) for e in es], [list(_LOG_ALPHA_SCAN) for _ in es]
-    lo, hi = _LOG_ALPHA_LIMITS
-    for end, step in ((0, -_LOG_ALPHA_STEP), (-1, _LOG_ALPHA_STEP)):
-        while grow := [j for j in range(n) if es[j][end] == min(es[j])
-                       and lo <= las[j][end] + step <= hi]:
-            new = [las[j][end] + step for j in grow]
-            for j, la, e in zip(grow, new, run(np.array(grow), new)):
-                at = 0 if end == 0 else len(es[j])
-                las[j].insert(at, la)
-                es[j].insert(at, e)
-    best = [int(np.argmin(e)) for e in es]
-    interior = [0 < i < len(e) - 1 for i, e in zip(best, es)]
-    # Brent's method (Brent 1973, ch. 5) in lockstep, one evaluation per
-    # theta and round, from the best scan point x, the next lowest w and
-    # the third v (its two neighbours): the first step is the parabola
-    # through them.  d is the last step and e the one before; no step is
-    # shorter than tol, a third of the final width, so a step of tol to
-    # each side of x closes the bracket.  A theta stops there, or once fx,
-    # fw and fv agree to _ETOL, where its steps would chase rounding noise
-    idx = np.flatnonzero(interior)
-    trio = [sorted(zip(es[j][best[j] - 1:best[j] + 2],
-                       las[j][best[j] - 1:best[j] + 2])) for j in idx]
-    (fx, x), (fw, w), (fv, v) = np.reshape(trio, (-1, 3, 2)).transpose(1, 2, 0)
-    a, b = np.min((x, w, v), axis=0), np.max((x, w, v), axis=0)
-    d = e = b - a
-    tol = _LOG_ALPHA_TOL / 3.0
-    while (keep := (b - a > _LOG_ALPHA_TOL)
-           & (np.maximum(fw, fv) - fx > _ETOL * np.abs(fx))).any():
-        idx, a, b, x, w, v, fx, fw, fv, d, e = (
-            m[keep] for m in (idx, a, b, x, w, v, fx, fw, fv, d, e))
-        r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-        s, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-        s, q = np.where(q > 0, -s, s), np.abs(q)
-        # the parabola's step s / q is taken if it is under half of e and
-        # lands inside (a, b); else a golden step into the larger part
-        par = ((np.abs(e) > tol) & (np.abs(s) < np.abs(0.5 * q * e))
-               & (s > q * (a - x)) & (s < q * (b - x)))
-        gold = np.where(x >= 0.5 * (a + b), a - x, b - x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d, e = (np.where(par, s / q, (1.0 - _INVPHI) * gold),
-                    np.where(par, d, gold))
-        near = par & ((x + d - a < 2 * tol) | (b - (x + d) < 2 * tol))
-        d = np.where(near, np.copysign(tol, a + b - 2 * x), d)
-        u = x + np.where(np.abs(d) >= tol, d, np.copysign(tol, d))
-        fu = run(idx, u)
-        # x keeps the lower of x and u, the other ends the bracket there
-        lower = fu <= fx
-        edge, x = np.where(lower, x, u), np.where(lower, u, x)
-        a, b = np.where(edge < x, edge, a), np.where(edge < x, b, edge)
-        to_w, to_v = ~lower & (fu <= fw), ~lower & (fu > fw) & (fu <= fv)
-        v, fv = (np.where(lower | to_w, w, np.where(to_v, u, v)),
-                 np.where(lower | to_w, fw, np.where(to_v, fu, fv)))
-        w, fw = (np.where(lower, edge, np.where(to_w, u, w)),
-                 np.where(lower, fx, np.where(to_w, fu, fw)))
-        fx = np.where(lower, fu, fx)
+    rows, interior = np.full((grid.size, 15), np.inf), [False] * grid.size
+    searches = [_search() for _ in grid]
+    asks = {j: next(s) for j, s in enumerate(searches)}
+    while asks:
+        sizes = [len(a) for a in asks.values()]
+        new = _alternate(p, np.repeat(grid[list(asks)], sizes),
+                         np.concatenate(list(asks.values())))
+        for j, part in zip(list(asks), np.split(new, np.cumsum(sizes)[:-1])):
+            k = np.argmin(part[:, _E])
+            if part[k, _E] < rows[j, _E]:
+                rows[j] = part[k]
+            try:
+                asks[j] = searches[j].send(part[:, _E].tolist())
+            except StopIteration as stop:
+                interior[j] = stop.value
+                del asks[j]
     return SweepResult([
         SweepRow(t, r[_E], r[_PHI], bool(inner and r[_CONV]),
                  AnsatzCoeffs(r[_B], r[_C], r[_ALPHA]), r[_GAP])

@@ -32,9 +32,12 @@ free two-point sweep (no pinning, charging or coupling), whose energy
 falls down to the lower alpha limit at both points, so neither refines
 alpha and both rows read not converged, a two-point sweep at E1 = 1,
 whose alpha scan is extended past alpha = 5 and refined around alpha =
-6.55, and a three-point sweep at delta' = 1, where every member of the
+6.55, a three-point sweep at delta' = 1, where every member of the
 alpha scan alternates for several half steps before its energy stops
-falling.
+falling, a nine-point sweep at D1 = 1, whose thetas need 11 to 20
+evaluation rounds each when swept alone, so one batched call holds one
+theta's scan-extension points with another's Brent points, and a sweep
+whose finite theta bounds (-1e308, 1e308) give a span that overflows.
 """
 
 import hashlib
@@ -118,6 +121,11 @@ EDGE_CASES = [
     # strong coupling: every scan member alternates for several half steps
     ("variational-sweep", ["model.delta_prime=1",
                            "variational.theta_points=3"]),
+    # thetas in different stages of their alpha searches share calls
+    ("variational-sweep", ["model.D1=1", "variational.theta_points=9"]),
+    # the span overflows: the grid holds inf and nan
+    ("variational-sweep", ["variational.theta_min=-1e308",
+                           "variational.theta_max=1e308"]),
 ]
 
 

@@ -512,6 +512,10 @@ def test_every_key_changes_an_artifact(reach_run, key):
      "error: domain: field grid must be strictly increasing\n"),
     (["experiment=variational-sweep", "variational.theta_max=inf"], 2,
      "error: config: variational.theta_max must be finite\n"),
+    # finite bounds whose span overflows: the grid holds inf and nan
+    (["experiment=variational-sweep", "variational.theta_min=-1e308",
+      "variational.theta_max=1e308"], 1,
+     "error: domain: theta grid must be finite\n"),
     # D*dx^2 underflows to 0, and every scheme divides by it
     (["evolver.dx=1e-308"], 1, "error: domain: D*dx^2 underflows to 0\n"),
     (["model.D=5e-324"], 1, "error: domain: D*dx^2 underflows to 0\n"),
@@ -523,8 +527,9 @@ def test_every_key_changes_an_artifact(reach_run, key):
      "error: config: pendulum-kink needs positive, finite omega0_sq and "
      "omega1_sq for the continuum mapping\n")],
     ids=["mu_E", "alpha0", "kink-beta", "kink-width", "dx-inf-grid",
-         "alpha0-inf", "iv-overflow", "iv-inf", "theta-inf", "dx-underflow",
-         "D-underflow", "dx-overflow", "D-overflow", "kink-omega-inf"])
+         "alpha0-inf", "iv-overflow", "iv-inf", "theta-inf", "theta-span",
+         "dx-underflow", "D-underflow", "dx-overflow", "D-overflow",
+         "kink-omega-inf"])
 def test_main_overflow_reports_no_numpy_warning(tmp_path, overrides, code,
                                                 stderr):
     # a separate interpreter, so numpy's warnings reach stderr unfiltered

@@ -574,6 +574,10 @@ def test_sweep_grid_validation():
         sweep_theta(STD, [])
     with pytest.raises(DomainError):
         sweep_theta(STD, [0.2, 0.1])
+    # a non-finite theta is named before its comb matrices overflow
+    for grid in ([math.nan], [0.0, math.inf], [-math.inf, 0.0]):
+        with pytest.raises(DomainError, match="theta grid must be finite"):
+            sweep_theta(STD, grid)
 
 
 def energy_criterion_alternate(p, theta, log_alpha):
@@ -809,6 +813,37 @@ def test_brent_stops_once_its_energies_agree(monkeypatch):
         assert row.coeffs.alpha == ties[0]
 
 
+def test_thetas_in_different_phases_share_calls(monkeypatch):
+    # theta < 0 refines a kinked minimum at log alpha = -3 inside the scan,
+    # theta > 0 extends the scan up to a plateau around log alpha = 2.5;
+    # one theta's Brent points ride in the same calls as the other's
+    # extension points, so the pair costs what the slower theta costs
+    # alone, and each row is the one its theta gets alone
+    calls = []
+
+    def phases(p, theta, log_alpha):
+        below = 1.0 + np.abs(log_alpha + 3.0) ** 1.5 + 0.1 * (log_alpha + 3.0)
+        above = 1.0 + np.maximum(np.abs(log_alpha - 2.5) - 0.05, 0.0) ** 2
+        rows = np.zeros((theta.size, 15))
+        rows[:, variational._E] = np.where(theta < 0, below, above)
+        rows[:, variational._CONV] = 1.0
+        rows[:, variational._ALPHA] = np.exp(log_alpha)
+        calls.append(theta.size)
+        return rows
+
+    monkeypatch.setattr(variational, "_alternate", phases)
+    alone, counts = [], []
+    for theta in (-1.0, 1.0):
+        del calls[:]
+        alone += sweep_theta(STD, [theta]).rows
+        counts.append(len(calls))
+    del calls[:]
+    assert sweep_theta(STD, [-1.0, 1.0]).rows == alone
+    assert counts == [14, 10]
+    assert len(calls) == max(counts)
+    assert all(row.converged for row in alone)
+
+
 def test_nonconverged_point_kept_in_row(monkeypatch):
     # one alternation step can never show that the energy stopped changing
     monkeypatch.setattr(variational, "_MAX_ALTERNATIONS", 1)
@@ -873,3 +908,19 @@ def test_phase_jumps():
     assert len(jumps) == 2
     assert jumps[0] == pytest.approx(6.3, rel=1e-12)
     assert jumps[1] == pytest.approx(-6.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("x1, count", [(1.61, 0), (1.615, 4)])
+def test_two_level_staircase_count_rule(x1, count):
+    # criterion 6's count on a closed-form staircase: four two-level
+    # crossings at theta = +-pi, +-3pi, each <Phi> = pi (1 + x/sqrt(1 + x^2))
+    # with x = x1 (theta - c) / (pi/10).  On the 81-point grid c is a grid
+    # point, and the two steps around it are the jump, 2 pi x1/sqrt(1 +
+    # x1^2), within 15% of 2 pi iff x1 >= 0.85/sqrt(1 - 0.85^2) = 1.6136
+    x = x1 * (GRID[:, None] - math.pi * np.array([-3, -1, 1, 3])) / (
+        math.pi / 10)
+    phases = (math.pi * (1.0 + x / np.sqrt(1.0 + x * x))).sum(axis=1)
+    jumps = phase_jumps(phases)
+    assert len(jumps) == 4
+    assert sum(abs(abs(j) - 2 * math.pi) <= 0.15 * 2 * math.pi
+               for j in jumps) == count
