@@ -17,17 +17,25 @@ closed form (Gaussian product theorem; Boys 1950, Proc. R. Soc. A 200,
 542), so the energy is 5x5 matrix algebra.  The minimizer is
 Rayleigh-Ritz: alternating generalized eigenproblems for b and c at
 fixed alpha, from the uncoupled pair, until a half step lowers the
-energy by no more than _ETOL relative.  Each theta runs its own alpha
-search: a log-alpha scan, extended outward while the energy still falls
-at an end, refined by Brent's method to a 1e-6 bracket or until its
-three best energies agree to _ETOL, so a flat energy (delta' near 0)
-fixes alpha and the combs only as finely as it resolves them.  Each
-round is one batched evaluation of every searching theta's points; a
-(theta, alpha) member's overlap is whitened once by its Cholesky factor
-and each half step is one numpy ``eigh`` over the members still
-alternating: 8 rounds coupled and 11 decoupled on the three
-acceptance-grid points around theta = 0.  A theta's row is bit-identical
-whether it is swept alone or in a grid.
+energy by no more than _ETOL relative.
+
+H(theta + 2 pi k) is H(theta) with every phi shifted by 2 pi k, and
+H(-theta) is H(theta) with phi -> -phi.  A sweep therefore reduces each
+theta to its signed offset u' = theta - 2 pi k, k = round(theta / 2 pi),
+and searches each distinct |u'| once; a row at theta has its teeth at
+2 pi (k + m), so b_m and c_m weigh those, reversed where u' < 0.  Each
+offset runs its own alpha search: a log-alpha scan, extended outward
+while the energy still falls at an end, refined by Brent's method to a
+1e-6 bracket or until its three best energies agree to _ETOL, so a flat
+energy (delta' near 0) fixes alpha and the combs only as finely as it
+resolves them.  Each round is one batched evaluation of every searching
+offset's points; a (u, alpha) member's overlap is whitened once by its
+Cholesky factor and each half step is one numpy ``eigh`` over the
+members still alternating.  The three acceptance-grid points around
+theta = 0 are two offsets: 8 rounds of 96 members coupled and 11 of 100
+decoupled.  The 81-point grid is 16 offsets (its thetas' offsets differ
+in their last bits): 758 members coupled and 755 decoupled.  A theta's
+row is bit-identical whether it is swept alone or in a grid.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
 (``energy_expectation``) is kept as an independent oracle for the
@@ -327,10 +335,15 @@ def _search():
 
 def sweep_theta(p, theta_grid):
     """Minimize the energy over (b, c, alpha) at each theta of a finite,
-    strictly increasing grid: the combs by ``_alternate``, alpha by one
-    ``_search`` per theta, each round one ``_alternate`` call on all their
-    points.  A row keeps the first lowest point its theta saw, unconverged
-    if that hit the alternation cap or the energy falls at a scan limit."""
+    strictly increasing grid.  Theta = 2 pi k + u' with k = round(theta /
+    2 pi) is H(u') with every phi shifted by 2 pi k, and H(-u) is H(u)
+    with phi -> -phi, so the combs by ``_alternate`` and alpha by one
+    ``_search`` run once per distinct offset u = |u'|, each round one
+    ``_alternate`` call on all their points.  An offset keeps the first
+    lowest point it saw, unconverged if that hit the alternation cap or
+    the energy falls at a scan limit.  Its row is mapped back to theta:
+    where u' < 0 both combs are reversed and mean_Phi negated, and mean_Phi
+    gains 2 pi k, so b_m and c_m weigh the teeth at 2 pi (k + m)."""
     grid = np.asarray(theta_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
         raise DomainError("theta grid must be a non-empty 1-D sequence")
@@ -338,26 +351,34 @@ def sweep_theta(p, theta_grid):
         raise DomainError("theta grid must be finite")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise DomainError("theta grid must be strictly increasing")
-    rows, interior = np.full((grid.size, 15), np.inf), [False] * grid.size
-    searches = [_search() for _ in grid]
+    k = np.round(grid / (2.0 * math.pi))
+    signed = grid - 2.0 * math.pi * k
+    offsets, back = np.unique(np.abs(signed), return_inverse=True)
+    rows = np.full((offsets.size, 15), np.inf)
+    searches = [_search() for _ in offsets]
     asks = {j: next(s) for j, s in enumerate(searches)}
     while asks:
         sizes = [len(a) for a in asks.values()]
-        new = _alternate(p, np.repeat(grid[list(asks)], sizes),
+        new = _alternate(p, np.repeat(offsets[list(asks)], sizes),
                          np.concatenate(list(asks.values())))
         for j, part in zip(list(asks), np.split(new, np.cumsum(sizes)[:-1])):
-            k = np.argmin(part[:, _E])
-            if part[k, _E] < rows[j, _E]:
-                rows[j] = part[k]
+            i = np.argmin(part[:, _E])
+            if part[i, _E] < rows[j, _E]:
+                rows[j] = part[i]
             try:
                 asks[j] = searches[j].send(part[:, _E].tolist())
             except StopIteration as stop:
-                interior[j] = stop.value
+                rows[j, _CONV] *= stop.value
                 del asks[j]
+    rows, flip = rows[back], signed < 0
+    for comb in (_B, _C):
+        rows[flip, comb] = rows[flip, comb][:, ::-1]
+    rows[flip, _PHI] *= -1.0
+    rows[:, _PHI] += 2.0 * math.pi * k
     return SweepResult([
-        SweepRow(t, r[_E], r[_PHI], bool(inner and r[_CONV]),
+        SweepRow(t, r[_E], r[_PHI], bool(r[_CONV]),
                  AnsatzCoeffs(r[_B], r[_C], r[_ALPHA]), r[_GAP])
-        for t, r, inner in zip(grid.tolist(), rows.tolist(), interior)])
+        for t, r in zip(grid.tolist(), rows.tolist())])
 
 
 def count_local_minima(values):

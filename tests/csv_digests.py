@@ -34,10 +34,14 @@ alpha and both rows read not converged, a two-point sweep at E1 = 1,
 whose alpha scan is extended past alpha = 5 and refined around alpha =
 6.55, a three-point sweep at delta' = 1, where every member of the
 alpha scan alternates for several half steps before its energy stops
-falling, a nine-point sweep at D1 = 1, whose thetas need 11 to 20
-evaluation rounds each when swept alone, so one batched call holds one
-theta's scan-extension points with another's Brent points, and a sweep
-whose finite theta bounds (-1e308, 1e308) give a span that overflows.
+falling, a nine-point sweep at D1 = 1.9 on [0.1, 3.1], whose thetas
+(each its own offset) need 11 to 14 evaluation rounds each when swept
+alone and 4 or 5 scan-extension steps, so one batched call holds one
+theta's scan-extension points with another's Brent points, a sweep whose
+finite theta bounds (-1e308, 1e308) give a span that overflows, a lone
+negative theta, whose row mirrors the search at its offset |theta|, and
+an eight-point sweep on [2, 9], across pi and 2 pi, whose thetas reduce
+by 2 pi and by the mirror to offsets in [0, pi].
 """
 
 import hashlib
@@ -121,11 +125,21 @@ EDGE_CASES = [
     # strong coupling: every scan member alternates for several half steps
     ("variational-sweep", ["model.delta_prime=1",
                            "variational.theta_points=3"]),
-    # thetas in different stages of their alpha searches share calls
-    ("variational-sweep", ["model.D1=1", "variational.theta_points=9"]),
+    # offsets in different stages of their alpha searches share calls
+    ("variational-sweep", ["model.D1=1.9", "variational.theta_min=0.1",
+                           "variational.theta_max=3.1",
+                           "variational.theta_points=9"]),
     # the span overflows: the grid holds inf and nan
     ("variational-sweep", ["variational.theta_min=-1e308",
                            "variational.theta_max=1e308"]),
+    # a row mapped back through the mirror alone
+    ("variational-sweep", ["variational.theta_min=-0.3",
+                           "variational.theta_max=-0.3",
+                           "variational.theta_points=1"]),
+    # rows mapped back through the period and the mirror
+    ("variational-sweep", ["variational.theta_min=2",
+                           "variational.theta_max=9",
+                           "variational.theta_points=8"]),
 ]
 
 

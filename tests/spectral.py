@@ -21,8 +21,19 @@ def sinc_dvr_kinetic(n, h, D):
     return np.where(k % 2, -t, t) / (D * h * h)
 
 
+def _hamiltonian(x, V, D):
+    return sinc_dvr_kinetic(x.size, x[1] - x[0], D) + np.diag(V)
+
+
 def lowest_levels(x, V, D, k):
     """The k lowest eigenvalues of H on the uniform grid x, with V the
     potential sampled on x, by one dense symmetric solve."""
-    h = x[1] - x[0]
-    return np.linalg.eigvalsh(sinc_dvr_kinetic(x.size, h, D) + np.diag(V))[:k]
+    return np.linalg.eigvalsh(_hamiltonian(x, V, D))[:k]
+
+
+def lowest_states(x, V, D, k):
+    """The k lowest eigenvalues of H and their unit eigenvectors (as
+    columns, sampled on x): the squared entries of a column are its
+    state's weights at the grid points."""
+    vals, vecs = np.linalg.eigh(_hamiltonian(x, V, D))
+    return vals[:k], vecs[:, :k]

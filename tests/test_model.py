@@ -10,7 +10,7 @@ from cdwlab.model import (
     washboard_potential,
 )
 from cdwlab.variational import count_local_minima
-from spectral import lowest_levels
+from spectral import lowest_levels, lowest_states
 
 
 def test_physical_params_validation():
@@ -152,3 +152,34 @@ def test_period_20_sequence_gives_criterion_5_three_minima():
         assert abs(e0(-t) / et - 1.0) <= 1e-12
     k = np.arange(-40, 41) % 20
     assert count_local_minima(e[np.minimum(k, 20 - k)]) == 3
+
+
+@pytest.mark.parametrize("n, E1", [(1, 7e-3), (1, 1e-2), (2, 1e-3)],
+                         ids=["decoupled-7e-3", "decoupled-1e-2",
+                              "locked-1e-3"])
+def test_staircase_step_is_a_two_level_crossing(n, E1):
+    # near theta = pi the wells at 0 and 2 pi are two diabatic levels
+    # that differ by s (theta - pi), s = 2 pi mu_E, split by the gap Delta
+    # at theta = pi, so <phi> = pi (1 + x/sqrt(1 + x^2)) with x = s (theta
+    # - pi)/Delta: criterion 6's staircase step.  n = 1 is one chain of
+    # the decoupled pair (D = 2 D1, omega_p^2 = E1/D1, mu_E = 2 E2); n = 2
+    # is the locked pair's Phi = (phi1 + phi2)/2 (delta' -> infinity, no
+    # Born-Oppenheimer correction): D = 4 D1 over 2 E1 (1 - cos Phi) +
+    # 2 E2 (Phi - theta)^2.  Sinc-DVR at h = 0.2 on theta +- 60 reads
+    # 0.9153, 0.0855 and 1.3039 at theta = 0.9 pi, the law 0.9187, 0.0851
+    # and 1.3036
+    base = PhysicalParams()
+    D, mu_E = 2.0 * n * base.D1, 2.0 * n * base.E2
+
+    def states(theta, k):
+        p = PhysicalParams(D=D, omega_p_sq=E1 / base.D1, mu_E=mu_E,
+                           theta=theta)
+        x = theta + 0.2 * np.arange(-300, 301)
+        return x, lowest_states(x, washboard_potential(x, p), D, k)
+
+    _, (e, _) = states(math.pi, 2)
+    x, (_, v) = states(0.9 * math.pi, 1)
+    phase = float(x @ v[:, 0] ** 2)
+    z = 2.0 * math.pi * mu_E * (-0.1 * math.pi) / (e[1] - e[0])
+    law = math.pi * (1.0 + z / math.sqrt(1.0 + z * z))
+    assert abs(phase - law) < 1e-2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -220,6 +221,12 @@ def _ref_golden(f, las, es, i):
             f2 = f(x2)
 
 
+def folded(theta):
+    # theta = 2 pi k + u' with k = round(theta / 2 pi), as the sweep reduces it
+    k = round(theta / (2 * math.pi))
+    return k, theta - 2 * math.pi * k
+
+
 def reference_minimize(p, theta, refine=_ref_brent):
     seen = []
 
@@ -255,8 +262,17 @@ def two_pi_jumps(rows):
                for j in jumps)
 
 
+def reference_row(p, theta):
+    # the scalar reference at the signed offset u', whose teeth sit at
+    # 2 pi m, moved to the teeth at 2 pi (k + m) of theta's row
+    k, u = folded(theta)
+    r = reference_minimize(p, u)
+    return dataclasses.replace(r, theta=theta,
+                               mean_phi=r.mean_phi + 2 * math.pi * k)
+
+
 def assert_matches_reference(rows, p, e_rtol=1e-14):
-    ref = [reference_minimize(p, row.theta) for row in rows]
+    ref = [reference_row(p, row.theta) for row in rows]
     assert [r.converged for r in rows] == [r.converged for r in ref]
     for row, r in zip(rows, ref):
         assert abs(row.e_min - r.e_min) <= e_rtol * abs(r.e_min)
@@ -556,8 +572,9 @@ def test_phase_expectation_anchors():
 
 def test_sweep_single_point_composes():
     # every sweep point is minimized on its own, so each row repeats a
-    # one-point sweep exactly
-    grid = [-0.4, 0.0, 0.3]
+    # one-point sweep exactly; beyond +-pi its combs weigh the teeth at
+    # 2 pi (k + m), which the oracle's teeth at 2 pi m see shifted by -2 pi k
+    grid = [-7.0, -0.4, 0.0, 0.3, 4.0, 9.0]
     res = sweep_theta(STD, grid)
     assert len(res.rows) == len(grid)
     for theta, row in zip(grid, res.rows):
@@ -565,8 +582,9 @@ def test_sweep_single_point_composes():
         assert row.theta == theta
         assert row.converged
         assert_unit_combs(row.coeffs, 1e-10)
+        shift = 2 * math.pi * folded(theta)[0]
         assert row.mean_phi == pytest.approx(
-            phase_oracle(row.coeffs, Q), rel=1e-10, abs=1e-12)
+            phase_oracle(row.coeffs, Q) + shift, rel=1e-10, abs=1e-12)
 
 
 def test_sweep_grid_validation():
@@ -651,25 +669,29 @@ def test_decoupled_alternation_stops_after_one_half_step(monkeypatch):
 
 def test_sweep_rows_record_eigen_gap():
     # each row's energy, mean phase and gap are those of its own (b, c,
-    # alpha, theta), bit for bit: the gap of the reduced problem for b
-    # given c, rebuilt by the helpers as a one-member stack
+    # alpha) at its offset |u'|, bit for bit: the gap of the reduced
+    # problem for b given c, rebuilt by the helpers as a one-member stack.
+    # Where u' < 0 the row holds the mirror of that offset's combs
     grid = np.linspace(-math.pi, math.pi, 5)
     for p in (STD, DECOUPLED):
         for row in sweep_theta(p, grid).rows:
-            a = row.coeffs
-            mats = variational._chain_matrices(p, np.array([row.theta]),
+            a, (k, u) = row.coeffs, folded(row.theta)
+            sign = -1.0 if u < 0 else 1.0
+            bs, cs = (a.b, a.c) if u >= 0 else (a.b[::-1], a.c[::-1])
+            mats = variational._chain_matrices(p, np.array([abs(u)]),
                                                np.array([a.alpha]))
-            qb = variational._quotients(mats, np.array([a.b]))
-            qc = variational._quotients(mats, np.array([a.c]))
+            qb = variational._quotients(mats, np.array([bs]))
+            qc = variational._quotients(mats, np.array([cs]))
             w, white = variational._whiten(mats)
             b, gap = variational._reduced(w, white,
                                           p.delta_prime * (1.0 - qc[1]))
             assert row.converged
             assert row.e_min == variational._energy(qb, qc,
                                                     p.delta_prime)[0]
-            assert row.mean_phi == 0.5 * (qb[2, 0] + qc[2, 0])
+            assert row.mean_phi == (sign * 0.5 * (qb[2, 0] + qc[2, 0])
+                                    + 2 * math.pi * k)
             assert row.gap == gap[0]
-            assert tuple(b[0]) == a.b
+            assert tuple(b[0]) == bs
             assert math.isfinite(row.gap) and row.gap > 0.0
 
 
@@ -713,12 +735,13 @@ def test_brent_ends_no_higher_than_golden_section(p):
                          ids=["coupled", "decoupled"])
 def test_brent_refines_the_slice_in_few_rounds(monkeypatch, p, cap):
     # the scan is one call and each refinement round one more: 8 calls
-    # coupled and 11 decoupled, where the flat energy stops each theta
+    # coupled and 11 decoupled, where the flat energy stops each offset
     # once its three best energies agree to _ETOL, before its bracket is
-    # 1e-6 wide; the golden-section search made 29 calls on either slice
+    # 1e-6 wide; the golden-section search made 29 calls on either slice.
+    # The slice's +-pi/10 are one offset, so the scan holds 2 of them
     calls = count_calls(monkeypatch, "_alternate")
     sweep_theta(p, SLICE)
-    assert calls[0] == SLICE.size * variational._LOG_ALPHA_SCAN.size
+    assert calls[0] == 2 * variational._LOG_ALPHA_SCAN.size
     assert len(calls) <= cap
 
 
@@ -751,15 +774,63 @@ def test_sweep_row_does_not_depend_on_the_grid(grid_sweeps, p):
         assert sweep_theta(p, [GRID[j]]).rows[0] == rows[j]
 
 
+@pytest.mark.parametrize("p", [STD, DECOUPLED], ids=["coupled", "decoupled"])
+@pytest.mark.parametrize("t", [0.7, 2.5])
+def test_sweep_row_at_minus_theta_is_the_mirror(p, t):
+    # H(-theta) is H(theta) with phi -> -phi: the row at -t reverses both
+    # combs and negates the mean phase of the row at t, bit for bit
+    row = sweep_theta(p, [t]).rows[0]
+    a = row.coeffs
+    assert sweep_theta(p, [-t]).rows[0] == SweepRow(
+        -t, row.e_min, -row.mean_phi, row.converged,
+        AnsatzCoeffs(a.b[::-1], a.c[::-1], a.alpha), row.gap)
+
+
+@pytest.mark.parametrize("p", [STD, DECOUPLED], ids=["coupled", "decoupled"])
+def test_sweep_row_repeats_every_two_pi(p):
+    # H(theta + 2 pi k) is H(theta) with every phi shifted by 2 pi k: the
+    # row at theta + 2 pi k is theta's, its combs on the teeth at
+    # 2 pi (k + m) and its mean phase moved by 2 pi k.  Both thetas give
+    # theta + 2 pi k - 2 pi k back exactly, so each k searches theta itself
+    for theta in (1.0, -2.0):
+        row = sweep_theta(p, [theta]).rows[0]
+        for k in (-2, -1, 1, 2):
+            shifted = theta + 2 * math.pi * k
+            assert folded(shifted) == (k, theta)
+            assert sweep_theta(p, [shifted]).rows[0] == dataclasses.replace(
+                row, theta=shifted, mean_phi=row.mean_phi + 2 * math.pi * k)
+
+
+@pytest.mark.parametrize("p", [STD, DECOUPLED], ids=["coupled", "decoupled"])
+def test_sweep_energy_is_two_pi_periodic_on_the_grid(grid_sweeps, p):
+    # 20 grid steps are 2 pi; theta and theta + 2 pi reduce to offsets
+    # that may differ in their last bits, so the energies agree to rounding
+    e = np.array([row.e_min for row in grid_sweeps[p]])
+    np.testing.assert_allclose(e[20:], e[:-20], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("delta_prime", [STD.delta_prime, 0.0],
+                         ids=["coupled", "decoupled"])
+def test_weak_pinning_sweep_keeps_the_periodic_minima_count(delta_prime):
+    # at E1 = 1e-4 the E2 well is nearly flat over several teeth; a comb
+    # whose teeth stop at 2 pi m, |m| <= 2, showed 5 (coupled) and 7
+    # (decoupled) minima on the 81-point grid, which no 2 pi-periodic
+    # curve can show.  The periodic sweep has one per period: 3
+    p = PhysicalParams(E1=1e-4, delta_prime=delta_prime)
+    rows = sweep_theta(p, GRID).rows
+    assert count_local_minima([row.e_min for row in rows]) == 3
+
+
 def test_sweep_row_keeps_the_first_of_tied_minima(monkeypatch):
     # an energy that is exactly 0.5 wherever log alpha is within 0.5 of
-    # theta: the scan and Brent's method both evaluate ties there, and
+    # -theta: the scan and Brent's method both evaluate ties there, and
     # each row keeps the first alpha its theta evaluated on the plateau
-    # (a row replaced on an equal energy would hold a later one)
+    # (a row replaced on an equal energy would hold a later one).  The
+    # thetas lie in (0, pi), where each is its own offset
     evaluated = []
 
     def flat(p, theta, log_alpha):
-        e = np.maximum(np.abs(log_alpha - theta), 0.5)
+        e = np.maximum(np.abs(log_alpha + theta), 0.5)
         rows = np.zeros((e.size, 15))
         rows[:, variational._E] = e
         rows[:, variational._CONV] = 1.0
@@ -769,7 +840,7 @@ def test_sweep_row_keeps_the_first_of_tied_minima(monkeypatch):
         return rows
 
     monkeypatch.setattr(variational, "_alternate", flat)
-    grid = [-3.0, -2.0, -0.5]
+    grid = [0.5, 2.0, 3.0]
     for row in sweep_theta(STD, grid).rows:
         ties = [(la, r[variational._ALPHA]) for t, la, r in evaluated
                 if t == row.theta and r[variational._E] == 0.5]
@@ -780,15 +851,16 @@ def test_sweep_row_keeps_the_first_of_tied_minima(monkeypatch):
 
 
 def test_brent_stops_once_its_energies_agree(monkeypatch):
-    # an energy exactly flat where log alpha is within 0.05 of theta, a
+    # an energy exactly flat where log alpha is within 0.05 of -theta, a
     # window narrower than a scan step and far wider than the bracket
     # Brent's method would refine: each theta stops once its three best
     # energies agree, after the scan and at most 3 rounds (26 calls when
-    # only the 1e-6 bracket stops it), and keeps its first plateau point
+    # only the 1e-6 bracket stops it), and keeps its first plateau point.
+    # The thetas lie in (0, pi), where each is its own offset
     evaluated, calls = [], []
 
     def plateau(p, theta, log_alpha):
-        e = 1.0 + np.maximum(np.abs(log_alpha - theta) - 0.05, 0.0) ** 2
+        e = 1.0 + np.maximum(np.abs(log_alpha + theta) - 0.05, 0.0) ** 2
         rows = np.zeros((e.size, 15))
         rows[:, variational._E] = e
         rows[:, variational._CONV] = 1.0
@@ -799,7 +871,7 @@ def test_brent_stops_once_its_energies_agree(monkeypatch):
         return rows
 
     monkeypatch.setattr(variational, "_alternate", plateau)
-    grid = [-3.0, -2.0, -0.5]
+    grid = [0.5, 2.0, 3.0]
     rows = sweep_theta(STD, grid).rows
     assert len(calls) <= 4
     for row in rows:
@@ -814,18 +886,19 @@ def test_brent_stops_once_its_energies_agree(monkeypatch):
 
 
 def test_thetas_in_different_phases_share_calls(monkeypatch):
-    # theta < 0 refines a kinked minimum at log alpha = -3 inside the scan,
-    # theta > 0 extends the scan up to a plateau around log alpha = 2.5;
-    # one theta's Brent points ride in the same calls as the other's
+    # theta < 1.5 refines a kinked minimum at log alpha = -3 inside the
+    # scan, theta > 1.5 extends the scan up to a plateau around log alpha =
+    # 2.5; one theta's Brent points ride in the same calls as the other's
     # extension points, so the pair costs what the slower theta costs
-    # alone, and each row is the one its theta gets alone
+    # alone, and each row is the one its theta gets alone.  Both thetas
+    # lie in (0, pi), where each is its own offset
     calls = []
 
     def phases(p, theta, log_alpha):
         below = 1.0 + np.abs(log_alpha + 3.0) ** 1.5 + 0.1 * (log_alpha + 3.0)
         above = 1.0 + np.maximum(np.abs(log_alpha - 2.5) - 0.05, 0.0) ** 2
         rows = np.zeros((theta.size, 15))
-        rows[:, variational._E] = np.where(theta < 0, below, above)
+        rows[:, variational._E] = np.where(theta < 1.5, below, above)
         rows[:, variational._CONV] = 1.0
         rows[:, variational._ALPHA] = np.exp(log_alpha)
         calls.append(theta.size)
@@ -833,12 +906,12 @@ def test_thetas_in_different_phases_share_calls(monkeypatch):
 
     monkeypatch.setattr(variational, "_alternate", phases)
     alone, counts = [], []
-    for theta in (-1.0, 1.0):
+    for theta in (1.0, 2.0):
         del calls[:]
         alone += sweep_theta(STD, [theta]).rows
         counts.append(len(calls))
     del calls[:]
-    assert sweep_theta(STD, [-1.0, 1.0]).rows == alone
+    assert sweep_theta(STD, [1.0, 2.0]).rows == alone
     assert counts == [14, 10]
     assert len(calls) == max(counts)
     assert all(row.converged for row in alone)
