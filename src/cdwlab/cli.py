@@ -8,7 +8,8 @@ live in one flat dotted namespace; unknown keys are hard errors.  The
 ``model.*``, ``drive.*`` and ``current.*`` keys are the fields of
 PhysicalParams, FieldDriveParams and tunneling.CurrentParams, with their
 types and defaults; every other key and default is listed in ``_KEYS``.
-``--set`` entries replace config entries before either is converted.
+``--set`` entries replace config entries before either is converted;
+``--output`` and ``--seed`` are applied as the last ``--set`` entries.
 Each run writes exactly one CSV artifact, atomically, to the configured
 output path; a ``single-chain`` trajectory cut short by overflow also
 prints one ``warning: overflow:`` line to stderr, and one with recorded
@@ -26,7 +27,7 @@ success, 1 domain error or overflow, 2 config error.
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -84,16 +85,6 @@ _KEYS = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Validated experiment selection plus typed option map."""
-
-    experiment: str
-    options: dict
-    output_path: str
-    seed: int
-
-
 def _convert(key, raw, line=None):
     kind = _KEYS[key][0]
     try:
@@ -128,7 +119,8 @@ def _entry(body, line):
 
 
 def parse_config(data, sets=()):
-    """Parse config bytes into a RunConfig with defaults applied.
+    """Parse config bytes into the map of every ``_KEYS`` key to its
+    typed value, defaults applied (``output`` is ``<experiment>.csv``).
 
     Each ``key=value`` string in sets (the ``--set`` entries) replaces
     the config's raw entry for that key, later entries winning, before
@@ -154,21 +146,13 @@ def parse_config(data, sets=()):
             raise ConfigError("--set needs key=value, got %r" % item)
         key, value = _entry(item, None)
         raw_entries[key] = (value, None)
-    options = {}
-    for key, (kind, default) in _KEYS.items():
-        if key in raw_entries:
-            raw, lineno = raw_entries[key]
-            options[key] = _convert(key, raw, line=lineno)
-        else:
-            options[key] = default
-    experiment = options.pop("experiment")
-    if experiment is None:
+    o = {key: _convert(key, *raw_entries[key]) if key in raw_entries
+         else default for key, (_, default) in _KEYS.items()}
+    if o["experiment"] is None:
         raise ConfigError("missing required key 'experiment'")
-    output = options.pop("output")
-    if output is None:
-        output = experiment + ".csv"
-    seed = options.pop("seed")
-    return RunConfig(experiment, options, output, seed)
+    if o["output"] is None:
+        o["output"] = o["experiment"] + ".csv"
+    return o
 
 
 def _params(o, prefix):
@@ -176,8 +160,7 @@ def _params(o, prefix):
     return cls(**{f.name: o[prefix + "." + f.name] for f in fields(cls)})
 
 
-def _run_single_chain(cfg):
-    o = cfg.options
+def _run_single_chain(o):
     if not math.isfinite(o["evolver.x_c"]):
         raise ConfigError("evolver.x_c must be finite")
     init = evolver.gaussian_packet(
@@ -198,8 +181,7 @@ def _run_single_chain(cfg):
     return evolver.trajectory_table(traj)
 
 
-def _run_pendulum_kink(cfg):
-    o = cfg.options
+def _run_pendulum_kink(o):
     m = o["chain.sites"]
     w0 = o["chain.omega0_sq"]
     w1 = o["chain.omega1_sq"]
@@ -225,8 +207,7 @@ def _run_pendulum_kink(cfg):
         snaps, o["chain.dt"] * o["chain.stride"])
 
 
-def _run_variational_sweep(cfg):
-    o = cfg.options
+def _run_variational_sweep(o):
     npts = o["variational.theta_points"]
     if npts < 1:
         raise ConfigError("variational.theta_points must be >= 1")
@@ -246,8 +227,7 @@ def _run_variational_sweep(cfg):
     return result.to_table()
 
 
-def _run_iv_curve(cfg):
-    o = cfg.options
+def _run_iv_curve(o):
     cp = _params(o, "current")
     n = o["iv.points"]
     if n < 1:
@@ -263,8 +243,7 @@ def _run_iv_curve(cfg):
     return table
 
 
-def _run_fourier_check(cfg):
-    o = cfg.options
+def _run_fourier_check(o):
     return tunneling.fourier_check_table(
         o["fourier.L"], o["fourier.b_L"], o["fourier.n_modes"],
         o["fourier.box_factor"])
@@ -282,15 +261,15 @@ EXPERIMENTS = tuple(_RUNNERS)
 _CHOICES = {"experiment": EXPERIMENTS, "evolver.scheme": tuple(evolver._PLANS)}
 
 
-def run(cfg):
+def run(o):
     """Execute the configured experiment and write its CSV artifact."""
-    table = _RUNNERS[cfg.experiment](cfg)
+    table = _RUNNERS[o["experiment"]](o)
     try:
-        write_csv(table, cfg.output_path)
+        write_csv(table, o["output"])
     except OSError as err:
         # the target and the reason only: a temp file's name is random
         raise ConfigError("cannot write output: %s: %s" % (
-            cfg.output_path, err.strerror or err)) from None
+            o["output"], err.strerror or err)) from None
 
 
 def main(argv=None):
@@ -299,8 +278,8 @@ def main(argv=None):
         description="CDW soliton transport experiments; writes one CSV "
                     "artifact per run.")
     parser.add_argument("config", help="path to a key = value config file")
-    parser.add_argument("--output", help="override the output CSV path")
-    parser.add_argument("--seed", type=int, help="override the run seed")
+    parser.add_argument("--output", help="the last --set output=OUTPUT")
+    parser.add_argument("--seed", help="the last --set seed=SEED")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", dest="sets",
                         help="override a config entry (repeatable)")
@@ -311,12 +290,10 @@ def main(argv=None):
                 data = handle.read()
         except OSError as err:
             raise ConfigError("cannot read config: %s" % err) from None
-        cfg = parse_config(data, args.sets)
-        if args.output is not None:
-            cfg.output_path = args.output
-        if args.seed is not None:
-            cfg.seed = args.seed
-        run(cfg)
+        last = [key + "=" + value for key, value in
+                (("output", args.output), ("seed", args.seed))
+                if value is not None]
+        run(parse_config(data, args.sets + last))
     except ConfigError as err:
         print(err.oneline(), file=sys.stderr)
         return 2

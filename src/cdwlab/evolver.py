@@ -1,13 +1,18 @@
 """Finite-difference evolution of a complex amplitude on the phase grid.
 
 Four schemes: the two difference equations exactly as printed in the
-source material (kept for their instability phenomenology) and their
-textbook-correct counterparts.  The governing equation is
+source material (kept for their instability phenomenology) and two
+standard counterparts.  The governing equation is
 
     i*psi_t = -(1/D)*psi_xx + V(x, t)*psi
 
 with V the washboard potential whose driving phase theta advances
-linearly in time at rate a_D.  Both grid end points are held at their
+linearly in time at rate a_D.  cn-standard integrates it; df-standard
+does not.  Its DuFort-Frankel coefficient 2R = -i*dt/(D*dx^2) has the
+opposite sign and half the size of this equation's, so its free part
+is i*psi_t = +(1/(2D))*psi_xx: a free packet exp(-x^2 + 2ix) at D = 1
+drifts to -2 by t = 1, not to +4 (ROADMAP item 14, not yet mended).
+Both grid end points are held at their
 current values (Dirichlet ends) in every scheme.  Each scheme's update
 is documented on its plan builder in `_PLANS`; `evolve` marches a run,
 and the `step_*` names take one checked single step.

@@ -31,11 +31,8 @@ energy (delta' near 0) fixes alpha and the combs only as finely as it
 resolves them.  Each round is one batched evaluation of every searching
 offset's points; a (u, alpha) member's overlap is whitened once by its
 Cholesky factor and each half step is one numpy ``eigh`` over the
-members still alternating.  The three acceptance-grid points around
-theta = 0 are two offsets: 8 rounds of 96 members coupled and 11 of 100
-decoupled.  The 81-point grid is 16 offsets (its thetas' offsets differ
-in their last bits): 758 members coupled and 755 decoupled.  A theta's
-row is bit-identical whether it is swept alone or in a grid.
+members still alternating.  A theta's row is bit-identical whether it
+is swept alone or in a grid.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
 (``energy_expectation``) is kept as an independent oracle for the

@@ -10,6 +10,7 @@ not collect it.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def sinc_dvr_kinetic(n, h, D):
@@ -34,6 +35,5 @@ def lowest_levels(x, V, D, k):
 def lowest_states(x, V, D, k):
     """The k lowest eigenvalues of H and their unit eigenvectors (as
     columns, sampled on x): the squared entries of a column are its
-    state's weights at the grid points."""
-    vals, vecs = np.linalg.eigh(_hamiltonian(x, V, D))
-    return vals[:k], vecs[:, :k]
+    state's weights at the grid points.  Only those k are computed."""
+    return scipy.linalg.eigh(_hamiltonian(x, V, D), subset_by_index=[0, k - 1])

@@ -25,11 +25,10 @@ def parse(text):
 
 
 def test_parse_defaults_applied():
-    cfg = parse("experiment = iv-curve\n")
-    assert cfg.experiment == "iv-curve"
-    assert cfg.output_path == "iv-curve.csv"
-    assert cfg.seed == 0
-    o = cfg.options
+    o = parse("experiment = iv-curve\n")
+    assert o["experiment"] == "iv-curve"
+    assert o["output"] == "iv-curve.csv"
+    assert o["seed"] == 0
     assert o["model.D1"] == 174.091
     assert o["model.E1"] == 1e-5
     assert o["model.E2"] == 1e-6
@@ -64,10 +63,10 @@ def test_readme_defaults_match_code():
     # nothing: the code stays the one source of truth for defaults
     pairs = _readme_defaults()
     assert len(pairs) == 11
-    base = parse("experiment = iv-curve\n").options
+    base = parse("experiment = iv-curve\n")
     for key, value in pairs:
         entry = parse("experiment = iv-curve\n%s = %s\n" % (key, value))
-        assert entry.options == base, (key, value, base[key])
+        assert entry == base, (key, value, base[key])
 
 
 def test_parse_comments_and_blanks():
@@ -77,8 +76,8 @@ def test_parse_comments_and_blanks():
         "experiment = fourier-check   # trailing comment\n"
         "fourier.n_modes = 4\n"
         "   \n")
-    assert cfg.experiment == "fourier-check"
-    assert cfg.options["fourier.n_modes"] == 4
+    assert cfg["experiment"] == "fourier-check"
+    assert cfg["fourier.n_modes"] == 4
 
 
 def test_parse_missing_experiment():
@@ -125,18 +124,18 @@ def test_parse_duplicate_key():
 
 def test_parse_conversions():
     cfg = parse("experiment = single-chain\nevolver.steps = 2.0\n")
-    assert cfg.options["evolver.steps"] == 2
+    assert cfg["evolver.steps"] == 2
 
 
 def test_parse_config_sets():
     data = b"experiment = iv-curve\niv.points = 50\n"
     cfg = cli.parse_config(data)
     cfg2 = cli.parse_config(data, ["iv.points=75", "current.E_T = 2.0"])
-    assert cfg2.options["iv.points"] == 75
-    assert cfg2.options["current.E_T"] == 2.0
+    assert cfg2["iv.points"] == 75
+    assert cfg2["current.E_T"] == 2.0
     # untouched entries keep their config or default values exactly
-    assert cfg2.options["model.D1"] == cfg.options["model.D1"]
-    assert cfg2.experiment == "iv-curve"
+    assert cfg2["model.D1"] == cfg["model.D1"]
+    assert cfg2["experiment"] == "iv-curve"
     with pytest.raises(ConfigError):
         cli.parse_config(data, ["nonsense=1"])
     with pytest.raises(ConfigError):
@@ -168,7 +167,7 @@ def test_config_lines_and_sets_agree(base, entries):
     sets = ["%s=%s" % kv for kv in entries.items()]
     from_sets = cli.parse_config(b"experiment = %s\n" % base.encode(), sets)
     assert from_sets == from_lines
-    assert from_lines.output_path == entries.get(
+    assert from_lines["output"] == entries.get(
         "output", lines["experiment"] + ".csv")
 
 
@@ -484,7 +483,7 @@ def test_every_key_changes_an_artifact(reach_run, key):
         if value is None:
             base = cli.parse_config(
                 b"experiment = %s\n" % experiment.encode(),
-                _REACH_BASE[experiment]).options[key]
+                _REACH_BASE[experiment])[key]
             value = repr(base * 1.25 if isinstance(base, float) else base + 1)
         code, default = reach_run(experiment)
         off_code, changed = reach_run(experiment, "%s=%s" % (key, value))
@@ -666,7 +665,7 @@ def _per_value_bytes(header, rows):
 
 def test_main_single_chain_bytes_match_per_value_rule(tmp_path, capsys):
     text = "experiment = single-chain\nevolver.n = 7\nevolver.steps = 40\n"
-    o = cli.parse_config(text.encode()).options
+    o = cli.parse_config(text.encode())
     init = evolver.gaussian_packet(7, o["evolver.dx"], x0=o["evolver.x0"],
                                    x_c=o["evolver.x_c"],
                                    alpha0=o["evolver.alpha0"])
@@ -717,6 +716,46 @@ def test_main_set_overrides_config(tmp_path):
     assert cli.main([cfg, "--output", str(out),
                      "--set", "iv.points=9", "--seed", "11"]) == 0
     assert len(out.read_text().splitlines()) == 10
+
+
+def test_main_malformed_seed_is_one_config_line(tmp_path, capsys):
+    # --seed N is the last --set entry seed=N, so a malformed one fails
+    # as a malformed entry does: one line, exit 2, no file
+    cfg = write_cfg(tmp_path, "experiment = iv-curve\niv.points = 5\n")
+    assert cli.main([cfg, "--output", str(tmp_path / "o.csv"),
+                     "--seed", "x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: config: cannot parse 'x' as int for key 'seed'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_main_output_and_seed_are_last_set_entries(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, "experiment = iv-curve\niv.points = 5\n")
+    out = tmp_path / "o.csv"
+
+    def written(*args):
+        assert cli.main([cfg, *args]) == 0
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    flags = written("--output", str(out), "--seed", "7")
+    assert written("--set", "output=%s" % out, "--set", "seed=7") == flags
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+    # the map main resolves: --output P and --seed N are the entries
+    # output=P and seed=N after every --set, converted like any other
+    resolved = []
+    monkeypatch.setattr(cli, "run", resolved.append)
+
+    def config(*args):
+        assert cli.main([cfg, *args]) == 0
+        return resolved.pop()
+
+    assert config("--seed", "7") == config("--set", "seed=7")
+    assert config("--output", "p.csv") == config("--set", "output=p.csv")
+    assert config("--set", "seed=3", "--seed", "1e3")["seed"] == 1000
+    assert config("--output", " p.csv ",
+                  "--set", "output=q.csv")["output"] == "p.csv"
 
 
 def test_main_no_stray_files(tmp_path):

@@ -210,6 +210,24 @@ def test_df_standard_free_run_stays_bounded():
     assert detect_blowup(t, 10.0) is None
 
 
+def test_df_standard_integrates_the_reversed_half_kinetic_equation():
+    # a free packet exp(-x^2 + 2ix) moves at the group velocity of its
+    # equation: 2k/D = 4 under i psi_t = -(1/D) psi_xx, which cn-standard
+    # follows (3.9883 at t = 1), but -k/D = -2 under i psi_t =
+    # +(1/(2D)) psi_xx, which df-standard follows (-1.9942): its 2R is
+    # -i dt/(D dx^2), the opposite sign and half the size of the
+    # DuFort-Frankel coefficient of the governing equation (ROADMAP
+    # item 14)
+    f = gaussian_packet(481, 0.05)
+    packet = ComplexField(f.values * np.exp(2j * f.grid()), f.dx, f.x0)
+    p = PhysicalParams(D=1.0, omega_p_sq=0.0, mu_E=0.0, theta=0.0)
+    drive = FieldDriveParams(a_D=0.0)
+    for kind, mean in (("cn-standard", 4.0), ("df-standard", -2.0)):
+        t = evolve(kind, packet, p, drive, 2.5e-4, 4000)
+        assert t.times[-1] == 1.0 and not t.truncated
+        assert abs(t.mean_phase[-1] / mean - 1.0) < 1e-2, kind
+
+
 def test_cn_standard_matches_dense_oracle():
     rng = np.random.default_rng(34)
     prev, curr = random_pair(rng)

@@ -9,7 +9,7 @@ from cdwlab.model import (
     PhysicalParams,
     washboard_potential,
 )
-from cdwlab.variational import count_local_minima
+from cdwlab.variational import count_local_minima, phase_jumps
 from spectral import lowest_levels, lowest_states
 
 
@@ -154,6 +154,20 @@ def test_period_20_sequence_gives_criterion_5_three_minima():
     assert count_local_minima(e[np.minimum(k, 20 - k)]) == 3
 
 
+def _chain_states(n, E1, theta, k):
+    """Grid and k lowest states (sinc-DVR at h = 0.2 on theta +- 60) of
+    one chain of the decoupled pair (n = 1: D = 2 D1, omega_p^2 = E1/D1,
+    mu_E = 2 E2) or of the locked pair's Phi = (phi1 + phi2)/2 (n = 2,
+    delta' -> infinity, no Born-Oppenheimer correction: D = 4 D1 over
+    2 E1 (1 - cos Phi) + 2 E2 (Phi - theta)^2), the other constants at
+    their defaults."""
+    base = PhysicalParams()
+    p = PhysicalParams(D=2.0 * n * base.D1, omega_p_sq=E1 / base.D1,
+                       mu_E=2.0 * n * base.E2, theta=theta)
+    x = theta + 0.2 * np.arange(-300, 301)
+    return x, lowest_states(x, washboard_potential(x, p), p.D, k)
+
+
 @pytest.mark.parametrize("n, E1", [(1, 7e-3), (1, 1e-2), (2, 1e-3)],
                          ids=["decoupled-7e-3", "decoupled-1e-2",
                               "locked-1e-3"])
@@ -161,25 +175,38 @@ def test_staircase_step_is_a_two_level_crossing(n, E1):
     # near theta = pi the wells at 0 and 2 pi are two diabatic levels
     # that differ by s (theta - pi), s = 2 pi mu_E, split by the gap Delta
     # at theta = pi, so <phi> = pi (1 + x/sqrt(1 + x^2)) with x = s (theta
-    # - pi)/Delta: criterion 6's staircase step.  n = 1 is one chain of
-    # the decoupled pair (D = 2 D1, omega_p^2 = E1/D1, mu_E = 2 E2); n = 2
-    # is the locked pair's Phi = (phi1 + phi2)/2 (delta' -> infinity, no
-    # Born-Oppenheimer correction): D = 4 D1 over 2 E1 (1 - cos Phi) +
-    # 2 E2 (Phi - theta)^2.  Sinc-DVR at h = 0.2 on theta +- 60 reads
-    # 0.9153, 0.0855 and 1.3039 at theta = 0.9 pi, the law 0.9187, 0.0851
-    # and 1.3036
-    base = PhysicalParams()
-    D, mu_E = 2.0 * n * base.D1, 2.0 * n * base.E2
-
-    def states(theta, k):
-        p = PhysicalParams(D=D, omega_p_sq=E1 / base.D1, mu_E=mu_E,
-                           theta=theta)
-        x = theta + 0.2 * np.arange(-300, 301)
-        return x, lowest_states(x, washboard_potential(x, p), D, k)
-
-    _, (e, _) = states(math.pi, 2)
-    x, (_, v) = states(0.9 * math.pi, 1)
+    # - pi)/Delta: criterion 6's staircase step (chains as in
+    # _chain_states).  The exact <phi>(0.9 pi) reads 0.9153, 0.0855 and
+    # 1.3039, the law 0.9187, 0.0851 and 1.3036
+    _, (e, _) = _chain_states(n, E1, math.pi, 2)
+    x, (_, v) = _chain_states(n, E1, 0.9 * math.pi, 1)
     phase = float(x @ v[:, 0] ** 2)
+    mu_E = 2.0 * n * PhysicalParams().E2
     z = 2.0 * math.pi * mu_E * (-0.1 * math.pi) / (e[1] - e[0])
     law = math.pi * (1.0 + z / math.sqrt(1.0 + z * z))
     assert abs(phase - law) < 1e-2
+
+
+@pytest.mark.parametrize("n, E1, count", [
+    (1, 7e-3, 0), (1, 1e-2, 4), (2, 1e-3, 0), (2, 1.5e-3, 4)],
+    ids=["decoupled-7e-3", "decoupled-1e-2", "locked-1e-3", "locked-1.5e-3"])
+def test_staircase_thresholds_bracket_criterion_6(n, E1, count):
+    # criterion 6's exact 81-point staircase on [-4 pi, 4 pi]: <phi> at
+    # the 11 offsets in [0, pi], mapped out by the mirror (<phi>(-t) =
+    # -<phi>(t)) and the period (<phi>(t + 2 pi) = <phi>(t) + 2 pi), then
+    # counted by phase_jumps with the criterion's 15% tolerance.  The two
+    # steps around each theta = (2m + 1) pi are a jump iff x1 = s pi/(10
+    # Delta) >= 1.61 (test_two_level_staircase_count_rule); bisection puts
+    # that at E1 in (7.92e-3, 7.97e-3) decoupled and (1.340e-3, 1.347e-3)
+    # locked, so each arm reads 0 below its threshold and 4 above it
+    mean = []
+    for t in math.pi / 10 * np.arange(11):
+        x, (_, v) = _chain_states(n, E1, t, 1)
+        mean.append(float(x @ v[:, 0] ** 2))
+    k = np.arange(-40, 41)
+    period = np.round(k / 20)
+    r = (k - 20 * period).astype(int)
+    phases = 2.0 * math.pi * period + np.sign(r) * np.array(mean)[abs(r)]
+    tol = 0.15 * 2 * math.pi
+    jumps = phase_jumps(phases)
+    assert sum(abs(abs(j) - 2 * math.pi) <= tol for j in jumps) == count
