@@ -17,7 +17,8 @@ closed form (Gaussian product theorem; Boys 1950, Proc. R. Soc. A 200,
 542), so the energy is 5x5 matrix algebra.  The minimizer is
 Rayleigh-Ritz: alternating generalized eigenproblems for b and c at
 fixed alpha, from the uncoupled pair, until a half step lowers the
-energy by no more than _ETOL relative.
+energy by no more than _ETOL relative.  At delta' = 0 the uncoupled
+pair is the minimum, so it is returned after its one solve.
 
 H(theta + 2 pi k) is H(theta) with every phi shifted by 2 pi k, and
 H(-theta) is H(theta) with phi -> -phi.  A sweep therefore reduces each
@@ -243,11 +244,12 @@ def _alternate(p, theta, log_alpha):
     log alpha) pair, each a descent from the uncoupled pair (c, c): a
     member stops on the first half step that lowers its energy by no
     more than _ETOL * |E|, or at _MAX_ALTERNATIONS.  At delta' = 0 the
-    first half step re-solves c's own problem, so it stops there.  Every
-    half step is one eigh over the members still alternating, so no
-    energy rises.  Returns a row per member: energy, converged, the
-    eigen-gap of the problem for b given c, the mean joint phase
-    <(phi1 + phi2)/2>, alpha, b (the last comb solved) and c."""
+    problem for b is the one that gave c, so each member returns the
+    converged pair (c, c) after that one solve.  Every half step is one
+    eigh over the members still alternating, so no energy rises.
+    Returns a row per member: energy, converged, the eigen-gap of the
+    problem for b given c, the mean joint phase <(phi1 + phi2)/2>,
+    alpha, b (the last comb solved) and c."""
     alpha = np.exp(log_alpha)
     if not alpha.size:
         return np.empty((0, 15))
@@ -256,11 +258,14 @@ def _alternate(p, theta, log_alpha):
         w, white = _whiten(mats)
     if not np.isfinite(white).all():
         raise FieldOverflowError("the comb moment matrices overflow")
-    rows = np.empty((alpha.size, 15))
-    live = np.arange(alpha.size)
-    c = _reduced(w, white, np.zeros(alpha.size))[0]
+    c, gap = _reduced(w, white, np.zeros(alpha.size))
     qc = _quotients(mats, c)
     e_prev = _energy(qc, qc, p.delta_prime)
+    if p.delta_prime == 0:
+        return np.column_stack(
+            (e_prev, np.ones_like(e_prev), gap, qc[2], alpha, c, c))
+    rows = np.empty((alpha.size, 15))
+    live = np.arange(alpha.size)
     for i in range(_MAX_ALTERNATIONS):
         b, gap = _reduced(w, white, p.delta_prime * (1.0 - qc[1]))
         qb = _quotients(mats, b)

@@ -654,17 +654,29 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_decoupled_alternation_stops_after_one_half_step(monkeypatch):
-    # at delta' = 0 the problem for b is the uncoupled one that gave c:
-    # one eigh for c and one for b
+def test_decoupled_alternation_stops_after_one_solve(monkeypatch):
+    # at delta' = 0 the problem for b is the uncoupled one that gave c, so
+    # the one eigh for c ends every member, with b = c
     calls = count_calls(monkeypatch, "_reduced")
     for theta in (0.0, 1.3):
         del calls[:]
         las = variational._LOG_ALPHA_SCAN
         rows = variational._alternate(DECOUPLED, np.full(las.size, theta),
                                       las)
-        assert calls == [las.size, las.size]
+        assert calls == [las.size]
         assert rows[:, variational._CONV].all()
+    # over the slice: one solve per _alternate call decoupled (11 of
+    # each), while the coupled sweep keeps its 42 half steps
+    rounds = count_calls(monkeypatch, "_alternate")
+    del calls[:]
+    rows = sweep_theta(DECOUPLED, SLICE).rows
+    assert len(calls) == len(rounds) == 11
+    for row in rows:
+        assert (np.array(row.coeffs.b).view(np.int64)
+                == np.array(row.coeffs.c).view(np.int64)).all()
+    del calls[:]
+    sweep_theta(STD, SLICE)
+    assert len(calls) == 42
 
 
 def test_sweep_rows_record_eigen_gap():
@@ -753,9 +765,9 @@ def test_sweep_without_an_interior_point_makes_no_empty_call(monkeypatch):
     rows = variational._alternate(FREE, np.empty(0), np.empty(0))
     assert rows.shape == (0, 15) and not calls
     row = sweep_theta(FREE, [0.0]).rows[0]
-    # at delta' = 0 each _alternate call is two half steps: the scan and
-    # the 15 steps out to alpha = 1e-4
-    assert len(calls) == 2 * 16 and min(calls) > 0
+    # at delta' = 0 each _alternate call is one solve: the scan and the
+    # 15 steps out to alpha = 1e-4
+    assert len(calls) == 16 and min(calls) > 0
     comb = (0.12163546002457923, -0.47911941764671934, 0.7150516044841633,
             -0.4791194175741898, 0.12163545998791005)
     assert row == SweepRow(0.0, 2.317217865204866e-07, -1.081530476896589e-07,
