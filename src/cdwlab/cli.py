@@ -127,7 +127,7 @@ def parse_config(data, sets=()):
     the one conversion pass.
     """
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as err:
         raise ConfigError("config is not valid UTF-8: %s" % err) from None
     raw_entries = {}
@@ -193,14 +193,8 @@ def _run_pendulum_kink(o):
         center = 0.6 * m
     elif not math.isfinite(center):
         raise ConfigError("chain.center must be finite")
-    spec = sinegordon.KinkSpec(beta=o["chain.beta"], sign=o["chain.sign"])
-    # lattice-to-continuum map: v = omega0 * spacing, z_i proportional
-    # to site index so the kink width spans omega0/omega1 sites
-    z = (math.sqrt(w1) / math.sqrt(w0)) * (np.arange(m) - center)
-    omega1 = math.sqrt(w1)
-    phi = sinegordon.kink_phase(z, 0.0, spec)
-    phi_dot = omega1 * sinegordon.kink_phase_rate(z, 0.0, spec)
-    state = sinegordon.ChainState(phi, phi_dot, w0, w1)
+    state = sinegordon.kink_chain(m, w0, w1, center, sinegordon.KinkSpec(
+        beta=o["chain.beta"], sign=o["chain.sign"]))
     snaps = sinegordon.integrate_chain_rk4(
         state, o["chain.dt"], o["chain.steps"], stride=o["chain.stride"])
     return sinegordon.chain_trajectory_table(

@@ -68,11 +68,21 @@ def kink_phase(z, tau, k):
 
 
 def kink_phase_rate(z, tau, k):
-    """Analytic d(phi)/d(tau) of the kink, for launching chain runs."""
+    """d(phi)/d(tau) of the kink; kink_chain is the chain as launched."""
     gamma = math.sqrt(1.0 - k.beta * k.beta)
     u = k.sign * (np.asarray(z, dtype=float) + k.beta * tau) / gamma
     with np.errstate(over="ignore"):  # cosh overflows far out; 2/inf = 0
         return 2.0 / np.cosh(u) * k.sign * k.beta / gamma
+
+
+def kink_chain(sites, omega0_sq, omega1_sq, center, spec):
+    """The chain launched as the kink spec centred on site center: at
+    spacing 1, v = omega0 and z_i = (omega1/omega0)*(i - center).  The
+    caller checks that omega0_sq and omega1_sq are positive and finite."""
+    omega1 = math.sqrt(omega1_sq)
+    z = (omega1 / math.sqrt(omega0_sq)) * (np.arange(sites) - center)
+    return ChainState(kink_phase(z, 0.0, spec), omega1 * kink_phase_rate(
+        z, 0.0, spec), omega0_sq, omega1_sq)
 
 
 def sine_gordon_residual(phi_prev, phi_curr, phi_next, dz, dtau):

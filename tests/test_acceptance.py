@@ -14,12 +14,11 @@ from mpmath import mp
 from cdwlab import cli, evolver
 from cdwlab.model import FieldDriveParams, PhysicalParams
 from cdwlab.sinegordon import (
-    ChainState,
     KinkSpec,
     chain_energy,
     integrate_chain_rk4,
+    kink_chain,
     kink_phase,
-    kink_phase_rate,
     kink_velocity_estimate,
     sine_gordon_residual,
 )
@@ -82,10 +81,7 @@ def test_criterion_01_kink_residual():
 def test_criterion_02_traveling_wave_speed():
     t0 = time.perf_counter()
     m, w0, w1, center, beta = 2000, 900.0, 1.0, 1000, 0.5
-    spec = KinkSpec(beta=beta, sign=1)
-    z = (math.sqrt(w1) / math.sqrt(w0)) * (np.arange(m) - center)
-    state = ChainState(kink_phase(z, 0.0, spec),
-                       math.sqrt(w1) * kink_phase_rate(z, 0.0, spec), w0, w1)
+    state = kink_chain(m, w0, w1, center, KinkSpec(beta=beta, sign=1))
     e0 = chain_energy(state)
     snaps = integrate_chain_rk4(state, 0.002, 12500, stride=125)
     speed = abs(kink_velocity_estimate(snaps, 1.0, 0.002 * 125))

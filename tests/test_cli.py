@@ -16,6 +16,7 @@ from cdwlab.curves import format_number
 from cdwlab.errors import ConfigError
 from cdwlab.model import FieldDriveParams, PhysicalParams
 from cdwlab.tunneling import CurrentParams
+import csv_digests
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -78,6 +79,18 @@ def test_parse_comments_and_blanks():
         "   \n")
     assert cfg["experiment"] == "fourier-check"
     assert cfg["fourier.n_modes"] == 4
+    # a comment starts at any '#', so a path holding one needs --set
+    assert parse("experiment = iv-curve\noutput = a#b.csv\n")["output"] == "a"
+    assert cli.parse_config(b"experiment = iv-curve\n",
+                            ["output=a#b.csv"])["output"] == "a#b.csv"
+
+
+def test_parse_byte_order_mark():
+    # editors may save the config with a UTF-8 byte-order mark
+    text = b"experiment = fourier-check\nfourier.n_modes = 4\n"
+    assert cli.parse_config(b"\xef\xbb\xbf" + text) == cli.parse_config(text)
+    with pytest.raises(ConfigError, match="config is not valid UTF-8"):
+        cli.parse_config(b"\xef\xbb\xbf\xff" + text)
 
 
 def test_parse_missing_experiment():
@@ -169,6 +182,19 @@ def test_config_lines_and_sets_agree(base, entries):
     assert from_sets == from_lines
     assert from_lines["output"] == entries.get(
         "output", lines["experiment"] + ".csv")
+
+
+def test_csv_digest_runs_are_distinct_and_parse():
+    # a key renamed in cli but not in the digest list would turn its
+    # run into the same error row in both trees: the diff stays empty
+    runs = csv_digests.runs()
+    assert len({label for label, _, _ in runs}) == len(runs)
+    for label, config, sets in runs:
+        if label == "edge-single-chain model.hbar=1":
+            with pytest.raises(ConfigError, match="unknown key 'model.hbar'"):
+                cli.parse_config(config.encode(), sets)
+        else:
+            cli.parse_config(config.encode(), sets)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):

@@ -14,6 +14,7 @@ from cdwlab.sinegordon import (
     chain_energy,
     chain_trajectory_table,
     integrate_chain_rk4,
+    kink_chain,
     kink_phase,
     kink_phase_rate,
     kink_velocity_estimate,
@@ -59,19 +60,6 @@ def reference_rk4(s, dt, steps, stride):
             if n % stride == 0:
                 snaps.append((phi, dot))
     return snaps
-
-
-def make_kink_chain(sites, omega0_sq, omega1_sq, center, beta, sign=1):
-    """Discretized traveling kink with the matching velocity profile.
-
-    Lattice spacing d=1, so v = omega0*d and z_i = (omega1/omega0)*(i-center).
-    """
-    k = KinkSpec(beta=beta, sign=sign)
-    scale = math.sqrt(omega1_sq) / math.sqrt(omega0_sq)
-    z = scale * (np.arange(sites) - center)
-    phi = kink_phase(z, 0.0, k)
-    phi_dot = math.sqrt(omega1_sq) * kink_phase_rate(z, 0.0, k)
-    return ChainState(phi, phi_dot, omega0_sq, omega1_sq)
 
 
 def test_kink_spec_validation():
@@ -248,10 +236,10 @@ def test_rk4_single_pendulum_period():
 
 
 @pytest.mark.parametrize("s, dt, steps, stride", [
-    (make_kink_chain(400, 900.0, 1.0, 240, beta=0.5), 0.004, 2500, 50),
-    (make_kink_chain(400, 900.0, 1.0, 240, beta=0.5), 0.004, 7, 3),
+    (kink_chain(400, 900.0, 1.0, 240, KinkSpec(beta=0.5)), 0.004, 2500, 50),
+    (kink_chain(400, 900.0, 1.0, 240, KinkSpec(beta=0.5)), 0.004, 7, 3),
     (ChainState([0.1, -0.0, 2.0], [-0.0, 0.3, 0.5], 2.0, 3.0), 0.01, 100, 9),
-    (make_kink_chain(400, 900.0, 1.0, 240, beta=-0.9, sign=-1),
+    (kink_chain(400, 900.0, 1.0, 240, KinkSpec(beta=-0.9, sign=-1)),
      0.004, 70, 7),
     # O(1) clamped-end velocities of both signs, a -0.0 end angle
     (ChainState([-0.0, 0.4, -0.3, 1.1, 2.0], [0.7, 0.2, -0.5, 0.1, -0.7],
@@ -276,7 +264,7 @@ def test_rk4_matches_reference_bitwise(s, dt, steps, stride):
 def test_rk4_peak_memory_does_not_grow_with_steps():
     # a step allocates nothing that outlives it: 1000 steps peak at most
     # one 400-site row above 10 steps (both runs return two snapshots)
-    s = make_kink_chain(400, 900.0, 1.0, 240, beta=0.5)
+    s = kink_chain(400, 900.0, 1.0, 240, KinkSpec(beta=0.5))
     integrate_chain_rk4(s, 0.004, 10, stride=10)
     peaks = []
     for steps in (10, 1000):
@@ -297,7 +285,7 @@ def test_main_pendulum_kink_bytes_match_reference(tmp_path):
                    "chain.steps = 60\nchain.stride = 7\n")
     out = tmp_path / "pk.csv"
     assert cli.main([str(cfg), "--output", str(out)]) == 0
-    s = make_kink_chain(40, 900.0, 1.0, 24.0, beta=0.5)
+    s = kink_chain(40, 900.0, 1.0, 24.0, KinkSpec(beta=0.5))
     lines = ["t,site,phi,phi_dot"]
     for k, (phi, dot) in enumerate(reference_rk4(s, 0.004, 60, 7)):
         for i in range(40):
@@ -307,7 +295,7 @@ def test_main_pendulum_kink_bytes_match_reference(tmp_path):
 
 
 def test_rk4_snapshots_are_independent_copies():
-    s = make_kink_chain(40, 900.0, 1.0, 24, beta=0.5)
+    s = kink_chain(40, 900.0, 1.0, 24, KinkSpec(beta=0.5))
     snaps = integrate_chain_rk4(s, 0.004, 20, stride=5)
     ref = reference_rk4(s, 0.004, 20, 5)
     snaps[1].phi[:] = 7.0
@@ -331,7 +319,7 @@ def test_rk4_overflow_reports_step(steps, stride):
     # the state first leaves the finite range at step 108, which the
     # run finds by replaying from its last snapshot (at the last step
     # when steps = 108)
-    s = make_kink_chain(64, 900.0, 1.0, 32, beta=0.0)
+    s = kink_chain(64, 900.0, 1.0, 32, KinkSpec(beta=0.0))
     with pytest.raises(FieldOverflowError) as exc:
         integrate_chain_rk4(s, 0.2, steps, stride=stride)
     assert (("overflow", exc.value.step)
@@ -352,7 +340,7 @@ def test_rk4_argument_validation():
 
 def test_chain_energy_conserved():
     # drift below 1e-6 relative over 1e4 RK4 steps at dt=1e-3
-    s = make_kink_chain(200, 900.0, 1.0, 100, beta=0.3)
+    s = kink_chain(200, 900.0, 1.0, 100, KinkSpec(beta=0.3))
     e0 = chain_energy(s)
     snaps = integrate_chain_rk4(s, 1e-3, 10000, stride=10000)
     e1 = chain_energy(snaps[-1])
@@ -364,7 +352,7 @@ def test_kink_energy_saturates_the_bogomolnyi_bound(beta):
     # the default chain as pendulum-kink launches it: its energy over
     # the static bound 8*omega0*omega1*|Q| is the kink's gamma
     # (deviations 3.4e-3, 1.7e-3 and 1.8e-4)
-    s = make_kink_chain(400, 900.0, 1.0, 240.0, beta=beta)
+    s = kink_chain(400, 900.0, 1.0, 240.0, KinkSpec(beta=beta))
     q = (s.phi[-1] - s.phi[0]) / (2 * math.pi)
     ratio = chain_energy(s) / (8 * 30.0 * 1.0 * abs(q))
     assert abs(ratio - 1.0 / math.sqrt(1.0 - beta * beta)) < 1e-2
@@ -550,7 +538,7 @@ def test_velocity_estimate_exact_shift():
 
 
 def test_velocity_estimate_stationary():
-    s = make_kink_chain(200, 900.0, 1.0, 100, beta=0.0)
+    s = kink_chain(200, 900.0, 1.0, 100, KinkSpec(beta=0.0))
     snaps = integrate_chain_rk4(s, 0.002, 1000, stride=200)
     v = kink_velocity_estimate(snaps, 1.0, 0.4)
     assert abs(v) < 0.05
@@ -559,7 +547,7 @@ def test_velocity_estimate_stationary():
 def test_velocity_estimate_traveling_kink():
     # v = omega0 * d = 30, target speed v*beta = 15 within 2%; the
     # profile depends on z + beta*tau, so it translates toward -x
-    s = make_kink_chain(400, 900.0, 1.0, 240, beta=0.5)
+    s = kink_chain(400, 900.0, 1.0, 240, KinkSpec(beta=0.5))
     snaps = integrate_chain_rk4(s, 0.002, 3000, stride=100)
     v = kink_velocity_estimate(snaps, 1.0, 0.2)
     assert v < 0

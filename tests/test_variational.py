@@ -833,6 +833,16 @@ def test_weak_pinning_sweep_keeps_the_periodic_minima_count(delta_prime):
     assert count_local_minima([row.e_min for row in rows]) == 3
 
 
+@pytest.mark.parametrize("E1, coupled, decoupled", [
+    (2e-3, 0, 0), (3e-3, 4, 0), (5e-3, 4, 0), (1e-2, 4, 4)])
+def test_shipped_comb_criterion_6_window(E1, coupled, decoupled):
+    # the shipped comb passes criterion 6 (coupled jumps, none
+    # decoupled) at E1 = 3e-3 and 5e-3 but not at 2e-3 or 1e-2
+    assert [two_pi_jumps(sweep_theta(dataclasses.replace(p, E1=E1),
+                                     GRID).rows)
+            for p in (STD, DECOUPLED)] == [coupled, decoupled]
+
+
 def test_sweep_row_keeps_the_first_of_tied_minima(monkeypatch):
     # an energy that is exactly 0.5 wherever log alpha is within 0.5 of
     # -theta: the scan and Brent's method both evaluate ties there, and
