@@ -105,21 +105,19 @@ def sine_gordon_residual(phi_prev, phi_curr, phi_next, dz, dtau):
     return phi_tt - phi_zz + np.sin(curr[1:-1])
 
 
-def _force(mid, right, left, omega0_sq, omega1_sq, out, sin):
-    """Write omega0_sq*(right - 2 mid + left) - omega1_sq*sin(mid) into
-    out, where mid, right and left are the interior sites of a chain's
-    angles and their right and left neighbours (phi[1:-1], phi[2:],
-    phi[:-2]); sin is scratch of out's size.  mid + mid is 2*mid.
-    omega1_sq None stands for 1 and skips its multiply, which would
-    leave every value bit for bit as it is (-0.0, inf and NaN too)."""
-    _add(mid, mid, out)
-    _subtract(right, out, out)
-    _add(out, left, out)
-    _multiply(out, omega0_sq, out)
+def _force(row, mid, stencil, omega1_sq, out, sin):
+    """Write omega0_sq*(phi_{i+1} - 2 phi_i + phi_{i-1})
+    - omega1_sq*sin(phi_i) into out for the interior sites mid = row[1:-1]
+    of a chain's angles row, where stencil = omega0_sq*(1, -2, 1).  The
+    Laplacian is one np.correlate, which sums the three products left to
+    right (numpy's dot, through BLAS ddot) into one new (m-2)-float
+    array; sin is scratch of out's size.  omega1_sq None stands for 1
+    and skips its multiply, which would leave every value bit for bit
+    as it is (-0.0, inf and NaN too)."""
     np.sin(mid, sin)
     if omega1_sq is not None:
         _multiply(sin, omega1_sq, sin)
-    _subtract(out, sin, out)
+    _subtract(np.correlate(row, stencil), sin, out)
 
 
 def integrate_chain_rk4(s, dt, steps, stride=1):
@@ -127,9 +125,14 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
 
     The stages live in one (4, 3, m) block b with rows phi, phi_dot and
     phi_ddot: stage j is b[j, :2] (stage 0 is the state y) and its
-    derivative b[j, 1:].  b and the views each stage reads and writes
-    are built once per run, so a step slices and allocates nothing,
-    and at omega1_sq = 1 the force skips its identity multiply.
+    derivative b[j, 1:].  b, its views and the force stencil are built
+    once per run.  A step is 20 numpy calls (24 when omega1_sq != 1):
+    3 per force, 2 to form each later stage, and the update
+    y += (dt/6)*(k1 + 2 k2 + 2 k3 + k4) as one matmul of the weights
+    with the (4, 2m) view of the derivatives and one add.  It allocates
+    only np.correlate's (m-2)-float row per force.  The Laplacian's
+    ddot and the update's gemv run through BLAS, and the snapshots are
+    the same bytes at 1 and 2 BLAS threads (tested).
     Both end sites are clamped: their angles never change, their
     phi_dot and phi_ddot columns in b stay 0, and their own velocities
     are held aside for the snapshots.  The returned list starts with a
@@ -144,34 +147,31 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
         raise DomainError("steps must be >= 1")
     if stride < 1:
         raise DomainError("stride must be >= 1")
-    b = np.zeros((4, 3, s.phi.size))
+    m = s.phi.size
+    b = np.zeros((4, 3, m))
     b[0, 0], b[0, 1, 1:-1] = s.phi, s.phi_dot[1:-1]
-    y, (k1, k2, k3, k4) = b[0, :2], b[:, 1:]
-    ends = s.phi_dot[::s.phi.size - 1] + 0.0  # as y += 0 leaves them
-    sin = np.empty(s.phi.size - 2)
-    w0, half, full, sixth = map(
-        np.array, (s.omega0_sq, 0.5 * dt, dt, dt / 6.0))
+    y, ks, inc = b[0, :2], b[:, 1:].reshape(4, 2 * m), np.empty(2 * m)
+    flat = y.reshape(2 * m)
+    ends = s.phi_dot[::m - 1] + 0.0  # as y += 0 leaves them
+    sin = np.empty(m - 2)
+    stencil = s.omega0_sq * np.array((1.0, -2.0, 1.0))
+    weights = dt / 6.0 * np.array((1.0, 2.0, 2.0, 1.0))
+    half, full = np.array(0.5 * dt), np.array(dt)
     w1 = None if s.omega1_sq == 1.0 else np.array(s.omega1_sq)
 
     # stage j: k, h with b[j, :2] = y + h*k (k None at j = 0), its views
-    plan = [(b[j - 1, 1:] if j else None, h, b[j, :2], b[j, 0, 1:-1],
-             b[j, 0, 2:], b[j, 0, :-2], b[j, 2, 1:-1])
+    plan = [(b[j - 1, 1:] if j else None, h, b[j, :2], b[j, 0],
+             b[j, 0, 1:-1], b[j, 2, 1:-1])
             for j, h in enumerate((None, half, half, full))]
 
     def step():
-        for k, h, stage, mid, right, left, acc in plan:
+        for k, h, stage, row, mid, acc in plan:
             if k is not None:
                 _multiply(k, h, stage)
                 _add(y, stage, stage)
-            _force(mid, right, left, w0, w1, acc, sin)
-        # y += (dt/6)*(((k1 + 2 k2) + 2 k3) + k4), summed in k2
-        _add(k2, k2, k2)
-        _add(k1, k2, k2)
-        _add(k3, k3, k3)
-        _add(k2, k3, k2)
-        _add(k2, k4, k2)
-        _multiply(k2, sixth, k2)
-        _add(y, k2, y)
+            _force(row, mid, stencil, w1, acc, sin)
+        np.matmul(weights, ks, out=inc)
+        _add(flat, inc, flat)
 
     snaps = [ChainState(s.phi, s.phi_dot, s.omega0_sq, s.omega1_sq)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -188,7 +188,7 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
                     % (n, steps), step=n)
             if n % stride == 0:
                 snaps.append(ChainState(*y, s.omega0_sq, s.omega1_sq))
-                snaps[-1].phi_dot[::s.phi.size - 1] = ends
+                snaps[-1].phi_dot[::m - 1] = ends
     return snaps
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,37 +27,56 @@ from cdwlab.sinegordon import (
 
 
 def _reference_force(phi, omega0_sq, omega1_sq):
+    # the kernel's order: np.correlate sums w0*(1, -2, 1) . (left, mid,
+    # right) left to right
+    acc = np.zeros_like(phi)
+    acc[1:-1] = (((omega0_sq * phi[:-2] + (-2.0 * omega0_sq) * phi[1:-1])
+                  + omega0_sq * phi[2:]) - omega1_sq * np.sin(phi[1:-1]))
+    return acc
+
+
+def _textbook_force(phi, omega0_sq, omega1_sq):
     acc = np.zeros_like(phi)
     acc[1:-1] = (omega0_sq * (phi[2:] - 2.0 * phi[1:-1] + phi[:-2])
                  - omega1_sq * np.sin(phi[1:-1]))
     return acc
 
 
-def _reference_derivative(phi, phi_dot, omega0_sq, omega1_sq):
-    dphi = phi_dot.copy()
-    dphi[0] = 0.0
-    dphi[-1] = 0.0
-    return dphi, _reference_force(phi, omega0_sq, omega1_sq)
-
-
-def reference_rk4(s, dt, steps, stride):
+def reference_rk4(s, dt, steps, stride, textbook=False):
     """Allocating RK4 on separate phi / phi_dot arrays: the snapshots
     (phi, phi_dot) integrate_chain_rk4 must reproduce bit for bit, or
-    ("overflow", step) when the state leaves the finite range."""
+    ("overflow", step) when the state leaves the finite range.  Its
+    update is np.dot of the stage weights with the stacked (4, 2m)
+    derivatives.  textbook=True sums the Laplacian and the update term
+    by term instead, (dt/6)*(k1 + 2 k2 + 2 k3 + k4): the same RK4 in
+    another floating-point order, which the kernel matches within
+    rounding only."""
     w0, w1 = s.omega0_sq, s.omega1_sq
+    force = _textbook_force if textbook else _reference_force
+    weights = dt / 6.0 * np.array((1.0, 2.0, 2.0, 1.0))
+
+    def derivative(phi, dot):
+        dphi = dot.copy()
+        dphi[0] = dphi[-1] = 0.0
+        return dphi, force(phi, w0, w1)
+
     phi, dot = s.phi.copy(), s.phi_dot.copy()
     snaps = [(phi, dot)]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, steps + 1):
-            k1p, k1d = _reference_derivative(phi, dot, w0, w1)
-            k2p, k2d = _reference_derivative(phi + 0.5 * dt * k1p,
-                                             dot + 0.5 * dt * k1d, w0, w1)
-            k3p, k3d = _reference_derivative(phi + 0.5 * dt * k2p,
-                                             dot + 0.5 * dt * k2d, w0, w1)
-            k4p, k4d = _reference_derivative(phi + dt * k3p, dot + dt * k3d,
-                                             w0, w1)
-            phi = phi + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            dot = dot + (dt / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+            k1 = derivative(phi, dot)
+            k2 = derivative(phi + 0.5 * dt * k1[0], dot + 0.5 * dt * k1[1])
+            k3 = derivative(phi + 0.5 * dt * k2[0], dot + 0.5 * dt * k2[1])
+            k4 = derivative(phi + dt * k3[0], dot + dt * k3[1])
+            if textbook:
+                phi = phi + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0]
+                                          + k4[0])
+                dot = dot + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1]
+                                          + k4[1])
+            else:
+                ks = np.array([np.concatenate(k) for k in (k1, k2, k3, k4)])
+                phi, dot = np.split(np.concatenate((phi, dot))
+                                    + np.dot(weights, ks), 2)
             if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(dot))):
                 return "overflow", n
             if n % stride == 0:
@@ -174,9 +196,9 @@ def chain_acceleration(s):
     # the RK4 step's in-place force, written into a buffer whose clamped
     # end sites stay 0
     acc = np.zeros_like(s.phi)
-    phi = s.phi
-    sinegordon._force(phi[1:-1], phi[2:], phi[:-2], s.omega0_sq,
-                      s.omega1_sq, acc[1:-1], np.empty(acc.size - 2))
+    stencil = s.omega0_sq * np.array((1.0, -2.0, 1.0))
+    sinegordon._force(s.phi, s.phi[1:-1], stencil, s.omega1_sq, acc[1:-1],
+                      np.empty(acc.size - 2))
     return acc
 
 
@@ -259,6 +281,45 @@ def test_rk4_matches_reference_bitwise(s, dt, steps, stride):
         # the clamped ends' velocities are held outside the RK4 state
         np.testing.assert_array_equal(snap.phi_dot[[0, -1]].view(np.int64),
                                       dot[[0, -1]].view(np.int64))
+
+
+def test_rk4_default_kink_within_rounding_of_the_textbook_order():
+    # the same RK4 summed term by term: the default pendulum-kink run
+    # stays within 1e-12 rad in phi and 1e-10 in phi_dot of it
+    s = kink_chain(400, 900.0, 1.0, 240, KinkSpec(beta=0.5))
+    snaps = integrate_chain_rk4(s, 0.004, 2500, stride=50)
+    ref = reference_rk4(s, 0.004, 2500, 50, textbook=True)
+    assert len(snaps) == len(ref) == 51
+    assert max(np.max(np.abs(a.phi - phi)) for a, (phi, _) in
+               zip(snaps, ref)) <= 1e-12
+    assert max(np.max(np.abs(a.phi_dot - dot)) for a, (_, dot) in
+               zip(snaps, ref)) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [3, 400])
+def test_rk4_stage_block_reshapes_are_views(m):
+    # the update's (4, 2m) derivatives and (2m,) state, as the kernel
+    # builds them, write through to the (4, 3, m) stage block
+    b = np.zeros((4, 3, m))
+    assert np.shares_memory(b[:, 1:].reshape(4, 2 * m), b)
+    assert np.shares_memory(b[0, :2].reshape(2 * m), b)
+
+
+def test_pendulum_kink_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the Laplacian's ddot and the update's gemv go through BLAS
+    cfg = tmp_path / "pk.cfg"
+    cfg.write_text("experiment = pendulum-kink\nchain.sites = 5000\n"
+                   "chain.steps = 50\n")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("pk-%s.csv" % threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdwlab.cli", str(cfg), "--output",
+             str(out)], capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_rk4_peak_memory_does_not_grow_with_steps():
