@@ -197,40 +197,37 @@ _df_printed = partial(_dufort_frankel, combine=np.subtract)
 
 
 def _cn_standard(V, p, dx, dt):
-    """Textbook Crank-Nicolson (Cayley form), unconditionally stable.
+    """Textbook Crank-Nicolson (Cayley form), unconditionally stable:
 
-    (I - dt/2 M) psi_new = (I + dt/2 M) psi,
-    M = i*(1/D)*L/dx^2 - i diag(V)
+    psi_new = (I - dt/2 M)^-1 (I + dt/2 M) psi = 2 chi - psi,
+    (I - dt/2 M)/2 chi = psi,   M = i*(1/D)*L/dx^2 - i diag(V)
 
-    The end rows are identity; the ends are rewritten after the solve,
-    as zgttrf's row swap at |off| > 1 rounds one.  prev is ignored."""
+    the form of Goldberg, Schey & Schwartz (Am. J. Phys. 35, 177, 1967),
+    which needs no product with (I + dt/2 M).  The halved matrix is
+    built directly (diagonal 0.5 - (dt/4)*diag(M), off-diagonals
+    -(dt/4)*i/(D*dx^2), end rows 0.5): it is the unhalved one times 0.5
+    bit for bit, so zgttrf pivots alike and chi is exactly twice the
+    unhalved solve.  A step is one copy of psi into out, the in-place
+    solve and one subtract on the interior.  The solve leaves chi at
+    the ends, 2 psi or, after zgttrf's row swap at |dt/(2*D*dx^2)| > 1,
+    a rounding of it, so both ends are written back.  prev is ignored."""
     koff = 1j / (p.D * dx * dx)
-    diag_m = -2.0 * koff - 1j * V
-    half = 0.5 * dt
-    diag = 1.0 - half * diag_m
-    off = -half * koff
-    dl = np.full(V.size - 1, off)
+    quarter = 0.25 * dt
+    diag = 0.5 - quarter * (-2.0 * koff - 1j * V)
+    dl = np.full(V.size - 1, -quarter * koff)
     du = dl.copy()
-    diag[0] = diag[-1] = 1.0
+    diag[0] = diag[-1] = 0.5
     du[0] = dl[-1] = 0.0
     solver = _lu(dl, diag, du)
-    diag_m = diag_m[1:-1]
-    scratch = np.empty_like(diag_m)
-    koff, half = np.array(koff), np.array(half, complex)
 
     def step(prev, curr, out):
-        row, rhs = out[:2]
+        row, new = out[:2]
         if solver is None:
-            rhs.fill(np.nan)
+            new.fill(np.nan)
             return
-        _, mid, left, right = curr
-        _add(left, right, rhs)
-        _multiply(koff, rhs, rhs)
-        _multiply(diag_m, mid, scratch)
-        _add(rhs, scratch, rhs)
-        _multiply(half, rhs, rhs)
-        _add(mid, rhs, rhs)
+        np.copyto(row, curr[0])
         _check_info(solver(row, overwrite_b=1)[1])
+        _subtract(new, curr[1], new)
         row[0], row[-1] = curr[0][0], curr[0][-1]
 
     return step

@@ -21,7 +21,9 @@ overflowing grid step among them), a current field far below threshold,
 an all-zero field, a ``model.hbar`` setting (an unknown key: units have
 the reduced Planck constant set to 1), a cn-standard run whose
 dt/(2*D*dx^2) exceeds 1 with the packet on the left end, where the
-tridiagonal solve pivots and the held end points must be restored, the
+tridiagonal solve pivots and the held end points must be restored, a
+cn-standard run whose V overflows (mu_E = 1e308), so its matrix is not
+finite, no LU factors are kept and the run is truncated after 0 steps, the
 edges of the evolver's ring block for cn-standard and df-standard (one
 block exactly full at 63 and 64 steps, the first wrap at 65, a second
 block one level short of full at 127 and the second wrap at 129), a
@@ -107,6 +109,10 @@ EDGE_CASES = [
     # |dt/(2*D*dx^2)| = 4 with a non-zero left end: the solve pivots
     ("single-chain", ["evolver.scheme=cn-standard", "evolver.dt=0.02",
                       "evolver.x_c=-12", "evolver.steps=200"]),
+    # V overflows to inf inside the grid: the cn-standard matrix is not
+    # finite, so no LU factors are kept and the first step's interior
+    # is NaN
+    ("single-chain", ["evolver.scheme=cn-standard", "model.mu_E=1e308"]),
 ] + [
     ("single-chain", ["evolver.scheme=" + scheme, "evolver.steps=%d" % steps])
     for scheme in ("cn-standard", "df-standard")
