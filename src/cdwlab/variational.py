@@ -18,7 +18,8 @@ closed form (Gaussian product theorem; Boys 1950, Proc. R. Soc. A 200,
 Rayleigh-Ritz: alternating generalized eigenproblems for b and c at
 fixed alpha, from the uncoupled pair, until a half step lowers the
 energy by no more than _ETOL relative.  At delta' = 0 the uncoupled
-pair is the minimum, so it is returned after its one solve.
+pair is the minimum, so it is returned after its one solve, with only
+H whitened and only the H and X quotients formed.
 
 H(theta + 2 pi k) is H(theta) with every phi shifted by 2 pi k, and
 H(-theta) is H(theta) with phi -> -phi.  A sweep therefore reduces each
@@ -30,10 +31,11 @@ while the energy still falls at an end, refined by Brent's method to a
 1e-6 bracket or until its three best energies agree to _ETOL, so a flat
 energy (delta' near 0) fixes alpha and the combs only as finely as it
 resolves them.  Each round is one batched evaluation of every searching
-offset's points; a (u, alpha) member's overlap is whitened once by its
-Cholesky factor and each half step is one numpy ``eigh`` over the
-members still alternating.  A theta's row is bit-identical whether it
-is swept alone or in a grid.
+offset's points, gathered as lists and handed back by running list
+bounds; a (u, alpha) member's overlap is whitened once by its Cholesky
+factor and each half step is one numpy ``eigh`` over the members still
+alternating.  A theta's row is bit-identical whether it is swept alone
+or in a grid.
 
 Composite Gauss-Legendre quadrature on [-eta pi, eta pi]
 (``energy_expectation``) is kept as an independent oracle for the
@@ -206,27 +208,31 @@ def _chain_matrices(p, theta, alpha):
     return np.stack((s, h, v, _MU * s))
 
 
-def _whiten(mats):
-    """W = inv(cholesky(S)) per member and (W H W^T, W V W^T)."""
+def _whiten(mats, n):
+    """W = inv(cholesky(S)) per member and the (n, K, 5, 5) stack W M W^T
+    of the first n of H, V: n = 1 at delta' = 0, where V is never used."""
     w = np.linalg.inv(np.linalg.cholesky(mats[0]))
-    return w, w @ mats[1:3] @ w.swapaxes(1, 2)
+    return w, w @ mats[1:1 + n] @ w.swapaxes(1, 2)
 
 
 def _quotients(mats, v):
-    """(3, K) Rayleigh quotients v.Mv / v.Sv of M = H, V, X."""
+    """(n - 1, K) Rayleigh quotients v.Mv / v.Sv of each M after S in the
+    stack mats: H, V and X for the (S, H, V, X) of _chain_matrices."""
     vmv = ((mats @ v[:, :, None])[..., 0] * v).sum(axis=-1)
     return vmv[1:] / vmv[0]
 
 
-def _reduced(w, white, dp_kappa):
-    """Ground state of H + dp kappa V, the problem for one comb given the
-    other (dp_kappa = dp * (1 - c.Vc / c.Sc)): W^T v, unit length with a
-    positive sum, and the gap to the next eigenvalue."""
-    vals, vecs = np.linalg.eigh(white[0] + dp_kappa[:, None, None] * white[1])
+def _reduced(w, white):
+    """Ground state of one whitened (K, 5, 5) problem for a comb given the
+    other, W (H + dp kappa V) W^T with dp kappa = dp * (1 - c.Vc / c.Sc)
+    (W H W^T alone for the uncoupled comb): W^T v, unit length with a
+    positive sum, and the ascending eigenvalues, whose first two give
+    the gap."""
+    vals, vecs = np.linalg.eigh(white)
     g = (vecs[:, None, :, 0] @ w)[:, 0]
     g /= np.sqrt((g * g).sum(axis=1))[:, None]
-    g[g.sum(axis=1) < 0] *= -1.0
-    return g, vals[:, 1] - vals[:, 0]
+    np.negative(g, out=g, where=g.sum(axis=1)[:, None] < 0)
+    return g, vals
 
 
 def _energy(qb, qc, dp):
@@ -245,37 +251,45 @@ def _alternate(p, theta, log_alpha):
     member stops on the first half step that lowers its energy by no
     more than _ETOL * |E|, or at _MAX_ALTERNATIONS.  At delta' = 0 the
     problem for b is the one that gave c, so each member returns the
-    converged pair (c, c) after that one solve.  Every half step is one
-    eigh over the members still alternating, so no energy rises.
+    converged pair (c, c) after that one solve: only H is whitened, only
+    the H and X quotients are formed, and E = 2 c.Hc / c.Sc.  Every half
+    step is one eigh over the members still alternating, so no energy
+    rises, and the gap is taken only for the members that stop.
     Returns a row per member: energy, converged, the eigen-gap of the
     problem for b given c, the mean joint phase <(phi1 + phi2)/2>,
     alpha, b (the last comb solved) and c."""
     alpha = np.exp(log_alpha)
     if not alpha.size:
         return np.empty((0, 15))
+    dp = p.delta_prime
     with np.errstate(over="ignore", invalid="ignore"):
         mats = _chain_matrices(p, theta, alpha)
-        w, white = _whiten(mats)
+        w, white = _whiten(mats, 2 if dp else 1)
     if not np.isfinite(white).all():
         raise FieldOverflowError("the comb moment matrices overflow")
-    c, gap = _reduced(w, white, np.zeros(alpha.size))
+    c, vals = _reduced(w, white[0])
+    if not dp:
+        # S, H and X: the V quotient would be multiplied by delta' = 0
+        qh, qx = _quotients(mats[[0, 1, 3]], c)
+        return np.column_stack((qh + qh, np.ones_like(qh),
+                                vals[:, 1] - vals[:, 0], qx, alpha, c, c))
     qc = _quotients(mats, c)
-    e_prev = _energy(qc, qc, p.delta_prime)
-    if p.delta_prime == 0:
-        return np.column_stack(
-            (e_prev, np.ones_like(e_prev), gap, qc[2], alpha, c, c))
+    e_prev = _energy(qc, qc, dp)
     rows = np.empty((alpha.size, 15))
     live = np.arange(alpha.size)
     for i in range(_MAX_ALTERNATIONS):
-        b, gap = _reduced(w, white, p.delta_prime * (1.0 - qc[1]))
+        b, vals = _reduced(w, white[0] + (dp * (1.0 - qc[1]))[:, None, None]
+                           * white[1])
         qb = _quotients(mats, b)
-        e = _energy(qb, qc, p.delta_prime)
+        e = _energy(qb, qc, dp)
         done = e_prev - e <= _ETOL * np.abs(e)
-        stop = done | (i + 1 == _MAX_ALTERNATIONS)
+        # every member still alternating stops at the cap
+        stop = done if i + 1 < _MAX_ALTERNATIONS else np.ones_like(done)
         if stop.any():
-            rows[live[stop]] = np.column_stack(
-                (e, done, gap, 0.5 * (qb[2] + qc[2]), alpha[live], b,
-                 c))[stop]
+            new = np.column_stack((e, done, vals[:, 1], 0.5 * (qb[2] + qc[2]),
+                                   alpha[live], b, c))[stop]
+            new[:, _GAP] -= vals[stop, 0]
+            rows[live[stop]] = new
             keep = ~stop
             live, mats, w, white, b, qb, e = (
                 live[keep], mats[:, keep], w[keep], white[:, keep],
@@ -341,7 +355,8 @@ def sweep_theta(p, theta_grid):
     2 pi) is H(u') with every phi shifted by 2 pi k, and H(-u) is H(u)
     with phi -> -phi, so the combs by ``_alternate`` and alpha by one
     ``_search`` run once per distinct offset u = |u'|, each round one
-    ``_alternate`` call on all their points.  An offset keeps the first
+    ``_alternate`` call on all their points, whose energies go back to
+    each offset by the running bounds of its part.  An offset keeps the first
     lowest point it saw, unconverged if that hit the alternation cap or
     the energy falls at a scan limit.  Its row is mapped back to theta:
     where u' < 0 both combs are reversed and mean_Phi negated, and mean_Phi
@@ -357,18 +372,24 @@ def sweep_theta(p, theta_grid):
     signed = grid - 2.0 * math.pi * k
     offsets, back = np.unique(np.abs(signed), return_inverse=True)
     rows = np.full((offsets.size, 15), np.inf)
+    offsets = offsets.tolist()
     searches = [_search() for _ in offsets]
     asks = {j: next(s) for j, s in enumerate(searches)}
     while asks:
-        sizes = [len(a) for a in asks.values()]
-        new = _alternate(p, np.repeat(offsets[list(asks)], sizes),
-                         np.concatenate(list(asks.values())))
-        for j, part in zip(list(asks), np.split(new, np.cumsum(sizes)[:-1])):
-            i = np.argmin(part[:, _E])
-            if part[i, _E] < rows[j, _E]:
-                rows[j] = part[i]
+        us, las = [], []
+        for j, a in asks.items():
+            us += [offsets[j]] * len(a)
+            las += a
+        new = _alternate(p, np.array(us), np.array(las))
+        es, hi = new[:, _E].tolist(), 0
+        for j, a in list(asks.items()):
+            lo, hi = hi, hi + len(a)
+            part = es[lo:hi]
+            # min and index both keep the first of tied minima
+            if (e := min(part)) < rows[j, _E]:
+                rows[j] = new[lo + part.index(e)]
             try:
-                asks[j] = searches[j].send(part[:, _E].tolist())
+                asks[j] = searches[j].send(part)
             except StopIteration as stop:
                 rows[j, _CONV] *= stop.value
                 del asks[j]

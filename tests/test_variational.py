@@ -604,15 +604,17 @@ def energy_criterion_alternate(p, theta, log_alpha):
     # half step
     alpha = np.exp(log_alpha)
     mats = variational._chain_matrices(p, theta, alpha)
-    w, white = variational._whiten(mats)
+    w, white = variational._whiten(mats, 2)
     rows = np.empty((alpha.size, 15))
     live = np.arange(alpha.size)
-    c = variational._reduced(w, white, np.zeros(alpha.size))[0]
+    c = variational._reduced(w, white[0])[0]
     qc = variational._quotients(mats, c)
     e_prev = variational._energy(qc, qc, p.delta_prime)
     for _ in range(variational._MAX_ALTERNATIONS):
-        b, gap = variational._reduced(w, white,
-                                      p.delta_prime * (1.0 - qc[1]))
+        dp_kappa = p.delta_prime * (1.0 - qc[1])
+        b, vals = variational._reduced(
+            w, white[0] + dp_kappa[:, None, None] * white[1])
+        gap = vals[:, 1] - vals[:, 0]
         qb = variational._quotients(mats, b)
         e = variational._energy(qb, qc, p.delta_prime)
         done = e_prev - e <= variational._ETOL * np.abs(e)
@@ -656,11 +658,28 @@ def count_calls(monkeypatch, name):
 
 def test_decoupled_alternation_stops_after_one_solve(monkeypatch):
     # at delta' = 0 the problem for b is the uncoupled one that gave c, so
-    # the one eigh for c ends every member, with b = c
+    # the one eigh for c ends every member, with b = c.  V enters only
+    # through delta', so the whitened stack holds W H W^T alone there and
+    # both W H W^T and W V W^T when coupled
+    whitened, whiten = [], variational._whiten
+
+    def recorded(mats, n):
+        w, white = whiten(mats, n)
+        whitened.append((mats, w, white))
+        return w, white
+
+    monkeypatch.setattr(variational, "_whiten", recorded)
     calls = count_calls(monkeypatch, "_reduced")
+    las = variational._LOG_ALPHA_SCAN
+    for p, depth in ((DECOUPLED, 1), (STD, 2)):
+        del whitened[:]
+        variational._alternate(p, np.full(las.size, 0.3), las)
+        [(mats, w, white)] = whitened
+        assert white.shape == (depth, las.size, 5, 5)
+        np.testing.assert_array_equal(white[0],
+                                      w @ mats[1] @ w.swapaxes(1, 2))
     for theta in (0.0, 1.3):
         del calls[:]
-        las = variational._LOG_ALPHA_SCAN
         rows = variational._alternate(DECOUPLED, np.full(las.size, theta),
                                       las)
         assert calls == [las.size]
@@ -679,6 +698,23 @@ def test_decoupled_alternation_stops_after_one_solve(monkeypatch):
     assert len(calls) == 42
 
 
+@pytest.mark.parametrize("p, rounds, members",
+                         [(STD, 8, 758), (DECOUPLED, 11, 755)],
+                         ids=["coupled", "decoupled"])
+def test_sweep_gathers_every_offset_into_each_round(monkeypatch, p, rounds,
+                                                    members):
+    # the default 81-point grid folds to 16 offsets, each round one
+    # _alternate call on all their points: the first holds the 16 scans
+    # and each later one a point of every offset still refining.  5 of
+    # the 16 offsets are rounding twins: theta - 2 pi k differs in its
+    # last bits between periods, so equal |u'| do not always fold to one
+    # offset, and folding them would move these counts
+    calls = count_calls(monkeypatch, "_alternate")
+    sweep_theta(p, GRID)
+    assert calls[0] == 16 * variational._LOG_ALPHA_SCAN.size
+    assert len(calls) == rounds and sum(calls) == members
+
+
 def test_sweep_rows_record_eigen_gap():
     # each row's energy, mean phase and gap are those of its own (b, c,
     # alpha) at its offset |u'|, bit for bit: the gap of the reduced
@@ -694,9 +730,11 @@ def test_sweep_rows_record_eigen_gap():
                                                np.array([a.alpha]))
             qb = variational._quotients(mats, np.array([bs]))
             qc = variational._quotients(mats, np.array([cs]))
-            w, white = variational._whiten(mats)
-            b, gap = variational._reduced(w, white,
-                                          p.delta_prime * (1.0 - qc[1]))
+            w, white = variational._whiten(mats, 2)
+            dp_kappa = p.delta_prime * (1.0 - qc[1])
+            b, vals = variational._reduced(
+                w, white[0] + dp_kappa[:, None, None] * white[1])
+            gap = vals[:, 1] - vals[:, 0]
             assert row.converged
             assert row.e_min == variational._energy(qb, qc,
                                                     p.delta_prime)[0]
