@@ -161,8 +161,9 @@ def _params(o, prefix):
 
 
 def _run_single_chain(o):
-    if not math.isfinite(o["evolver.x_c"]):
-        raise ConfigError("evolver.x_c must be finite")
+    for key in ("evolver.x0", "evolver.x_c"):
+        if o[key] is not None and not math.isfinite(o[key]):
+            raise ConfigError("%s must be finite" % key)
     init = evolver.gaussian_packet(
         o["evolver.n"], o["evolver.dx"], x0=o["evolver.x0"],
         x_c=o["evolver.x_c"], alpha0=o["evolver.alpha0"])

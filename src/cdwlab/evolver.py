@@ -309,7 +309,7 @@ def gaussian_packet(n, dx, x0=None, x_c=0.0, alpha0=1.0):
         return ComplexField(np.exp(-alpha0 * (x - x_c) ** 2), dx, x0)
 
 
-# Levels held by evolve's block: at most 64, and at most 1 MiB of them
+# Levels held by evolve's ring: at most 64, and at most 1 MiB of them
 _BLOCK_ROWS = 64
 _BLOCK_BYTES = 1 << 20
 
@@ -321,14 +321,14 @@ def evolve(kind, init, p, drive, dt, steps):
     The driving phase at step n is p.theta + drive.a_D*(n*dt).  If a
     step overflows, the trajectory is truncated at the last finite level
     and marked.  Zero-norm levels record mean phase 0.  The levels live
-    in a preallocated ring block of rows + 2 rows whose end points are
-    written once: level 0 goes into row 1 and each step writes the next
-    row (out) from the `_views` of every row, built once; when the block
-    is full its last two levels are copied into rows 0 and 1 and the
-    next levels overwrite rows 2 on.  The phase/norm sums run once per
-    block, in one reused scratch.  A non-finite level has a non-finite
-    norm, so only a block with a non-finite norm is checked level by
-    level for where to cut."""
+    in a preallocated ring, level j in row j % rows; every row starts as
+    level 0, so its end points are written once and level 0 is also the
+    first step's prev.  Each step writes its row from the `_views` of the
+    two rows before it, built once.  The phase/norm sums
+    run once per full ring, just before row 0 is overwritten, and once
+    on the last partial ring, in one reused scratch.  A non-finite level
+    has a non-finite norm, so only a ring with a non-finite norm is
+    checked level by level for where to cut."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
     build = _check(kind, p, init.dx, dt)
@@ -338,19 +338,17 @@ def evolve(kind, init, p, drive, dt, steps):
     # or theta_n is theta (a_D = 0); only a driven V is rebuilt per step,
     # from a pinning term computed once.
     driven = p.mu_E != 0.0 and drive.a_D != 0.0
-    rows = max(1, min(_BLOCK_ROWS, steps, _BLOCK_BYTES // (16 * x.size)))
-    block = np.empty((rows + 2, x.size), dtype=complex)
+    # at least 3 rows, so a step's out aliases neither prev nor curr
+    rows = max(3, min(_BLOCK_ROWS, steps + 1, _BLOCK_BYTES // (16 * x.size)))
+    block = np.empty((rows, x.size), dtype=complex)
     w = np.empty(block.shape)
-    block[1] = init.values
-    block[:, 0], block[:, -1] = block[1, 0], block[1, -1]
+    block[:] = init.values
     views = [_views(row) for row in block]
-    prev = curr = views[1]
-    first, filled = 1, 2  # the block's levels are rows first:filled
     phases, norms = [], []
 
-    def record():  # the block's levels before its first non-finite one
-        levels = block[first:filled]
-        ph, nm = _phase_norm(levels, x, dx, w[first:filled])
+    def record(filled):  # rows 0:filled, up to their first non-finite one
+        levels = block[:filled]
+        ph, nm = _phase_norm(levels, x, dx, w[:filled])
         finite = np.isfinite(nm).all() or np.isfinite(levels).all(axis=1)
         end = nm.size if np.all(finite) else int(finite.argmin())
         phases.append(ph[:end])
@@ -365,23 +363,16 @@ def evolve(kind, init, p, drive, dt, steps):
                 theta_n = p.theta + drive.a_D * (n * dt)
                 if not math.isfinite(theta_n):
                     # a field that overflowed first truncates the run
-                    if record():
+                    if record(n % rows + 1):
                         break
                     raise DomainError("non-finite physical parameter")
                 step = build(_washboard(x, p, theta_n, pin), p, dx, dt)
-            if filled == rows + 2:
-                if record():
-                    break
-                # carry the last two levels into rows 0 and 1
-                block[:2] = block[-2:]
-                prev, curr = views[:2]
-                first = filled = 2
-            out = views[filled]
-            step(prev, curr, out)
-            prev, curr = curr, out
-            filled += 1
+            j = (n + 1) % rows
+            if not j and record(rows):
+                break
+            step(views[j - 2], views[j - 1], views[j])
         else:
-            record()
+            record(steps % rows + 1)
     phases, norms = np.concatenate(phases), np.concatenate(norms)
     return Trajectory(dt * np.arange(norms.size), phases, norms,
                       truncated=norms.size <= steps)

@@ -24,10 +24,11 @@ dt/(2*D*dx^2) exceeds 1 with the packet on the left end, where the
 tridiagonal solve pivots and the held end points must be restored, a
 cn-standard run whose V overflows (mu_E = 1e308), so its matrix is not
 finite, no LU factors are kept and the run is truncated after 0 steps, the
-edges of the evolver's ring block for cn-standard and df-standard (one
-block exactly full at 63 and 64 steps, the first wrap at 65, a second
-block one level short of full at 127 and the second wrap at 129), a
-grid whose ring holds one level between wraps, the decoupled
+edges of the evolver's 64-row ring for cn-standard and df-standard (level
+j in row j % 64: the ring exactly full at 63 steps, the first wrap at 64
+and one past it at 65, then the same around the second wrap at 127, 128
+and 129), a grid whose ring has its minimum of 3 rows and wraps within a
+3-step run, the decoupled
 ``variational-sweep`` on its default 81 points and the same sweep at
 weak coupling (delta' = 1e-9), whose energy is as flat in log alpha, a
 free two-point sweep (no pinning, charging or coupling), whose energy
@@ -116,9 +117,9 @@ EDGE_CASES = [
 ] + [
     ("single-chain", ["evolver.scheme=" + scheme, "evolver.steps=%d" % steps])
     for scheme in ("cn-standard", "df-standard")
-    for steps in (63, 64, 65, 127, 129)
+    for steps in (63, 64, 65, 127, 128, 129)
 ] + [
-    # two levels exceed the block's 1 MiB
+    # two levels exceed the ring's 1 MiB: it has its minimum of 3 rows
     ("single-chain", ["evolver.n=40001", "evolver.dx=0.001",
                       "evolver.dt=1e-6", "evolver.steps=3"]),
     ("variational-sweep", ["model.delta_prime=0"]),

@@ -197,6 +197,19 @@ def test_csv_digest_runs_are_distinct_and_parse():
             cli.parse_config(config.encode(), sets)
 
 
+@pytest.mark.parametrize("scheme", ["cn-standard", "df-standard"])
+def test_csv_digest_runs_cover_the_evolver_ring_edges(scheme):
+    # runs that end one short of, on and one past each of the first two
+    # wraps of evolve's ring: level k*rows - 1 fills it, k*rows wraps
+    rows = evolver._BLOCK_ROWS
+    runs = {tuple(sets) for e, sets in csv_digests.EDGE_CASES
+            if e == "single-chain"}
+    for k in (1, 2):
+        for steps in (k * rows - 1, k * rows, k * rows + 1):
+            assert ("evolver.scheme=" + scheme,
+                    "evolver.steps=%d" % steps) in runs
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -353,10 +366,13 @@ def test_main_non_finite_theta_bound_is_config_error(tmp_path, capsys, sets,
     ("pendulum-kink", "chain.center", "-inf"),
     ("pendulum-kink", "chain.center", "nan"),
     ("single-chain", "evolver.x_c", "inf"),
-    ("single-chain", "evolver.x_c", "nan")])
+    ("single-chain", "evolver.x_c", "nan"),
+    ("single-chain", "evolver.x0", "inf"),
+    ("single-chain", "evolver.x0", "nan")])
 def test_main_non_finite_position_is_config_error(tmp_path, capsys,
                                                   experiment, key, value):
-    # a kink or packet centred at infinity would be an all-zero run
+    # a kink or packet centred at infinity would be an all-zero run, and
+    # a grid starting there has no finite points
     cfg = write_cfg(tmp_path, "experiment = %s\n" % experiment)
     out = tmp_path / "pos.csv"
     assert cli.main([cfg, "--output", str(out),

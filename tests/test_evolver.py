@@ -921,8 +921,9 @@ KINDS = tuple(evolver._PLANS)
 @pytest.mark.parametrize("a_D", [0.0, 0.3], ids=["static", "driven"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_evolve_matches_reference_bitwise(kind, a_D, steps):
-    # the ring block of 64 rows holds levels 0-64, then 64 levels a wrap:
-    # runs of 2, 64, 65 (one full block), 66 and 131 levels
+    # the ring of 64 rows holds levels 0-63, then the next 64 a wrap:
+    # runs of 2, 64 (one full ring), 65 (the first wrap), 66 and 131
+    # levels
     f = gaussian_packet(41, 0.1, x_c=0.5)
     drive = FieldDriveParams(a_D=a_D)
     t = evolve(kind, f, DRIVEN, drive, 2e-3, steps)
@@ -933,9 +934,9 @@ def test_evolve_matches_reference_bitwise(kind, a_D, steps):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_evolve_matches_reference_at_block_edges(kind):
-    # a block's last level is 64k and the first after a wrap 64k + 1:
-    # runs that end one short of, on and one past each of the first
-    # two wraps
+    # level 64k - 1 fills the ring and level 64k, in row 0, is the first
+    # after a wrap: runs that end one short of, on and one past each of
+    # the first two wraps
     f = gaussian_packet(41, 0.1, x_c=0.5)
     for a_D in (0.0, 0.3):
         drive = FieldDriveParams(a_D=a_D)
@@ -948,7 +949,7 @@ def test_evolve_matches_reference_at_block_edges(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_evolve_matches_reference_on_overflow(kind):
-    # the printed schemes leave the finite range in mid-block (after 356
+    # the printed schemes leave the finite range in mid-ring (after 356
     # and 931 steps); the stable ones run all steps
     f = gaussian_packet(501, 0.05)
     p = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=0.012, theta=2.0)
@@ -1001,8 +1002,8 @@ def test_evolve_overflowing_norm_of_finite_field_is_not_truncated(kind):
 @pytest.mark.parametrize("a_D", [0.0, 0.3], ids=["static", "driven"])
 def test_evolve_truncation_lands_on_any_block_row(bad_level, a_D,
                                                   monkeypatch):
-    # level 64k is the last row of a block and 64k + 1 the first after
-    # a wrap
+    # level 64k - 1 is the ring's last row and 64k, in row 0, the first
+    # after a wrap
     f = gaussian_packet(41, 0.1, x_c=0.5)
     drive = FieldDriveParams(a_D=a_D)
     for kind in KINDS:
@@ -1018,7 +1019,7 @@ def test_evolve_truncation_lands_on_any_block_row(bad_level, a_D,
 
 
 # at dt = 1e-3 theta_n = theta + a_D*(n*dt) first overflows at n = 70,
-# after the first block of 65 levels is recorded; a tilt of 5e-324
+# after the first full ring of 64 levels is recorded; a tilt of 5e-324
 # rounds 0.5*mu_E to zero, so V stays finite (and equal to the static
 # well) up to that step
 TINY_TILT = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=5e-324,
@@ -1041,7 +1042,7 @@ def test_evolve_late_driving_phase_overflow_raises(kind):
 @pytest.mark.parametrize("bad_level", [66, 70])
 def test_evolve_truncation_before_late_phase_overflow(bad_level,
                                                       monkeypatch):
-    # the field leaves the finite range in the pending block before
+    # the field leaves the finite range in the partial ring before
     # theta_70 overflows: the run is truncated, not an error
     f = gaussian_packet(41, 0.1, x_c=0.5)
     ref = reference_evolve("df-standard", f, TINY_TILT, LATE_INF_DRIVE,
@@ -1057,9 +1058,9 @@ def test_evolve_truncation_before_late_phase_overflow(bad_level,
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_evolve_one_row_block_matches_reference(kind):
-    # two levels of this grid exceed the block's 1 MiB, so the ring has
-    # one row besides the two carried levels and every level after the
-    # first step is a block of its own
+    # two levels of this grid exceed the ring's 1 MiB, so the ring has
+    # its minimum of 3 rows: levels 0-2 fill it and level 3 wraps to
+    # row 0
     n = 40001
     assert 2 * 16 * n > evolver._BLOCK_BYTES
     f = gaussian_packet(n, 1e-3)
@@ -1069,6 +1070,27 @@ def test_evolve_one_row_block_matches_reference(kind):
         ref = reference_evolve(kind, f, DRIVEN, drive, 1e-6, 3)
         assert not ref.truncated
         assert_trajectories_bitwise(t, ref)
+
+
+@pytest.mark.parametrize("a_D", [0.0, 0.3], ids=["static", "driven"])
+@pytest.mark.parametrize("kind", ["cn-standard", "df-standard"])
+def test_evolve_peak_memory_is_bounded_by_its_ring(kind, a_D):
+    # the ring holds 64 levels however long the run: 2000 steps peak
+    # above 200 steps by at most the 1800 extra levels' recorded floats
+    # (t, mean phase and norm) and one level of the grid
+    f = gaussian_packet(501, 0.05)
+    drive = FieldDriveParams(a_D=a_D)
+    evolve(kind, f, WELL, drive, 5e-3, 1)
+    peaks = []
+    for steps in (200, 2000):
+        tracemalloc.start()
+        try:
+            t = evolve(kind, f, WELL, drive, 5e-3, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not t.truncated
+    assert peaks[1] <= peaks[0] + 3 * 8 * 1800 + 16 * f.values.size
 
 
 @pytest.mark.parametrize("kind", KINDS)
