@@ -124,8 +124,7 @@ def _check_info(info):
 # them, and returns step(prev, curr, out), which writes the new level
 # into out.  Each argument is the `_views` tuple of one row, built once
 # per run; out aliases neither prev nor curr and already holds curr's
-# end points, which a step leaves as they are (cn-standard's solve
-# overwrites the whole row and writes them back).  Steps check nothing
+# end points, which a step leaves as they are.  Steps check nothing
 # and write only the interior.  Each ufunc call keeps the operand order
 # of the allocating expression it replaces, takes `out` positionally and
 # gets every scalar (as a 0-d array) and coefficient row in the other
@@ -207,10 +206,9 @@ def _cn_standard(V, p, dx, dt):
     built directly (diagonal 0.5 - (dt/4)*diag(M), off-diagonals
     -(dt/4)*i/(D*dx^2), end rows 0.5): it is the unhalved one times 0.5
     bit for bit, so zgttrf pivots alike and chi is exactly twice the
-    unhalved solve.  A step is one copy of psi into out, the in-place
-    solve and one subtract on the interior.  The solve leaves chi at
-    the ends, 2 psi or, after zgttrf's row swap at |dt/(2*D*dx^2)| > 1,
-    a rounding of it, so both ends are written back.  prev is ignored."""
+    unhalved solve.  A step is one copy of psi into the plan's scratch
+    row chi, the in-place solve and one subtract on the interior.  prev
+    is ignored."""
     koff = 1j / (p.D * dx * dx)
     quarter = 0.25 * dt
     diag = 0.5 - quarter * (-2.0 * koff - 1j * V)
@@ -219,16 +217,15 @@ def _cn_standard(V, p, dx, dt):
     diag[0] = diag[-1] = 0.5
     du[0] = dl[-1] = 0.0
     solver = _lu(dl, diag, du)
+    chi = np.empty(V.size, dtype=complex)
 
     def step(prev, curr, out):
-        row, new = out[:2]
         if solver is None:
-            new.fill(np.nan)
+            out[1].fill(np.nan)
             return
-        np.copyto(row, curr[0])
-        _check_info(solver(row, overwrite_b=1)[1])
-        _subtract(new, curr[1], new)
-        row[0], row[-1] = curr[0][0], curr[0][-1]
+        np.copyto(chi, curr[0])
+        _check_info(solver(chi, overwrite_b=1)[1])
+        _subtract(chi[1:-1], curr[1], out[1])
 
     return step
 

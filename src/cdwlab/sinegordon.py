@@ -235,7 +235,7 @@ def thin_wall_profile(x, b, L):
     """Sharp-wall pair profile centred on 0, walls at -L/2 and L/2:
     pi*(tanh(b*(x + L/2)) + tanh(b*(L/2 - x)))."""
     if not (math.isfinite(b) and b > 0):
-        raise DomainError("steepness b must be positive")
+        raise DomainError("steepness b must be positive and finite")
     if not (math.isfinite(L) and L > 0):
         raise DomainError("separation L must be positive")
     x = np.asarray(x, dtype=float)

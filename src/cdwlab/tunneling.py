@@ -95,7 +95,7 @@ def fourier_check_table(L, b_L, n_modes, box_factor):
         raise DomainError("separation L must be positive")
     b, box = b_L / L, box_factor * L
     if not (math.isfinite(b) and b > 0):
-        raise DomainError("steepness b must be positive")
+        raise DomainError("steepness b must be positive and finite")
     if n_modes < 1:
         raise DomainError("need at least one mode")
     if b_L < 100.0:

@@ -21,7 +21,7 @@ overflowing grid step among them), a current field far below threshold,
 an all-zero field, a ``model.hbar`` setting (an unknown key: units have
 the reduced Planck constant set to 1), a cn-standard run whose
 dt/(2*D*dx^2) exceeds 1 with the packet on the left end, where the
-tridiagonal solve pivots and the held end points must be restored, a
+tridiagonal solve pivots and rounds the left end of its solution, a
 cn-standard run whose V overflows (mu_E = 1e308), so its matrix is not
 finite, no LU factors are kept and the run is truncated after 0 steps, the
 edges of the evolver's 64-row ring for cn-standard and df-standard (level

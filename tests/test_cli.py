@@ -406,6 +406,18 @@ def test_main_non_positive_fourier_separation_is_domain_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["fourier.b_L=inf", "fourier.L=1e-308",
+                                 "fourier.b_L=-1"])
+def test_main_bad_fourier_steepness_is_domain_error(tmp_path, capsys, key):
+    # b = b_L/L is +inf at b_L = inf and overflows to +inf at L = 1e-308
+    cfg = write_cfg(tmp_path, "experiment = fourier-check\n")
+    out = tmp_path / "fc.csv"
+    assert cli.main([cfg, "--output", str(out), "--set", key]) == 1
+    assert capsys.readouterr().err == (
+        "error: domain: steepness b must be positive and finite\n")
+    assert not out.exists()
+
+
 def test_main_fourier_check_takes_lowest_b_L_at_any_separation(tmp_path,
                                                               capsys):
     # 100/97*97 rounds below 100: the gate compares the configured b_L

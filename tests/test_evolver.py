@@ -1095,11 +1095,9 @@ def test_evolve_peak_memory_is_bounded_by_its_ring(kind, a_D):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_plan_step_writes_into_out(kind):
-    # the step fills out's interior, bit for bit the allocating
-    # expressions, and leaves both inputs as they were; the explicit
-    # schemes leave out's ends untouched and cn-standard, whose solve
-    # overwrites them (and at dt = 0.2 pivots and rounds the left one),
-    # writes curr's back
+    # the plan contract: the step fills out's interior, bit for bit the
+    # allocating expressions, and writes nothing else, leaving out's
+    # ends and both inputs as they were
     rng = np.random.default_rng(38)
     prev, curr = random_pair(rng, n=17)
     V = potential_on_grid(curr, WELL)
@@ -1109,8 +1107,6 @@ def test_plan_step_writes_into_out(kind):
         ref = reference_plan(kind, V, WELL, curr.dx, dt)(
             prev.values.copy(), curr.values.copy())
         out = np.full(17, np.nan, dtype=complex)
-        if kind == "cn-standard":
-            out[0], out[-1] = curr.values[0], curr.values[-1]
         ends = out[[0, -1]]
         assert plan_step(step, prev.values, curr.values, out) is out
         np.testing.assert_array_equal(out[1:-1].view(np.int64),

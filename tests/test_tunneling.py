@@ -32,7 +32,8 @@ def test_pair_geometry_validation():
     fourier_check_table(2.0, 200.0, 1, 16.0)
     with pytest.raises(DomainError, match="separation L must be positive"):
         fourier_check_table(0.0, 200.0, 1, 16.0)
-    with pytest.raises(DomainError, match="steepness b must be positive"):
+    with pytest.raises(DomainError,
+                       match="steepness b must be positive and finite"):
         fourier_check_table(2.0, -2.0, 1, 16.0)
 
 
