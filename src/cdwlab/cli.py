@@ -56,7 +56,7 @@ _KEYS = {
     "variational.theta_max": ("float", 4.0 * math.pi),
     "variational.theta_points": ("int", 81),
 
-    "evolver.scheme": ("choice", "df-standard"),
+    "evolver.scheme": ("choice", "cn-standard"),
     "evolver.n": ("int", 501),
     "evolver.dx": ("float", 0.05),
     "evolver.x0": ("float", None),
@@ -214,12 +214,12 @@ def _run_variational_sweep(o):
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.linspace(o["variational.theta_min"],
                            o["variational.theta_max"], npts)
-    result = variational.sweep_theta(_params(o, "model"), grid)
-    missed = sum(not r.converged for r in result.rows)
+    rows = variational.sweep_theta(_params(o, "model"), grid)
+    missed = sum(not r.converged for r in rows)
     if missed:
         print("warning: not converged: %d of %d sweep points"
               % (missed, npts), file=sys.stderr)
-    return result.to_table()
+    return variational.sweep_table(rows)
 
 
 def _run_iv_curve(o):

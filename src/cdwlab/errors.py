@@ -24,16 +24,9 @@ class DomainError(CdwError):
 
 
 class FieldOverflowError(CdwError):
-    """Field values left the finite range during time stepping.
-
-    Carries the step index at which the non-finite value first appeared.
-    """
+    """Field values left the finite range during time stepping."""
 
     code = "overflow"
-
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
 
 
 class ConfigError(CdwError):

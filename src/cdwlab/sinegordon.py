@@ -185,7 +185,7 @@ def integrate_chain_rk4(s, dt, steps, stride=1):
                     n += 1
                 raise FieldOverflowError(
                     "chain state became non-finite at step %d of %d"
-                    % (n, steps), step=n)
+                    % (n, steps))
             if n % stride == 0:
                 snaps.append(ChainState(*y, s.omega0_sq, s.omega1_sq))
                 snaps[-1].phi_dot[::m - 1] = ends

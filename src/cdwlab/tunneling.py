@@ -33,14 +33,6 @@ class CurrentParams:
             raise DomainError("current parameters must be positive")
 
 
-def erf(x):
-    """Error function of a finite argument (``math.erf``)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("erf needs finite argument")
-    return math.erf(x)
-
-
 def gaussian_norm_constant(a_exp, upper):
     """Normalization 1/sqrt(integral_0^upper exp(-2*a_exp*phi^2) dphi),
     evaluated in closed form through erf.  upper may be math.inf."""

@@ -131,20 +131,6 @@ class SweepRow:
     gap: float
 
 
-@dataclass
-class SweepResult:
-    rows: list
-
-    def to_table(self):
-        cols = ["theta", "E_min", "mean_Phi", "converged"]
-        cols += ["b_%d" % m for m in range(-2, 3)]
-        cols += ["c_%d" % m for m in range(-2, 3)]
-        cols.append("alpha")
-        return CurveTable(cols, [
-            (r.theta, r.e_min, r.mean_phi, r.converged)
-            + r.coeffs.b + r.coeffs.c + (r.coeffs.alpha,) for r in self.rows])
-
-
 @cache
 def _nodes(q):
     x, w = _composite_gl(-q.eta * math.pi, q.eta * math.pi, q.panels,
@@ -398,10 +384,21 @@ def sweep_theta(p, theta_grid):
         rows[flip, comb] = rows[flip, comb][:, ::-1]
     rows[flip, _PHI] *= -1.0
     rows[:, _PHI] += 2.0 * math.pi * k
-    return SweepResult([
-        SweepRow(t, r[_E], r[_PHI], bool(r[_CONV]),
-                 AnsatzCoeffs(r[_B], r[_C], r[_ALPHA]), r[_GAP])
-        for t, r in zip(grid.tolist(), rows.tolist())])
+    return [SweepRow(t, r[_E], r[_PHI], bool(r[_CONV]),
+                     AnsatzCoeffs(r[_B], r[_C], r[_ALPHA]), r[_GAP])
+            for t, r in zip(grid.tolist(), rows.tolist())]
+
+
+def sweep_table(rows):
+    """Sweep rows as a table theta, E_min, mean_Phi, converged, the b
+    and c coefficients (m = -2..2) and alpha; the gap is not a column."""
+    cols = ["theta", "E_min", "mean_Phi", "converged"]
+    cols += ["b_%d" % m for m in range(-2, 3)]
+    cols += ["c_%d" % m for m in range(-2, 3)]
+    cols.append("alpha")
+    return CurveTable(cols, [
+        (r.theta, r.e_min, r.mean_phi, r.converged)
+        + r.coeffs.b + r.coeffs.c + (r.coeffs.alpha,) for r in rows])
 
 
 def count_local_minima(values):

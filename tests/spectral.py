@@ -5,8 +5,9 @@
 on a uniform grid.  The kinetic matrix is the Colbert-Miller sinc
 discrete-variable representation (J. Chem. Phys. 96, 1982 (1992)),
 which converges exponentially in the grid step for states that have
-decayed at the grid's ends.  Test modules import this file; pytest does
-not collect it.
+decayed at the grid's ends.  ``two_chain_levels`` builds on it the
+spectrum of the two-chain Hamiltonian.  Test modules import this file;
+pytest does not collect it.
 """
 
 import numpy as np
@@ -37,3 +38,28 @@ def lowest_states(x, V, D, k):
     columns, sampled on x): the squared entries of a column are its
     state's weights at the grid points.  Only those k are computed."""
     return scipy.linalg.eigh(_hamiltonian(x, V, D), subset_by_index=[0, k - 1])
+
+
+def two_chain_levels(p, theta, h, phi_max, chi_max, m):
+    """Ascending levels of the two-chain Hamiltonian of cdwlab.variational,
+    one row per theta of a 1-D sequence, by sequential diagonalisation
+    (Bacic & Light, J. Chem. Phys. 85, 4594 (1986)) in Phi = (phi1 +
+    phi2)/2 and chi = phi1 - phi2: H = -1/(4 D1) d^2/dPhi^2 + 2 E1 +
+    2 E2 (Phi - theta)^2 + h_chi(Phi), h_chi(Phi) = -(1/D1) d^2/dchi^2
+    + E2 chi^2/2 + delta' (1 - cos chi) - 2 E1 cos(Phi) cos(chi/2).  The
+    basis is the m lowest states of h_chi at each Phi node, on sinc-DVR grids
+    of step h over |Phi| <= phi_max and |chi| <= chi_max; theta enters
+    only the diagonal, so the channels are built once for every theta."""
+    phi, chi = (h * np.arange(-(r // h), r // h + 1)
+                for r in (phi_max, chi_max))
+    h_chi = sinc_dvr_kinetic(chi.size, h, p.D1) + np.diag(
+        0.5 * p.E2 * chi ** 2 + p.delta_prime * (1.0 - np.cos(chi)))
+    e, c = np.linalg.eigh(h_chi - 2.0 * p.E1 * np.cos(phi)[:, None, None]
+                          * np.diag(np.cos(0.5 * chi)))
+    c = c[:, :, :m].transpose(0, 2, 1).reshape(phi.size * m, chi.size)
+    # channel overlaps between Phi nodes times the Phi kinetic matrix
+    full = (c @ c.T) * np.kron(sinc_dvr_kinetic(phi.size, h, 4.0 * p.D1),
+                               np.ones((m, m)))
+    v = 2.0 * p.E2 * (phi - np.asarray(theta, dtype=float)[:, None]) ** 2
+    diag = e[:, :m].ravel() + 2.0 * p.E1 + np.repeat(v, m, axis=1)
+    return np.array([np.linalg.eigvalsh(full + np.diag(d)) for d in diag])

@@ -26,7 +26,6 @@ from cdwlab.tunneling import (
     CurrentParams,
     current_beckwith,
     current_zener,
-    erf,
     gaussian_norm_constant,
     thin_wall_fourier_check,
 )
@@ -53,8 +52,8 @@ def verdict(num, name, ok, detail):
 @pytest.fixture(scope="module")
 def coupled_sweep():
     t0 = time.perf_counter()
-    res = sweep_theta(PhysicalParams(), THETA_GRID)
-    return res, time.perf_counter() - t0
+    rows = sweep_theta(PhysicalParams(), THETA_GRID)
+    return rows, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -120,24 +119,24 @@ def test_criterion_04_norm_conservation():
 
 
 def test_criterion_05_band_minima(coupled_sweep):
-    res, el = coupled_sweep
-    n = count_local_minima([row.e_min for row in res.rows])
-    conv = sum(1 for row in res.rows if row.converged)
+    rows, el = coupled_sweep
+    n = count_local_minima([row.e_min for row in rows])
+    conv = sum(1 for row in rows if row.converged)
     verdict(5, "band-structure minima", n == 5 and el < 600.0,
             "local_minima=%d (need 5) converged=%d/%d sweep_t=%.0fs"
-            % (n, conv, len(res.rows), el))
+            % (n, conv, len(rows), el))
 
 
 def test_criterion_06_phase_staircase(coupled_sweep, decoupled_sweep):
-    res, _ = coupled_sweep
+    coupled, _ = coupled_sweep
     tol = 0.15 * 2 * math.pi
 
     def two_pi_jumps(rows):
         jumps = phase_jumps([row.mean_phi for row in rows])
         return [j for j in jumps if abs(abs(j) - 2 * math.pi) <= tol]
 
-    with_coupling = two_pi_jumps(res.rows)
-    without = two_pi_jumps(decoupled_sweep.rows)
+    with_coupling = two_pi_jumps(coupled)
+    without = two_pi_jumps(decoupled_sweep)
     ok = len(with_coupling) >= 1 and len(without) == 0
     verdict(6, "tunneling staircase", ok,
             "2pi_jumps coupled=%d (need >=1) decoupled=%d (need 0)"
@@ -194,7 +193,7 @@ def _erf_series_mp(x):
 def test_criterion_10_special_functions():
     mp.dps = 50
     xs = np.arange(0.0, 5.0 + 0.005, 0.01)
-    worst_erf = max(abs(erf(float(x)) - float(_erf_series_mp(x)))
+    worst_erf = max(abs(math.erf(float(x)) - float(_erf_series_mp(x)))
                     for x in xs)
 
     rng = np.random.default_rng(77)

@@ -270,6 +270,18 @@ def test_main_single_chain_artifact(tmp_path):
     assert len(lines) == 12
 
 
+def test_main_default_single_chain_keeps_its_norm(tmp_path, capsys):
+    # the default scheme conserves the norm over the default 2000 steps;
+    # df-standard swings it between 0.24 and 3.36 on this run
+    cfg = write_cfg(tmp_path, "experiment = single-chain\n")
+    out = tmp_path / "sc.csv"
+    assert cli.main([cfg, "--output", str(out)]) == 0
+    norm = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+    assert norm.size == 2001
+    assert np.max(np.abs(norm / norm[0] - 1.0)) < 1e-10
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("scheme, bad, levels", [
     ("df-printed", 444, 932), ("cn-printed", 169, 357)])
 def test_main_warns_of_non_finite_levels(tmp_path, capsys, scheme, bad,
@@ -499,7 +511,7 @@ _REACH_READERS = {
 # off-default values where a float's x1.25 or an int's +1 would keep the
 # base value, be invalid, or (chain.steps) add no snapshot at stride 10
 _REACH_OFF = {
-    "model.theta": "0.5", "evolver.scheme": "cn-standard",
+    "model.theta": "0.5", "evolver.scheme": "df-standard",
     "evolver.x0": "-2.0", "evolver.x_c": "0.5", "chain.sign": "-1",
     "chain.center": "30", "chain.steps": "60",
 }
@@ -586,7 +598,8 @@ def test_every_key_changes_an_artifact(reach_run, key):
 def test_main_overflow_reports_no_numpy_warning(tmp_path, overrides, code,
                                                 stderr):
     # a separate interpreter, so numpy's warnings reach stderr unfiltered
-    cfg = write_cfg(tmp_path, "experiment = single-chain\n")
+    cfg = write_cfg(tmp_path, "experiment = single-chain\n"
+                              "evolver.scheme = df-standard\n")
     out = tmp_path / "sc.csv"
     sets = [arg for o in overrides for arg in ("--set", o)]
     proc = subprocess.run(

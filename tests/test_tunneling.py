@@ -10,7 +10,6 @@ from cdwlab.tunneling import (
     CurrentParams,
     current_beckwith,
     current_zener,
-    erf,
     fourier_check_table,
     gaussian_norm_constant,
     iv_curve,
@@ -46,24 +45,6 @@ def test_current_params_validation():
         CurrentParams(C_tilde=0.0)
     with pytest.raises(DomainError):
         CurrentParams(G_p=0.0)
-
-
-def test_erf_anchors():
-    assert erf(0.0) == 0.0
-    assert erf(1.0) == pytest.approx(0.842700792950, abs=1e-12)
-    # stdlib cross-check over both evaluation branches
-    for x in np.arange(0.0, 6.0, 0.125):
-        assert erf(float(x)) == pytest.approx(math.erf(float(x)),
-                                              abs=2e-15, rel=2e-15)
-    with pytest.raises(DomainError):
-        erf(math.inf)
-
-
-def test_erf_odd():
-    rng = np.random.default_rng(41)
-    for _ in range(40):
-        x = rng.uniform(0, 6)
-        assert erf(-x) == -erf(x)
 
 
 def test_gaussian_norm_closed_values():

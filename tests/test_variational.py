@@ -15,13 +15,14 @@ from cdwlab.variational import (
     CENTERS,
     AnsatzCoeffs,
     QuadratureSpec,
-    SweepResult,
     SweepRow,
     count_local_minima,
     energy_expectation,
     phase_jumps,
+    sweep_table,
     sweep_theta,
 )
+from spectral import two_chain_levels
 
 Q = QuadratureSpec()
 QF = QuadratureSpec(eta=20.0, panels=160, order=12)
@@ -296,7 +297,7 @@ def energy_at(p, theta, log_alphas):
 
 @pytest.fixture(scope="module")
 def grid_sweeps():
-    return {p: sweep_theta(p, GRID).rows for p in (STD, DECOUPLED)}
+    return {p: sweep_theta(p, GRID) for p in (STD, DECOUPLED)}
 
 
 def test_quadrature_spec_validation():
@@ -478,7 +479,7 @@ def test_minimize_kinetic_only_runs_downhill():
     # least as low as a single alpha=1 tooth
     e_init = energy_expectation(AnsatzCoeffs(E2ONLY, E2ONLY, 1.0), FREE,
                                 0.0, Q)
-    row = sweep_theta(FREE, [0.0]).rows[0]
+    row = sweep_theta(FREE, [0.0])[0]
     assert not row.converged
     coeffs, e = row.coeffs, row.e_min
     assert_unit_combs(coeffs, 1e-10)
@@ -493,7 +494,7 @@ def test_minimize_finds_alpha_beyond_the_scan(p):
     # both optima lie above the coarse scan's top alpha: the scan must be
     # extended until the energy rises, and alpha refined inside that
     top = variational._LOG_ALPHA_SCAN[-1]
-    row = sweep_theta(p, [0.3]).rows[0]
+    row = sweep_theta(p, [0.3])[0]
     assert row.converged
     coeffs, e = row.coeffs, row.e_min
     assert math.log(coeffs.alpha) > top + variational._LOG_ALPHA_STEP
@@ -504,7 +505,7 @@ def test_minimize_finds_alpha_beyond_the_scan(p):
 
 def test_minimize_theta_zero_symmetric_and_near_grid_scan():
     # coarse scan over (b0, b1 = b_-1, alpha) with b2 fixed by the norm
-    row = sweep_theta(STD, [0.0]).rows[0]
+    row = sweep_theta(STD, [0.0])[0]
     coeffs, e = row.coeffs, row.e_min
     b = np.array(coeffs.b)
     assert np.max(np.abs(b - b[::-1])) < 0.02
@@ -575,10 +576,10 @@ def test_sweep_single_point_composes():
     # one-point sweep exactly; beyond +-pi its combs weigh the teeth at
     # 2 pi (k + m), which the oracle's teeth at 2 pi m see shifted by -2 pi k
     grid = [-7.0, -0.4, 0.0, 0.3, 4.0, 9.0]
-    res = sweep_theta(STD, grid)
-    assert len(res.rows) == len(grid)
-    for theta, row in zip(grid, res.rows):
-        assert row == sweep_theta(STD, [theta]).rows[0]
+    rows = sweep_theta(STD, grid)
+    assert len(rows) == len(grid)
+    for theta, row in zip(grid, rows):
+        assert row == sweep_theta(STD, [theta])[0]
         assert row.theta == theta
         assert row.converged
         assert_unit_combs(row.coeffs, 1e-10)
@@ -688,7 +689,7 @@ def test_decoupled_alternation_stops_after_one_solve(monkeypatch):
     # each), while the coupled sweep keeps its 42 half steps
     rounds = count_calls(monkeypatch, "_alternate")
     del calls[:]
-    rows = sweep_theta(DECOUPLED, SLICE).rows
+    rows = sweep_theta(DECOUPLED, SLICE)
     assert len(calls) == len(rounds) == 11
     for row in rows:
         assert (np.array(row.coeffs.b).view(np.int64)
@@ -722,7 +723,7 @@ def test_sweep_rows_record_eigen_gap():
     # Where u' < 0 the row holds the mirror of that offset's combs
     grid = np.linspace(-math.pi, math.pi, 5)
     for p in (STD, DECOUPLED):
-        for row in sweep_theta(p, grid).rows:
+        for row in sweep_theta(p, grid):
             a, (k, u) = row.coeffs, folded(row.theta)
             sign = -1.0 if u < 0 else 1.0
             bs, cs = (a.b, a.c) if u >= 0 else (a.b[::-1], a.c[::-1])
@@ -747,7 +748,7 @@ def test_sweep_rows_record_eigen_gap():
 
 @pytest.mark.parametrize("p", [STD, DECOUPLED], ids=["coupled", "decoupled"])
 def test_sweep_matches_scalar_reference_on_slice(p):
-    assert_matches_reference(sweep_theta(p, SLICE).rows, p)
+    assert_matches_reference(sweep_theta(p, SLICE), p)
 
 
 @pytest.mark.parametrize("p", [STD, DECOUPLED], ids=["coupled", "decoupled"])
@@ -766,7 +767,7 @@ def test_sweep_matches_scalar_reference_on_acceptance_grid(grid_sweeps, p):
     ids=["free", "E1", "D1"])
 def test_sweep_matches_scalar_reference_past_the_scan(p, e_rtol):
     # the scan is extended to one limit (free) or towards the other
-    assert_matches_reference(sweep_theta(p, [0.0, 0.3]).rows, p, e_rtol)
+    assert_matches_reference(sweep_theta(p, [0.0, 0.3]), p, e_rtol)
 
 
 @pytest.mark.parametrize("p", [STD, DECOUPLED, FREE, PhysicalParams(E1=1.0),
@@ -776,7 +777,7 @@ def test_brent_ends_no_higher_than_golden_section(p):
     # the golden-section search that Brent's method replaced, from the
     # same bracket to the same width, bounds each row's energy from above
     grid = SLICE if p in (STD, DECOUPLED) else [0.0, 0.3]
-    for row in sweep_theta(p, grid).rows:
+    for row in sweep_theta(p, grid):
         golden = reference_minimize(p, row.theta, _ref_golden)
         assert row.e_min <= golden.e_min + 1e-14 * abs(golden.e_min)
 
@@ -802,7 +803,7 @@ def test_sweep_without_an_interior_point_makes_no_empty_call(monkeypatch):
     calls = count_calls(monkeypatch, "_reduced")
     rows = variational._alternate(FREE, np.empty(0), np.empty(0))
     assert rows.shape == (0, 15) and not calls
-    row = sweep_theta(FREE, [0.0]).rows[0]
+    row = sweep_theta(FREE, [0.0])[0]
     # at delta' = 0 each _alternate call is one solve: the scan and the
     # 15 steps out to alpha = 1e-4
     assert len(calls) == 16 and min(calls) > 0
@@ -819,9 +820,9 @@ def test_sweep_row_does_not_depend_on_the_grid(grid_sweeps, p):
     # README: each offset is minimized independently, so a theta's row
     # is bit-identical alone, inside the slice and inside the full grid
     rows = grid_sweeps[p]
-    assert sweep_theta(p, SLICE).rows == rows[39:42]
+    assert sweep_theta(p, SLICE) == rows[39:42]
     for j in range(0, GRID.size, 10):
-        assert sweep_theta(p, [GRID[j]]).rows[0] == rows[j]
+        assert sweep_theta(p, [GRID[j]])[0] == rows[j]
 
 
 @pytest.mark.parametrize("p", [STD, DECOUPLED], ids=["coupled", "decoupled"])
@@ -829,9 +830,9 @@ def test_sweep_row_does_not_depend_on_the_grid(grid_sweeps, p):
 def test_sweep_row_at_minus_theta_is_the_mirror(p, t):
     # H(-theta) is H(theta) with phi -> -phi: the row at -t reverses both
     # combs and negates the mean phase of the row at t, bit for bit
-    row = sweep_theta(p, [t]).rows[0]
+    row = sweep_theta(p, [t])[0]
     a = row.coeffs
-    assert sweep_theta(p, [-t]).rows[0] == SweepRow(
+    assert sweep_theta(p, [-t])[0] == SweepRow(
         -t, row.e_min, -row.mean_phi, row.converged,
         AnsatzCoeffs(a.b[::-1], a.c[::-1], a.alpha), row.gap)
 
@@ -843,11 +844,11 @@ def test_sweep_row_repeats_every_two_pi(p):
     # 2 pi (k + m) and its mean phase moved by 2 pi k.  Both thetas give
     # theta + 2 pi k - 2 pi k back exactly, so each k searches theta itself
     for theta in (1.0, -2.0):
-        row = sweep_theta(p, [theta]).rows[0]
+        row = sweep_theta(p, [theta])[0]
         for k in (-2, -1, 1, 2):
             shifted = theta + 2 * math.pi * k
             assert folded(shifted) == (k, theta)
-            assert sweep_theta(p, [shifted]).rows[0] == dataclasses.replace(
+            assert sweep_theta(p, [shifted])[0] == dataclasses.replace(
                 row, theta=shifted, mean_phi=row.mean_phi + 2 * math.pi * k)
 
 
@@ -867,7 +868,7 @@ def test_weak_pinning_sweep_keeps_the_periodic_minima_count(delta_prime):
     # (decoupled) minima on the 81-point grid, which no 2 pi-periodic
     # curve can show.  The periodic sweep has one per period: 3
     p = PhysicalParams(E1=1e-4, delta_prime=delta_prime)
-    rows = sweep_theta(p, GRID).rows
+    rows = sweep_theta(p, GRID)
     assert count_local_minima([row.e_min for row in rows]) == 3
 
 
@@ -877,7 +878,7 @@ def test_shipped_comb_criterion_6_window(E1, coupled, decoupled):
     # the shipped comb passes criterion 6 (coupled jumps, none
     # decoupled) at E1 = 3e-3 and 5e-3 but not at 2e-3 or 1e-2
     assert [two_pi_jumps(sweep_theta(dataclasses.replace(p, E1=E1),
-                                     GRID).rows)
+                                     GRID))
             for p in (STD, DECOUPLED)] == [coupled, decoupled]
 
 
@@ -901,7 +902,7 @@ def test_sweep_row_keeps_the_first_of_tied_minima(monkeypatch):
 
     monkeypatch.setattr(variational, "_alternate", flat)
     grid = [0.5, 2.0, 3.0]
-    for row in sweep_theta(STD, grid).rows:
+    for row in sweep_theta(STD, grid):
         ties = [(la, r[variational._ALPHA]) for t, la, r in evaluated
                 if t == row.theta and r[variational._E] == 0.5]
         # the refinement evaluates ties of its own after the scan's
@@ -932,7 +933,7 @@ def test_brent_stops_once_its_energies_agree(monkeypatch):
 
     monkeypatch.setattr(variational, "_alternate", plateau)
     grid = [0.5, 2.0, 3.0]
-    rows = sweep_theta(STD, grid).rows
+    rows = sweep_theta(STD, grid)
     assert len(calls) <= 4
     for row in rows:
         las = sorted(la for t, la, _ in evaluated if t == row.theta)
@@ -968,10 +969,10 @@ def test_thetas_in_different_phases_share_calls(monkeypatch):
     alone, counts = [], []
     for theta in (1.0, 2.0):
         del calls[:]
-        alone += sweep_theta(STD, [theta]).rows
+        alone += sweep_theta(STD, [theta])
         counts.append(len(calls))
     del calls[:]
-    assert sweep_theta(STD, [1.0, 2.0]).rows == alone
+    assert sweep_theta(STD, [1.0, 2.0]) == alone
     assert counts == [14, 10]
     assert len(calls) == max(counts)
     assert all(row.converged for row in alone)
@@ -980,7 +981,7 @@ def test_thetas_in_different_phases_share_calls(monkeypatch):
 def test_nonconverged_point_kept_in_row(monkeypatch):
     # one alternation step can never show that the energy stopped changing
     monkeypatch.setattr(variational, "_MAX_ALTERNATIONS", 1)
-    row = sweep_theta(STD, [0.3]).rows[0]
+    row = sweep_theta(STD, [0.3])[0]
     assert not row.converged
     best = row.coeffs
     assert isinstance(best, AnsatzCoeffs)
@@ -995,7 +996,7 @@ def test_nonconverged_point_kept_in_row(monkeypatch):
         variational._quotients(mats, np.array([best.b])),
         variational._quotients(mats, np.array([best.c])),
         STD.delta_prime)[0]
-    assert sweep_theta(STD, [0.3]).rows[0] == row
+    assert sweep_theta(STD, [0.3])[0] == row
     # the scalar loop stops at the same cap with the same energy
     assert row.e_min == pytest.approx(reference_minimize(STD, 0.3).e_min,
                                       rel=1e-14)
@@ -1005,8 +1006,7 @@ def test_sweep_result_table_and_order():
     a = AnsatzCoeffs(E2ONLY, E2ONLY, 1.0)
     rows = [SweepRow(0.0, 1.0, 0.0, True, a, 0.2),
             SweepRow(0.5, 1.1, 0.1, False, a, 0.3)]
-    res = SweepResult(rows)
-    table = res.to_table()
+    table = sweep_table(rows)
     assert table.columns == ("theta", "E_min", "mean_Phi", "converged",
                              "b_-2", "b_-1", "b_0", "b_1", "b_2",
                              "c_-2", "c_-1", "c_0", "c_1", "c_2", "alpha")
@@ -1057,3 +1057,18 @@ def test_two_level_staircase_count_rule(x1, count):
     assert len(jumps) == 4
     assert sum(abs(abs(j) - 2 * math.pi) <= 0.15 * 2 * math.pi
                for j in jumps) == count
+
+
+def test_comb_lies_a_third_above_the_exact_two_chain_ground_state():
+    # sequential diagonalisation on sinc-DVR grids of step 0.7 over
+    # |Phi| <= 26 and |chi| <= 12 pi; m = 10 channels per Phi node span
+    # the m = 6 basis, so the ground level can only fall with m.  The
+    # shipped five-tooth comb, one width for every tooth, lies 34.5% above
+    thetas = [0.0, math.pi / 2, math.pi]
+    exact = two_chain_levels(STD, thetas, 0.7, 26.0, 12 * math.pi, 10)
+    assert exact[0, 0] == pytest.approx(3.37359423e-3, rel=1e-8)
+    assert exact[0, 1] - exact[0, 0] == pytest.approx(5.968951e-5, rel=1e-6)
+    fewer = two_chain_levels(STD, [0.0], 0.7, 26.0, 12 * math.pi, 6)
+    assert fewer[0, 0] > exact[0, 0]
+    for row, e0 in zip(sweep_theta(STD, thetas), exact[:, 0]):
+        assert 0.34 < row.e_min / e0 - 1.0 < 0.35
