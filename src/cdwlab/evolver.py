@@ -15,7 +15,8 @@ drifts to -2 by t = 1, not to +4 (ROADMAP item 14, not yet mended).
 Both grid end points are held at their
 current values (Dirichlet ends) in every scheme.  Each scheme's update
 is documented on its plan builder in `_PLANS`; `evolve` marches a run,
-and the `step_*` names take one checked single step.
+which fails before its first step or runs to its end or its first
+non-finite level, and the `step_*` names take one checked single step.
 """
 
 import math
@@ -315,26 +316,31 @@ def evolve(kind, init, p, drive, dt, steps):
     """March `steps` steps from `init`, recording t, mean phase and norm
     at every level (the initial state included).
 
-    The driving phase at step n is p.theta + drive.a_D*(n*dt).  If a
-    step overflows, the trajectory is truncated at the last finite level
-    and marked.  Zero-norm levels record mean phase 0.  The levels live
-    in a preallocated ring, level j in row j % rows; every row starts as
-    level 0, so its end points are written once and level 0 is also the
-    first step's prev.  Each step writes its row from the `_views` of the
-    two rows before it, built once.  The phase/norm sums
-    run once per full ring, just before row 0 is overwritten, and once
-    on the last partial ring, in one reused scratch.  A non-finite level
-    has a non-finite norm, so only a ring with a non-finite norm is
-    checked level by level for where to cut."""
+    The driving phase at step n is p.theta + drive.a_D*(n*dt), monotone
+    in n, so an overflowing dt*steps or last phase raises DomainError
+    before the first step.  If a step overflows, the trajectory is
+    truncated at the last finite level and marked.  Zero-norm levels
+    record mean phase 0.  The levels live in a preallocated ring, level j
+    in row j % rows; every row starts as level 0, so its end points are
+    written once and level 0 is also the first step's prev.  Each step
+    writes its row from the `_views` of the two rows before it, built
+    once.  The phase/norm sums run once per full ring, just before row 0
+    is overwritten, and once on the last partial ring, in one reused
+    scratch.  A non-finite level has a non-finite norm, so only a ring
+    with a non-finite norm is checked level by level for where to cut."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
     build = _check(kind, p, init.dx, dt)
+    if not math.isfinite(dt * steps):
+        raise DomainError("dt*steps overflows")
     x, dx = init.grid(), init.dx
 
     # V is the same at every step when its tilt term is +0.0 (mu_E = 0)
     # or theta_n is theta (a_D = 0); only a driven V is rebuilt per step,
     # from a pinning term computed once.
     driven = p.mu_E != 0.0 and drive.a_D != 0.0
+    if driven and not math.isfinite(p.theta + drive.a_D * ((steps - 1) * dt)):
+        raise DomainError("non-finite physical parameter")
     # at least 3 rows, so a step's out aliases neither prev nor curr
     rows = max(3, min(_BLOCK_ROWS, steps + 1, _BLOCK_BYTES // (16 * x.size)))
     block = np.empty((rows, x.size), dtype=complex)
@@ -358,11 +364,6 @@ def evolve(kind, init, p, drive, dt, steps):
         for n in range(steps):
             if driven and n:
                 theta_n = p.theta + drive.a_D * (n * dt)
-                if not math.isfinite(theta_n):
-                    # a field that overflowed first truncates the run
-                    if record(n % rows + 1):
-                        break
-                    raise DomainError("non-finite physical parameter")
                 step = build(_washboard(x, p, theta_n, pin), p, dx, dt)
             j = (n + 1) % rows
             if not j and record(rows):

@@ -116,13 +116,6 @@ def fourier_check_table(L, b_L, n_modes, box_factor):
     return CurveTable(("k", "numeric", "closed_form", "rel_deviation"), rows)
 
 
-def thin_wall_fourier_check(L, b_L, n_modes, box_factor):
-    """Max relative deviation of fourier_check_table, near-zero
-    reference modes excluded."""
-    return float(np.nanmax(
-        fourier_check_table(L, b_L, n_modes, box_factor).rows[:, 3]))
-
-
 def current_beckwith(E, cp):
     """Tunneling current C~1 * cosh(sqrt(2E/(E_T c_v)) - sqrt(E_T c_v/E))
     * exp(-E_T c_v/E); strictly positive where E_T c_v/E is finite, and

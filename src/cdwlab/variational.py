@@ -245,8 +245,6 @@ def _alternate(p, theta, log_alpha):
     problem for b given c, the mean joint phase <(phi1 + phi2)/2>,
     alpha, b (the last comb solved) and c."""
     alpha = np.exp(log_alpha)
-    if not alpha.size:
-        return np.empty((0, 15))
     dp = p.delta_prime
     with np.errstate(over="ignore", invalid="ignore"):
         mats = _chain_matrices(p, theta, alpha)

@@ -17,8 +17,11 @@ step, with no snapshot before it and on the last step, non-finite chain
 frequencies, a chain at omega1_sq != 1 (the only runs whose force
 multiplies by it), the shortest chain (3 sites, so the long-format CSV's
 blocks are 3 rows), every evolver argument error line (an underflowing and an
-overflowing grid step among them), a current field far below threshold,
-an all-zero field, a ``model.hbar`` setting (an unknown key: units have
+overflowing grid step among them), the two errors an evolver run raises
+before its first step (a dt*steps that overflows and a driven phase
+theta + a_D*(n*dt) that overflows at step 70 of 130), a current field
+far below threshold, an all-zero field, a ``model.hbar`` setting (an
+unknown key: units have
 the reduced Planck constant set to 1), a cn-standard run whose
 dt/(2*D*dx^2) exceeds 1 with the packet on the left end, where the
 tridiagonal solve pivots and rounds the left end of its solution, a
@@ -104,6 +107,12 @@ EDGE_CASES = [
     ("single-chain", ["evolver.n=2"]),
     ("single-chain", ["evolver.dx=0"]),
     ("single-chain", ["evolver.alpha0=0"]),
+    ("single-chain", ["evolver.dt=1e308", "evolver.steps=3", "model.D=1e10",
+                      "evolver.dx=1", "model.omega_p_sq=0"]),
+    # a tilt of 5e-324 keeps V finite; theta_70 is the first inf phase
+    ("single-chain", ["model.mu_E=5e-324", "model.theta=1.7e308",
+                      "drive.a_D=1.4056566167239677e308", "evolver.dt=1e-3",
+                      "evolver.steps=130"]),
     # a packet far off the grid is all zeros: every level has zero norm
     ("single-chain", ["evolver.x_c=1000", "evolver.steps=5"]),
     ("single-chain", ["model.hbar=1"]),

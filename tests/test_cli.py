@@ -590,11 +590,14 @@ def test_every_key_changes_an_artifact(reach_run, key):
      "error: domain: D*dx^2 overflows\n"),
     (["experiment=pendulum-kink", "chain.omega1_sq=inf"], 2,
      "error: config: pendulum-kink needs positive, finite omega0_sq and "
-     "omega1_sq for the continuum mapping\n")],
+     "omega1_sq for the continuum mapping\n"),
+    # dt*steps = 3e308 overflows: no level's time is left unchecked
+    (["evolver.dt=1e308", "evolver.steps=3", "model.D=1e10", "evolver.dx=1",
+      "model.omega_p_sq=0"], 1, "error: domain: dt*steps overflows\n")],
     ids=["mu_E", "alpha0", "kink-beta", "kink-width", "dx-inf-grid",
          "alpha0-inf", "iv-overflow", "iv-inf", "theta-inf", "theta-span",
          "dx-underflow", "D-underflow", "dx-overflow", "D-overflow",
-         "kink-omega-inf"])
+         "kink-omega-inf", "dt-steps-overflow"])
 def test_main_overflow_reports_no_numpy_warning(tmp_path, overrides, code,
                                                 stderr):
     # a separate interpreter, so numpy's warnings reach stderr unfiltered

@@ -469,10 +469,10 @@ def test_evolve_rejects_non_finite_driving_phase():
     np.testing.assert_array_equal(t.times, ref.times)
     np.testing.assert_array_equal(t.mean_phase, ref.mean_phase)
     np.testing.assert_array_equal(t.norm, ref.norm)
-    # with a tilt V overflows at n = 1 and truncates the run first
-    t = evolve("df-standard", f, WELL, drive, 1.0, 5)
-    assert t.truncated
-    assert len(t) == 2
+    # with a tilt the run is an error before its first step, though V
+    # overflows at n = 1, before theta_n does
+    with pytest.raises(DomainError, match="^non-finite physical parameter$"):
+        evolve("df-standard", f, WELL, drive, 1.0, 5)
     # a (subnormal) tilt small enough to keep V finite at theta_1 = 1e308
     # reaches theta_2 = inf on the driven path, which is an error
     with pytest.raises(DomainError):
@@ -878,10 +878,16 @@ def reference_plan(kind, V, p, dx, dt, textbook=False):
 
 
 def reference_evolve(kind, init, p, drive, dt, steps, plan=reference_plan):
-    # oracle for the blocked loop: one finiteness check and one
+    # oracle for the blocked loop: the time span and every driving phase
+    # checked before the first step, then one finiteness check and one
     # phase/norm reduction of 1-D sums per level
     x, dx = init.grid(), init.dx
     driven = p.mu_E != 0.0 and drive.a_D != 0.0
+    if not math.isfinite(dt * steps):
+        raise DomainError("dt*steps overflows")
+    if driven and not all(math.isfinite(p.theta + drive.a_D * (n * dt))
+                          for n in range(steps)):
+        raise DomainError("non-finite physical parameter")
     prev = curr = init.values
     truncated = False
     with np.errstate(over="ignore", invalid="ignore"):
@@ -890,8 +896,6 @@ def reference_evolve(kind, init, p, drive, dt, steps, plan=reference_plan):
         for n in range(steps):
             if driven and n:
                 theta_n = p.theta + drive.a_D * (n * dt)
-                if not math.isfinite(theta_n):
-                    raise DomainError("non-finite physical parameter")
                 step = plan(kind, model.washboard_potential(
                     x, replace(p, theta=theta_n)), p, dx, dt)
             new = step(prev, curr)
@@ -1019,9 +1023,9 @@ def test_evolve_truncation_lands_on_any_block_row(bad_level, a_D,
 
 
 # at dt = 1e-3 theta_n = theta + a_D*(n*dt) first overflows at n = 70,
-# after the first full ring of 64 levels is recorded; a tilt of 5e-324
-# rounds 0.5*mu_E to zero, so V stays finite (and equal to the static
-# well) up to that step
+# past the first full ring of 64 levels; a tilt of 5e-324 rounds
+# 0.5*mu_E to zero, so V stays finite (and equal to the static well) up
+# to that step
 TINY_TILT = PhysicalParams(D=1.0, omega_p_sq=1.0, mu_E=5e-324,
                            theta=1.7e308)
 LATE_INF_DRIVE = FieldDriveParams(
@@ -1029,7 +1033,9 @@ LATE_INF_DRIVE = FieldDriveParams(
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_evolve_late_driving_phase_overflow_raises(kind):
+def test_evolve_late_driving_phase_overflow_raises(kind, monkeypatch):
+    # theta_70 overflows, so the run is an error before step 0, also
+    # where the field would leave the finite range first
     theta = [TINY_TILT.theta + LATE_INF_DRIVE.a_D * (n * 1e-3)
              for n in (69, 70)]
     assert math.isfinite(theta[0]) and not math.isfinite(theta[1])
@@ -1037,23 +1043,38 @@ def test_evolve_late_driving_phase_overflow_raises(kind):
     for run in (evolve, reference_evolve):
         with pytest.raises(DomainError, match="non-finite physical"):
             run(kind, f, TINY_TILT, LATE_INF_DRIVE, 1e-3, 130)
+    steps = []
+
+    def plan(*args):
+        inner = evolver._PLANS[kind](*args)
+
+        def step(prev, curr, out):
+            steps.append(1)
+            inner(prev, curr, out)
+            out[0][3] = np.nan
+        return step
+
+    monkeypatch.setitem(evolver._PLANS, "counted", plan)
+    with pytest.raises(DomainError, match="^non-finite physical parameter$"):
+        evolve("counted", f, TINY_TILT, LATE_INF_DRIVE, 1e-3, 130)
+    assert not steps
+    # ending before theta_70, the same run steps and is truncated
+    t = evolve("counted", f, TINY_TILT, LATE_INF_DRIVE, 1e-3, 70)
+    assert steps and t.truncated and len(t) == 1
 
 
-@pytest.mark.parametrize("bad_level", [66, 70])
-def test_evolve_truncation_before_late_phase_overflow(bad_level,
-                                                      monkeypatch):
-    # the field leaves the finite range in the partial ring before
-    # theta_70 overflows: the run is truncated, not an error
-    f = gaussian_packet(41, 0.1, x_c=0.5)
-    ref = reference_evolve("df-standard", f, TINY_TILT, LATE_INF_DRIVE,
-                           1e-3, 130, plan=poisoned(bad_level))
-    plan = poisoned(bad_level)
-    monkeypatch.setitem(evolver._PLANS, "poisoned",
-                        lambda *args: plan("df-standard", *args))
-    t = evolve("poisoned", f, TINY_TILT, LATE_INF_DRIVE, 1e-3, 130)
-    assert ref.truncated
-    assert len(ref) == bad_level
-    assert_trajectories_bitwise(t, ref)
+@pytest.mark.parametrize("kind", KINDS)
+def test_evolve_rejects_overflowing_time_span(kind):
+    # dt*steps = 3e308 rounds to inf, so the last levels' times would
+    # not be finite; one step of the same dt runs
+    f = gaussian_packet(11, 1.0)
+    p = PhysicalParams(D=1e10, omega_p_sq=0.0, mu_E=0.0, theta=0.0)
+    drive = FieldDriveParams(a_D=0.0)
+    for run in (evolve, reference_evolve):
+        with pytest.raises(DomainError, match="^dt\\*steps overflows$"):
+            run(kind, f, p, drive, 1e308, 3)
+    t = evolve(kind, f, p, drive, 1e308, 1)
+    np.testing.assert_array_equal(t.times, [0.0, 1e308])
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -14,7 +14,6 @@ from cdwlab.tunneling import (
     gaussian_norm_constant,
     iv_curve,
     soliton_fourier,
-    thin_wall_fourier_check,
 )
 
 
@@ -124,7 +123,7 @@ def test_thin_wall_fourier_deviation():
     box = 16.0 * L
     devs = []
     for b in [1e4, 1e5, 1e6]:
-        dev = thin_wall_fourier_check(L, b * L, 10, box / L)
+        dev = np.nanmax(fourier_check_table(L, b * L, 10, box / L).rows[:, 3])
         k_max = 2.0 * math.pi * 10 / box
         theory = (math.pi * k_max / (2.0 * b)) ** 2 / 6.0
         assert dev == pytest.approx(theory, rel=0.01)
@@ -135,9 +134,9 @@ def test_thin_wall_fourier_deviation():
 
 def test_thin_wall_fourier_preconditions():
     with pytest.raises(DomainError):
-        thin_wall_fourier_check(1.0, 50.0, 10, 16.0)
+        fourier_check_table(1.0, 50.0, 10, 16.0)
     with pytest.raises(DomainError):
-        thin_wall_fourier_check(1.0, 1e4, 10, 5.0)
+        fourier_check_table(1.0, 1e4, 10, 5.0)
 
 
 def test_fourier_zero_modes_excluded():
@@ -148,11 +147,6 @@ def test_fourier_zero_modes_excluded():
     assert math.isnan(table.rows[15, 3])
     assert math.isnan(table.rows[31, 3])
     assert np.isnan(table.rows).sum() == 2
-
-
-def test_fourier_check_is_the_tables_max_deviation():
-    devs = fourier_check_table(1.0, 1e4, 32, 16.0).rows[:, 3]
-    assert thin_wall_fourier_check(1.0, 1e4, 32, 16.0) == np.nanmax(devs)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

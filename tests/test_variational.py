@@ -22,7 +22,7 @@ from cdwlab.variational import (
     sweep_table,
     sweep_theta,
 )
-from spectral import two_chain_levels
+from spectral import lowest_levels, two_chain_levels
 
 Q = QuadratureSpec()
 QF = QuadratureSpec(eta=20.0, panels=160, order=12)
@@ -801,8 +801,6 @@ def test_sweep_without_an_interior_point_makes_no_empty_call(monkeypatch):
     # limit, so no theta refines alpha and no eigh runs on an empty
     # stack; the row is pinned bit for bit
     calls = count_calls(monkeypatch, "_reduced")
-    rows = variational._alternate(FREE, np.empty(0), np.empty(0))
-    assert rows.shape == (0, 15) and not calls
     row = sweep_theta(FREE, [0.0])[0]
     # at delta' = 0 each _alternate call is one solve: the scan and the
     # 15 steps out to alpha = 1e-4
@@ -1059,16 +1057,70 @@ def test_two_level_staircase_count_rule(x1, count):
                for j in jumps) == count
 
 
-def test_comb_lies_a_third_above_the_exact_two_chain_ground_state():
-    # sequential diagonalisation on sinc-DVR grids of step 0.7 over
-    # |Phi| <= 26 and |chi| <= 12 pi; m = 10 channels per Phi node span
-    # the m = 6 basis, so the ground level can only fall with m.  The
-    # shipped five-tooth comb, one width for every tooth, lies 34.5% above
-    thetas = [0.0, math.pi / 2, math.pi]
-    exact = two_chain_levels(STD, thetas, 0.7, 26.0, 12 * math.pi, 10)
-    assert exact[0, 0] == pytest.approx(3.37359423e-3, rel=1e-8)
-    assert exact[0, 1] - exact[0, 0] == pytest.approx(5.968951e-5, rel=1e-6)
+# the exact two-chain levels at theta = 0, pi/2 and pi, by sequential
+# diagonalisation on sinc-DVR grids of step 0.7 over |Phi| <= 26 and
+# |chi| <= 12 pi with m = 10 channels per Phi node
+EXACT_THETAS = [0.0, math.pi / 2, math.pi]
+EXACT_GRID = (0.7, 26.0, 12 * math.pi, 10)
+
+
+@pytest.fixture(scope="module")
+def exact_levels():
+    return two_chain_levels(STD, EXACT_THETAS, *EXACT_GRID)
+
+
+def test_comb_lies_a_third_above_the_exact_two_chain_ground_state(
+        exact_levels):
+    # m = 10 channels per Phi node span the m = 6 basis, so the ground
+    # level can only fall with m.  The shipped five-tooth comb, one width
+    # for every tooth, lies 34.5% above
+    e0, e1 = exact_levels[0, :2]
+    assert e0 == pytest.approx(3.37359423e-3, rel=1e-8)
+    assert e1 - e0 == pytest.approx(5.968951e-5, rel=1e-6)
     fewer = two_chain_levels(STD, [0.0], 0.7, 26.0, 12 * math.pi, 6)
-    assert fewer[0, 0] > exact[0, 0]
-    for row, e0 in zip(sweep_theta(STD, thetas), exact[:, 0]):
-        assert 0.34 < row.e_min / e0 - 1.0 < 0.35
+    assert fewer[0, 0] > e0
+    for row, exact in zip(sweep_theta(STD, EXACT_THETAS),
+                          exact_levels[:, 0]):
+        assert 0.34 < row.e_min / exact - 1.0 < 0.35
+
+
+@pytest.mark.parametrize("h, chi_max, m", [(0.7, 12 * math.pi, 16),
+                                           (0.5, 12 * math.pi, 10),
+                                           (0.7, 16 * math.pi, 10)],
+                         ids=["m", "h", "chi"])
+def test_exact_two_chain_ground_level_is_converged(exact_levels, h,
+                                                   chi_max, m):
+    # more channels, a finer grid or a wider chi window each move E0 at
+    # theta = 0 by 5e-11, 9e-12 and 8e-12
+    e0 = two_chain_levels(STD, [0.0], h, 26.0, chi_max, m)[0, 0]
+    assert abs(e0 - exact_levels[0, 0]) <= 1e-10
+
+
+def test_exact_two_chain_curve_is_even_periodic_with_three_minima():
+    # V(Phi, chi; theta) = V(Phi + 2 pi, chi; theta + 2 pi) =
+    # V(-Phi, -chi; -theta), so E0 is even and 2 pi-periodic; the Phi
+    # window is widened by 2 pi to hold the shifted ground state
+    # (m = 6).  E0 rises over the offsets [0, pi], and the 81-point grid
+    # mapped from its 11 offsets has criterion 5's 3 minima, not 5
+    offsets = math.pi / 10 * np.arange(11)
+    e0 = two_chain_levels(STD, [*offsets, -0.7, 0.7, 0.7 + 2 * math.pi], 0.7,
+                          26.0 + 2 * math.pi, 12 * math.pi, 6)[:, 0]
+    assert abs(e0[11] - e0[12]) <= 1e-15
+    assert abs(e0[13] - e0[12]) <= 1e-13
+    assert np.all(np.diff(e0[:11]) > 0)
+    k = np.round(GRID / (2 * math.pi))
+    folded = np.round(np.abs(GRID - 2 * math.pi * k) / (math.pi / 10))
+    assert count_local_minima(e0[folded.astype(int)]) == 3
+
+
+def test_decoupled_comb_lies_just_above_the_product_ground_state():
+    # at delta' = 0 the pair is two copies of the single chain of
+    # test_single_chain_is_one_chain_of_the_pair, so its exact ground
+    # energy is twice the chain's (sinc-DVR, step 0.5 over |phi| <= 40);
+    # the decoupled comb lies 0.028-0.032% above it
+    x = 0.5 * np.arange(-80, 81)
+    for row in sweep_theta(DECOUPLED, EXACT_THETAS):
+        chain = PhysicalParams(D=2.0 * STD.D1, omega_p_sq=STD.E1 / STD.D1,
+                               mu_E=2.0 * STD.E2, theta=row.theta)
+        e0 = lowest_levels(x, washboard_potential(x, chain), chain.D, 1)[0]
+        assert 0.0 < row.e_min / (2.0 * e0) - 1.0 < 3.5e-4
