@@ -289,12 +289,9 @@ def main(argv=None):
                 (("output", args.output), ("seed", args.seed))
                 if value is not None]
         run(parse_config(data, args.sets + last))
-    except ConfigError as err:
-        print(err.oneline(), file=sys.stderr)
-        return 2
     except CdwError as err:
         print(err.oneline(), file=sys.stderr)
-        return 1
+        return err.status
     return 0
 
 

@@ -1,8 +1,8 @@
 """Error taxonomy shared across the lab.
 
 Every exception carries a short machine-readable ``code`` so the CLI can
-emit one-line ``error: <code>: <detail>`` diagnostics and map the failure
-onto an exit status.
+emit one-line ``error: <code>: <detail>`` diagnostics, and the exit
+``status`` the CLI returns for it: 2 for a config error, 1 for any other.
 """
 
 
@@ -10,6 +10,7 @@ class CdwError(Exception):
     """Base class for all lab errors."""
 
     code = "error"
+    status = 1
     line = None
 
     def oneline(self):
@@ -36,6 +37,7 @@ class ConfigError(CdwError):
     """
 
     code = "config"
+    status = 2
 
     def __init__(self, message, line=None):
         super().__init__(message)

@@ -21,6 +21,7 @@ non-finite level, and the `step_*` names take one checked single step.
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
@@ -327,11 +328,15 @@ def evolve(kind, init, p, drive, dt, steps):
     once.  The phase/norm sums run once per full ring, just before row 0
     is overwritten, and once on the last partial ring, in one reused
     scratch.  A non-finite level has a non-finite norm, so only a ring
-    with a non-finite norm is checked level by level for where to cut."""
+    with a non-finite norm is checked level by level for where to cut.
+    Reading finiteness once per ring costs on the error path only: a run
+    whose level goes non-finite keeps stepping to the ring's next wrap,
+    at most rows - 1 = 63 wasted steps."""
     if steps < 1:
         raise DomainError("steps must be >= 1")
     build = _check(kind, p, init.dx, dt)
-    if not math.isfinite(dt * steps):
+    # an int steps past the float range cannot be converted for dt*steps
+    if steps > sys.float_info.max or not math.isfinite(dt * steps):
         raise DomainError("dt*steps overflows")
     x, dx = init.grid(), init.dx
 

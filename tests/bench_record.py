@@ -1,15 +1,20 @@
-"""Record BENCH_<pr>.json: the three benchmark workloads, end to end.
+"""Record BENCH_<pr>.json: every benchmark workload, end to end.
 Run from the repository root:  python tests/bench_record.py PR [--seed N]
-[--seconds S].  Each workload runs once, perfbench/run.py --trace 0, and
-its stdout's last two lines, the provenance and the result, are kept as
+[--seconds S].  Each workload of perfbench/workloads.py's WORKLOADS runs
+once, perfbench/run.py --trace 0, and its stdout's last two lines, the
+provenance and the result, are kept as
 {workload: {"provenance": ..., "result": ...}}.
 """
 import argparse
 import json
+import os
 import subprocess
 import sys
 
-WORKLOADS = ("sweep", "dynamics", "kink")
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])

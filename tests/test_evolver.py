@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -883,7 +884,7 @@ def reference_evolve(kind, init, p, drive, dt, steps, plan=reference_plan):
     # phase/norm reduction of 1-D sums per level
     x, dx = init.grid(), init.dx
     driven = p.mu_E != 0.0 and drive.a_D != 0.0
-    if not math.isfinite(dt * steps):
+    if steps > sys.float_info.max or not math.isfinite(dt * steps):
         raise DomainError("dt*steps overflows")
     if driven and not all(math.isfinite(p.theta + drive.a_D * (n * dt))
                           for n in range(steps)):
@@ -1066,13 +1067,15 @@ def test_evolve_late_driving_phase_overflow_raises(kind, monkeypatch):
 @pytest.mark.parametrize("kind", KINDS)
 def test_evolve_rejects_overflowing_time_span(kind):
     # dt*steps = 3e308 rounds to inf, so the last levels' times would
-    # not be finite; one step of the same dt runs
+    # not be finite, and 10**400 steps has no float at all; one step of
+    # the same dt runs
     f = gaussian_packet(11, 1.0)
     p = PhysicalParams(D=1e10, omega_p_sq=0.0, mu_E=0.0, theta=0.0)
     drive = FieldDriveParams(a_D=0.0)
     for run in (evolve, reference_evolve):
-        with pytest.raises(DomainError, match="^dt\\*steps overflows$"):
-            run(kind, f, p, drive, 1e308, 3)
+        for steps in (3, 10 ** 400):
+            with pytest.raises(DomainError, match="^dt\\*steps overflows$"):
+                run(kind, f, p, drive, 1e308, steps)
     t = evolve(kind, f, p, drive, 1e308, 1)
     np.testing.assert_array_equal(t.times, [0.0, 1e308])
 

@@ -22,7 +22,7 @@ from cdwlab.variational import (
     sweep_table,
     sweep_theta,
 )
-from spectral import lowest_levels, two_chain_levels
+from spectral import lowest_levels, two_chain_levels, two_chain_mean_phase
 
 Q = QuadratureSpec()
 QF = QuadratureSpec(eta=20.0, panels=160, order=12)
@@ -1111,6 +1111,23 @@ def test_exact_two_chain_curve_is_even_periodic_with_three_minima():
     k = np.round(GRID / (2 * math.pi))
     folded = np.round(np.abs(GRID - 2 * math.pi * k) / (math.pi / 10))
     assert count_local_minima(e0[folded.astype(int)]) == 3
+
+
+@pytest.mark.parametrize("E1, converged, side", [(3e-3, 1.3638, 1),
+                                                  (5e-3, 0.2785, -1)],
+                         ids=["3e-3", "5e-3"])
+def test_exact_criterion_6_window_opens_between_3e_3_and_5e_3(E1, converged,
+                                                             side):
+    # criterion 6 counts a jump iff <Phi>(0.9 pi) <= 0.15 pi = 0.4712
+    # (test_two_level_staircase_count_rule).  At delta' = 0.005 the exact
+    # pair reads 1.3566 at E1 = 3e-3 and 0.2796 at 5e-3 (h = 0.35,
+    # |Phi - theta| <= 10, |chi| <= 4 pi + 3, m = 16): at least 0.19 from
+    # the rule and within 0.008 of the h = 0.25, |chi| <= 6 pi + 3, m = 32
+    # readings 1.3638 and 0.2785.  m = 12 is too coarse (0.3237 at 5e-3)
+    phase = two_chain_mean_phase(PhysicalParams(E1=E1), 0.9 * math.pi, 0.35,
+                                 10.0, 4 * math.pi + 3, 16)
+    assert side * (phase - 0.15 * math.pi) >= 0.19
+    assert abs(phase - converged) <= 0.008
 
 
 def test_decoupled_comb_lies_just_above_the_product_ground_state():
